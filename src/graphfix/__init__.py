@@ -29,9 +29,7 @@ from .metric import (
     EdgeStructure,
     FiniteMetricSpace,
     Gauge,
-    gauge_eval,
     hausdorff_distance,
-    is_edge,
     point_to_set_distance,
 )
 from .verifier import (
@@ -69,9 +67,7 @@ __all__ = [
     "TraceRow",
     "best_approximant_set",
     "enumerate_coincidence_points",
-    "gauge_eval",
     "hausdorff_distance",
-    "is_edge",
     "point_to_set_distance",
     "run_coincidence_iteration",
     "run_operator_iteration",

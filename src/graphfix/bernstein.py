@@ -32,12 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from .engine import (
-    ConvergenceCertificate,
-    IterationConfig,
-    IterationOutcome,
-    run_operator_iteration,
-)
+from .engine import IterationConfig, IterationOutcome, run_operator_iteration
 from .errors import InputError
 from .metric import Gauge
 
@@ -126,11 +121,6 @@ def _log_pochhammer_denominator(params: QParams, a: float) -> float:
         else:
             total += math.log((1.0 - a) + (math.exp(t) if a > 0 else 0.0))
     return total
-
-
-def basis(params: QParams, i: int, a: float) -> float:
-    """Basis value b_{n,i}(q, a) for a in [0, 1]."""
-    return float(basis_vector(params, a)[i])
 
 
 def basis_vector(params: QParams, a: float) -> np.ndarray:

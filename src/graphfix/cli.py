@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import concurrent.futures
 import dataclasses
-import json
 import math
 import os
 import sys
@@ -24,8 +23,6 @@ import numpy as np
 from .bernstein import QParams, iterate_to_limit
 from .engine import (
     Converged,
-    HypothesisViolated,
-    IterationConfig,
     IterationOutcome,
     MaxIterExceeded,
     run_coincidence_iteration,
@@ -34,7 +31,7 @@ from .errors import DomainError, HypothesisViolation, InputError
 from .fbvp import FbvpProblem, picard_solve
 from .metric import Gauge
 from .problems import BUILTIN_NAMES, builtin_problem, load_problem
-from .serialize import json_dump, json_dumps, write_table
+from .serialize import json_dump, json_dumps, load_json, write_table
 from .verifier import verify_coincidence_hypotheses, verify_kamran_inequality
 
 EXIT_OK = 0
@@ -54,16 +51,6 @@ class RunManifest:
     seed: int = 0
     format: str = "csv"
 
-    def to_dict(self) -> dict:
-        return {
-            "subcommand": self.subcommand,
-            "input": self.input,
-            "params": self.params,
-            "out": self.out,
-            "seed": self.seed,
-            "format": self.format,
-        }
-
 
 def _load(problem_ref: str, depth: int | None):
     if problem_ref in BUILTIN_NAMES:
@@ -77,17 +64,40 @@ def _load(problem_ref: str, depth: int | None):
 
 
 def _emit(manifest: RunManifest, name: str, payload: dict) -> dict:
-    payload = {"manifest": manifest.to_dict(), **payload}
+    payload = {"manifest": dataclasses.asdict(manifest), **payload}
     os.makedirs(manifest.out, exist_ok=True)
     json_dump(payload, os.path.join(manifest.out, name))
     return payload
 
 
+def _table(manifest: RunManifest, stem: str, header: list[str], rows: list) -> None:
+    """Write ``stem.csv`` or ``stem.json`` (the --format choice) to the run dir."""
+    os.makedirs(manifest.out, exist_ok=True)
+    path = os.path.join(manifest.out, f"{stem}.{manifest.format}")
+    write_table(path, header, rows, manifest.format)
+
+
+def _exit_code(outcome: IterationOutcome) -> int:
+    """0 when the run converged, 3 when the budget ran out, 1 otherwise."""
+    if isinstance(outcome.status, Converged):
+        return EXIT_OK
+    if isinstance(outcome.status, MaxIterExceeded):
+        return EXIT_BUDGET
+    return EXIT_HYPOTHESIS
+
+
+def _stop_reason(outcome: IterationOutcome) -> dict:
+    """The status, and the failing condition and step, as outcome.json has them."""
+    record = outcome.to_dict()
+    return {k: record[k] for k in ("status", "condition", "step") if k in record}
+
+
 # ---------------------------------------------------------------------------
-# Runners (shared by the click commands and the sweep executor)
+# Runners (shared by the click commands and the sweep executor).  Each one
+# writes its files and returns (exit code, report payload).
 # ---------------------------------------------------------------------------
 
-def run_verify(manifest: RunManifest) -> int:
+def run_verify(manifest: RunManifest) -> tuple[int, dict]:
     params = manifest.params
     problem = _load(manifest.input, params.get("truncate"))
     report = verify_coincidence_hypotheses(
@@ -110,22 +120,13 @@ def run_verify(manifest: RunManifest) -> int:
         )
         payload["kamran"] = kamran.to_dict()
         ok = ok and kamran.holds
-    payload = _emit(manifest, "report.json", payload)
-    click.echo(json_dumps(payload))
-    return EXIT_OK if ok else EXIT_HYPOTHESIS
-
-
-def _trace_rows(outcome: IterationOutcome) -> list[list]:
-    return [
-        [r.n, r.w_label or "", r.fw_label or "", r.d, r.residual, r.bound, r.edge_ok]
-        for r in outcome.trace.rows
-    ]
+    return (EXIT_OK if ok else EXIT_HYPOTHESIS), _emit(manifest, "report.json", payload)
 
 
 _TRACE_HEADER = ["n", "w_label", "fw_label", "d_n", "D_n", "tail_bound_n", "edge_ok"]
 
 
-def run_iterate(manifest: RunManifest) -> int:
+def run_iterate(manifest: RunManifest) -> tuple[int, dict]:
     params = manifest.params
     problem = _load(manifest.input, params.get("truncate"))
     replacements = {}
@@ -145,21 +146,12 @@ def run_iterate(manifest: RunManifest) -> int:
         problem = dataclasses.replace(problem, **replacements)
     outcome = run_coincidence_iteration(problem)
 
-    os.makedirs(manifest.out, exist_ok=True)
-    ext = "json" if manifest.format == "json" else "csv"
-    write_table(
-        os.path.join(manifest.out, f"trace.{ext}"),
-        _TRACE_HEADER,
-        _trace_rows(outcome),
-        manifest.format,
-    )
-    payload = _emit(manifest, "outcome.json", outcome.to_dict())
-    click.echo(json_dumps(payload))
-    if isinstance(outcome.status, Converged):
-        return EXIT_OK
-    if isinstance(outcome.status, MaxIterExceeded):
-        return EXIT_BUDGET
-    return EXIT_HYPOTHESIS
+    rows = [
+        [r.n, r.w_label or "", r.fw_label or "", r.d, r.residual, r.bound, r.edge_ok]
+        for r in outcome.trace.rows
+    ]
+    _table(manifest, "trace", _TRACE_HEADER, rows)
+    return _exit_code(outcome), _emit(manifest, "outcome.json", outcome.to_dict())
 
 
 _PHI_BUILTINS = {
@@ -170,12 +162,11 @@ _PHI_BUILTINS = {
 
 
 def _phi_from_file(path):
+    data = load_json(path)
     try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot load phi samples from {path}: {exc}") from None
-    pts = sorted((float(a), float(v)) for a, v in data)
+        pts = sorted((float(a), float(v)) for a, v in data)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{path} must hold [[a, value], ...] samples: {exc}") from None
     if not pts:
         raise InputError("phi sample file is empty")
     xs = np.array([p[0] for p in pts])
@@ -183,7 +174,7 @@ def _phi_from_file(path):
     return lambda a: float(np.interp(a, xs, ys))
 
 
-def run_bernstein(manifest: RunManifest) -> int:
+def run_bernstein(manifest: RunManifest) -> tuple[int, dict]:
     params = manifest.params
     phi_name = params["phi"]
     if phi_name == "file":
@@ -206,14 +197,7 @@ def run_bernstein(manifest: RunManifest) -> int:
         [float(a), float(lv), float(iv), float(abs(lv - iv))]
         for a, lv, iv in zip(grid, limit_vals, interp_vals)
     ]
-    os.makedirs(manifest.out, exist_ok=True)
-    ext = "json" if manifest.format == "json" else "csv"
-    write_table(
-        os.path.join(manifest.out, f"bernstein.{ext}"),
-        ["a", "limit", "interpolant", "abs_error"],
-        rows,
-        manifest.format,
-    )
+    _table(manifest, "bernstein", ["a", "limit", "interpolant", "abs_error"], rows)
     payload = _emit(
         manifest,
         "summary.json",
@@ -225,14 +209,10 @@ def run_bernstein(manifest: RunManifest) -> int:
             "b_nq": result.b_nq,
             "converged": result.converged,
             "endpoint_nonneg": result.endpoint_nonneg,
+            **_stop_reason(result.outcome),
         },
     )
-    click.echo(json_dumps(payload))
-    if result.converged:
-        return EXIT_OK
-    if isinstance(result.outcome.status, MaxIterExceeded):
-        return EXIT_BUDGET
-    return EXIT_HYPOTHESIS
+    return _exit_code(result.outcome), payload
 
 
 _FORCING_BUILTINS = {
@@ -251,14 +231,14 @@ _EVAL_NAMES = {
 
 
 def _forcing_from_file(path):
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot load forcing from {path}: {exc}") from None
-    if "expr" not in data:
+    data = load_json(path)
+    if not isinstance(data, dict) or "expr" not in data:
         raise InputError("forcing file needs an 'expr' of b and w")
-    code = compile(data["expr"], path, "eval")
+    try:
+        code = compile(data["expr"], path, "eval")
+        gauge_sup = float(data.get("gauge_sup", 0.0))
+    except (SyntaxError, TypeError, ValueError) as exc:
+        raise InputError(f"malformed forcing file {path}: {exc}") from None
     for name in code.co_names:
         if name not in _EVAL_NAMES and name not in ("b", "w"):
             raise InputError(f"forcing expression uses unknown name {name!r}")
@@ -266,10 +246,10 @@ def _forcing_from_file(path):
     def g(b, w):
         return float(eval(code, {"__builtins__": {}}, {**_EVAL_NAMES, "b": b, "w": w}))
 
-    return g, float(data.get("gauge_sup", 0.0))
+    return g, gauge_sup
 
 
-def run_fbvp(manifest: RunManifest) -> int:
+def run_fbvp(manifest: RunManifest) -> tuple[int, dict]:
     params = manifest.params
     name = params["forcing"]
     if name == "file":
@@ -296,25 +276,18 @@ def run_fbvp(manifest: RunManifest) -> int:
         [float(b), float(u)]
         for b, u in zip(problem.grid, report.solution.values)
     ]
-    os.makedirs(manifest.out, exist_ok=True)
-    ext = "json" if manifest.format == "json" else "csv"
-    write_table(
-        os.path.join(manifest.out, f"solution.{ext}"),
-        ["b", "u_star"],
-        rows,
-        manifest.format,
-    )
+    _table(manifest, "solution", ["b", "u_star"], rows)
     payload = _emit(
         manifest,
         "report.json",
-        {"beta": problem.beta, "m": problem.grid_m, **report.to_dict()},
+        {
+            "beta": problem.beta,
+            "m": problem.grid_m,
+            **report.to_dict(),
+            **_stop_reason(report.outcome),
+        },
     )
-    click.echo(json_dumps(payload))
-    if report.converged:
-        return EXIT_OK
-    if isinstance(report.outcome.status, MaxIterExceeded):
-        return EXIT_BUDGET
-    return EXIT_HYPOTHESIS
+    return _exit_code(report.outcome), payload
 
 
 _RUNNERS = {
@@ -325,20 +298,29 @@ _RUNNERS = {
 }
 
 
-def run_sweep(manifest: RunManifest) -> int:
+def _guarded(runner, manifest: RunManifest) -> tuple[int, dict | None, str | None]:
+    """Run one runner; a run that raises becomes an exit code and an error line."""
     try:
-        with open(manifest.input) as fh:
-            jobs = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read sweep file: {exc}") from None
+        code, payload = runner(manifest)
+    except (InputError, DomainError) as exc:
+        return EXIT_INPUT, None, f"error: {exc}"
+    except HypothesisViolation as exc:
+        return EXIT_HYPOTHESIS, None, f"hypothesis violated: {exc}"
+    return code, payload, None
+
+
+def run_sweep(manifest: RunManifest) -> tuple[int, dict]:
+    """Run every job of the sweep file; a failing job is recorded, not fatal."""
+    jobs = load_json(manifest.input)
     if not isinstance(jobs, list) or not jobs:
         raise InputError("sweep file must be a non-empty array of runs")
 
     def one(idx_job):
         idx, job = idx_job
-        sub = job.get("subcommand")
+        sub = job.get("subcommand") if isinstance(job, dict) else None
         if sub not in _RUNNERS:
-            raise InputError(f"sweep job {idx}: unknown subcommand {sub!r}")
+            error = f"error: sweep job {idx}: unknown subcommand {sub!r}"
+            return {"index": idx, "exit_code": EXIT_INPUT, "error": error}
         sub_manifest = RunManifest(
             subcommand=sub,
             input=job.get("input"),
@@ -347,20 +329,14 @@ def run_sweep(manifest: RunManifest) -> int:
             seed=manifest.seed,
             format=manifest.format,
         )
-        return idx, _RUNNERS[sub](sub_manifest)
+        code, _, error = _guarded(_RUNNERS[sub], sub_manifest)
+        return {"index": idx, "exit_code": code, "error": error}
 
     workers = max(1, int(manifest.params.get("jobs", 1)))
-    results = {}
     with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        for idx, code in pool.map(one, enumerate(jobs)):
-            results[idx] = code
-    payload = _emit(
-        manifest,
-        "sweep.json",
-        {"runs": [{"index": i, "exit_code": results[i]} for i in sorted(results)]},
-    )
-    click.echo(json_dumps(payload))
-    return max(results.values(), default=EXIT_OK)
+        runs = list(pool.map(one, enumerate(jobs)))
+    code = max(run["exit_code"] for run in runs)
+    return code, _emit(manifest, "sweep.json", {"runs": runs})
 
 
 # ---------------------------------------------------------------------------
@@ -368,14 +344,11 @@ def run_sweep(manifest: RunManifest) -> int:
 # ---------------------------------------------------------------------------
 
 def _dispatch(runner, manifest: RunManifest) -> None:
-    try:
-        code = runner(manifest)
-    except (InputError, DomainError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_INPUT)
-    except HypothesisViolation as exc:
-        click.echo(f"hypothesis violated: {exc}", err=True)
-        sys.exit(EXIT_HYPOTHESIS)
+    code, payload, error = _guarded(runner, manifest)
+    if error is None:
+        click.echo(json_dumps(payload))
+    else:
+        click.echo(error, err=True)
     sys.exit(code)
 
 

@@ -35,8 +35,8 @@ from .metric import (
     EdgeStructure,
     FiniteMetricSpace,
     Gauge,
-    gauge_eval,
     point_to_set_distance,
+    validate_pair,
 )
 
 # Relative/absolute slack when re-checking contraction inequalities on floats.
@@ -65,16 +65,15 @@ class IterationConfig:
 
 @dataclass(frozen=True)
 class ConvergenceCertificate:
-    """Geometric tail certificate (rate alpha, prefactor B, onset index).
+    """Geometric tail certificate (rate alpha, prefactor B).
 
-    With a globally certified gauge the onset is M_index = 1 and
-    B = alpha^(-1/2); alpha = 0 degenerates to a one-step bound, handled
-    by the 0^0 = 1 convention in :func:`tail_bound`.
+    With a globally certified gauge the bound holds from the first step
+    and B = alpha^(-1/2); alpha = 0 degenerates to a one-step bound,
+    handled by the 0^0 = 1 convention in :func:`tail_bound`.
     """
 
     alpha: float
     B: float
-    M_index: int = 1
 
     def __post_init__(self):
         if not (0.0 <= self.alpha < 1.0):
@@ -86,7 +85,7 @@ class ConvergenceCertificate:
     def from_gauge(cls, gauge: Gauge) -> "ConvergenceCertificate":
         alpha = gauge.certified_sup
         B = 1.0 if alpha == 0.0 else alpha ** -0.5
-        return cls(alpha=alpha, B=B, M_index=1)
+        return cls(alpha=alpha, B=B)
 
 
 def tail_bound(cert: ConvergenceCertificate, d0: float, n: int) -> float:
@@ -123,9 +122,6 @@ class IterationTrace:
 
     def append(self, row: TraceRow) -> None:
         self.rows.append(row)
-
-    def step_distances(self) -> list[float]:
-        return [r.d for r in self.rows if not math.isnan(r.d)]
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -213,33 +209,17 @@ class CoincidenceProblem:
     truncated: frozenset = frozenset()
 
     def __post_init__(self):
-        space = self.space
-        fmap = {}
-        for w in space.labels:
-            if w not in self.f:
-                raise InputError(f"f is not defined at {w!r}")
-            space.index(self.f[w])
-            fmap[w] = self.f[w]
+        fmap, images, misses = validate_pair(self.space, self.f, self.F)
+        if misses:
+            w, y = misses[0]
+            raise InputError(
+                f"range condition fails: {y!r} in F({w!r}) is not an f-image"
+            )
         object.__setattr__(self, "f", fmap)
-        images = {}
-        f_range = set(fmap.values())
-        for w in space.labels:
-            if w not in self.F:
-                raise InputError(f"F is not defined at {w!r}")
-            Z = self.F[w]
-            members = Z.members if isinstance(Z, ClosedSet) else tuple(Z)
-            cs = ClosedSet.finite(members)
-            for y in cs.members:
-                space.index(y)
-                if y not in f_range:
-                    raise InputError(
-                        f"range condition fails: {y!r} in F({w!r}) is not an f-image"
-                    )
-            images[w] = cs
         object.__setattr__(self, "F", images)
         object.__setattr__(self, "truncated", frozenset(self.truncated))
-        space.index(self.w0)
-        space.index(self.p0)
+        self.space.index(self.w0)
+        self.space.index(self.p0)
         if self.p0 not in images[self.w0]:
             raise InputError("p0 must belong to F(w0)")
         if not self.edges.contains(fmap[self.w0], self.p0):
@@ -279,7 +259,7 @@ def select_successor(
         raise InputError("prev_step must be nonnegative")
     best = min(members, key=lambda y: (space.distance(fw_n, y), space.index(y)))
     D = space.distance(fw_n, best)
-    if D > 0 and (prev_step == 0 or gauge_eval(gauge, prev_step) == 0.0):
+    if D > 0 and (prev_step == 0 or gauge(prev_step) == 0.0):
         raise HypothesisViolation(
             "i",
             detail="zero gauge with positive residual forces D = 0",
@@ -345,7 +325,7 @@ def run_coincidence_iteration(problem: CoincidenceProblem) -> IterationOutcome:
         if not edge_ok:
             return outcome(HypothesisViolated("edge", n))
         if d_prev is not None:
-            limit = math.sqrt(gauge_eval(gauge, d_prev)) * d_prev
+            limit = math.sqrt(gauge(d_prev)) * d_prev
             if d_n > limit * (1 + _REL_SLACK) + _ABS_SLACK:
                 return outcome(HypothesisViolated("i", n))
         if residual <= cfg.residual_tol and (d_n <= cfg.tol or bound <= cfg.tol):
@@ -419,7 +399,7 @@ def run_operator_iteration(
             status = HypothesisViolated("edge", n)
             break
         d_prev, d_cur = ds[-1], resid
-        limit = gauge_eval(gauge, d_prev) * d_prev
+        limit = gauge(d_prev) * d_prev
         if d_cur > limit * (1 + _REL_SLACK) + _ABS_SLACK:
             status = HypothesisViolated("i", n)
             break

@@ -4,8 +4,8 @@ These are the primitives every solver in the package shares: a labeled
 point set with a validated distance matrix, a directed reflexive graph
 over it (explicit pairs or a metric ball), a gauge function
 k : [0, inf) -> [0, 1) with a certified supremum strictly below 1, and
-non-void closed sets (finite label sets, or opaque singletons for
-function-space applications).
+non-void finite closed sets, and the one validation path for a pair
+(f, F) on a finite space.
 
 All types are immutable after construction and every operation is a pure
 function, so instances can be shared freely across threads.
@@ -14,9 +14,8 @@ function, so instances can be shared freely across threads.
 from __future__ import annotations
 
 import bisect
-import json
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -118,53 +117,69 @@ class FiniteMetricSpace:
 
 @dataclass(frozen=True)
 class ClosedSet:
-    """A non-void closed set: finitely many labels, or one opaque element.
+    """A non-void closed subset of a finite metric space, as its labels.
 
-    The finite kind models closed (bounded) subsets of a finite metric
-    space; the singleton kind carries one element of a function space and
-    is only a tag here (its geometry lives with the application modules).
+    Members are converted to strings and deduplicated in first-seen order.
     """
 
-    members: tuple[str, ...] | None = None
-    element: Any = None
+    members: tuple[str, ...]
 
     def __post_init__(self):
-        if (self.members is None) == (self.element is None):
-            raise InputError("a closed set is either finite or a singleton image")
-        if self.members is not None:
-            members = tuple(dict.fromkeys(str(s) for s in self.members))
-            if not members:
-                raise DomainError("a closed set must be non-empty")
-            object.__setattr__(self, "members", members)
+        members = tuple(dict.fromkeys(str(s) for s in self.members))
+        if not members:
+            raise DomainError("a closed set must be non-empty")
+        object.__setattr__(self, "members", members)
 
     @classmethod
     def finite(cls, members: Iterable[str]) -> "ClosedSet":
-        return cls(members=tuple(members))
-
-    @classmethod
-    def singleton(cls, element: Any) -> "ClosedSet":
-        return cls(element=element)
-
-    @property
-    def kind(self) -> str:
-        return "finite" if self.members is not None else "singleton-image"
+        return cls(tuple(members))
 
     def __contains__(self, label: str) -> bool:
-        if self.members is None:
-            raise InputError("membership test requires a finite closed set")
         return label in self.members
 
 
 def _finite_members(Z) -> tuple[str, ...]:
     """Normalize a finite closed set given as ClosedSet or label iterable."""
     if isinstance(Z, ClosedSet):
-        if Z.members is None:
-            raise InputError("operation requires a finite closed set")
         return Z.members
     members = tuple(dict.fromkeys(str(s) for s in Z))
     if not members:
         raise DomainError("closed set must be non-empty")
     return members
+
+
+def validate_pair(
+    space: FiniteMetricSpace, f: Mapping, F: Mapping
+) -> tuple[dict[str, str], dict[str, ClosedSet], list[tuple[str, str]]]:
+    """Check a pair (f, F) on ``space``: the one validation path for (f, F).
+
+    f and F must be defined at every label, every f(w) and every member
+    of F(w) must be a label of the space, and every F(w) must be a
+    non-empty set (an iterable of labels, or a ClosedSet, which is reused
+    as it is).  Returns f as a dict, F as a dict of ClosedSets, and the
+    pairs (w, y) with y in F(w) outside the range of f: the range
+    condition is left to the caller, to enforce or to report.
+    """
+    index = space.index
+    fmap: dict[str, str] = {}
+    images: dict[str, ClosedSet] = {}
+    for w in space.labels:
+        if w not in f:
+            raise InputError(f"f is not defined at {w!r}")
+        if w not in F:
+            raise InputError(f"F is not defined at {w!r}")
+        index(f[w])
+        fmap[w] = f[w]
+        Z = F[w]
+        cs = Z if isinstance(Z, ClosedSet) else ClosedSet.finite(Z)
+        for y in cs.members:
+            index(y)
+        images[w] = cs
+    f_range = set(fmap.values())
+    misses = [
+        (w, y) for w in space.labels for y in images[w].members if y not in f_range
+    ]
+    return fmap, images, misses
 
 
 def point_to_set_distance(u: str, Z, space: FiniteMetricSpace) -> float:
@@ -238,11 +253,6 @@ class EdgeStructure:
         return "ball" if self.radius is not None else "list"
 
 
-def is_edge(edges: EdgeStructure, u: str, v: str) -> bool:
-    """True iff (u, v) is an edge; always true on the diagonal."""
-    return edges.contains(u, v)
-
-
 @dataclass(frozen=True)
 class Gauge:
     """Piecewise-constant gauge k : [0, inf) -> [0, 1) with a certified sup.
@@ -288,9 +298,6 @@ class Gauge:
         return cls(tuple(breakpoints), tuple(values), sup)
 
     def __call__(self, t: float) -> float:
-        return self.eval(t)
-
-    def eval(self, t: float) -> float:
         if t < 0:
             raise InputError("gauge argument must be nonnegative")
         idx = bisect.bisect_right(self.breakpoints, t) - 1
@@ -299,11 +306,6 @@ class Gauge:
     @property
     def form(self) -> str:
         return "constant" if len(self.values) == 1 else "piecewise-constant"
-
-
-def gauge_eval(k: Gauge, t: float) -> float:
-    """Evaluate the gauge at t >= 0; the result is < 1 and <= certified_sup."""
-    return k.eval(t)
 
 
 # ---------------------------------------------------------------------------
@@ -372,22 +374,3 @@ def gauge_from_dict(data: Mapping) -> Gauge:
         except KeyError as exc:
             raise InputError(f"piecewise gauge needs {exc}") from None
     raise InputError(f"unknown gauge form {form!r}")
-
-
-def load_space_file(path) -> tuple[FiniteMetricSpace, EdgeStructure, Gauge]:
-    """Load and validate the space/edges/gauge sections of a problem file."""
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path} is not valid JSON: {exc}") from None
-    space = space_from_dict(data)
-    if "edges" not in data:
-        raise InputError("problem file needs an 'edges' section")
-    if "gauge" not in data:
-        raise InputError("problem file needs a 'gauge' section")
-    edges = edges_from_dict(data["edges"], space)
-    gauge = gauge_from_dict(data["gauge"])
-    return space, edges, gauge

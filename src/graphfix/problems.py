@@ -32,6 +32,7 @@ from .metric import (
     gauge_from_dict,
     space_from_dict,
 )
+from .serialize import load_json
 
 BUILTIN_NAMES = ("example-3-3", "example-3-5", "kamran-counterexample", "identity")
 
@@ -224,9 +225,7 @@ def problem_from_dict(data: Mapping) -> CoincidenceProblem:
     edges = edges_from_dict(data["edges"], space)
     gauge = gauge_from_dict(data["gauge"])
     fmap = {str(k): str(v) for k, v in data["f"].items()}
-    images = {
-        str(k): ClosedSet.finite([str(m) for m in v]) for k, v in data["F"].items()
-    }
+    images = {str(k): ClosedSet.finite(v) for k, v in data["F"].items()}
     cfg = data.get("config", {})
     config = IterationConfig(
         tol=float(cfg.get("tol", 1e-9)),
@@ -247,14 +246,7 @@ def problem_from_dict(data: Mapping) -> CoincidenceProblem:
 
 
 def load_problem(path) -> CoincidenceProblem:
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path} is not valid JSON: {exc}") from None
-    return problem_from_dict(data)
+    return problem_from_dict(load_json(path))
 
 
 def save_problem(problem: CoincidenceProblem, path) -> None:

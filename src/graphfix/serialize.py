@@ -1,4 +1,5 @@
-"""Report serialization with full-precision numeric output.
+"""Report serialization with full-precision numeric output, and the one
+reader of JSON input files.
 
 Every float is written with 17 significant decimal digits, which is
 always enough to round-trip an IEEE double exactly.  The JSON emitter is
@@ -8,10 +9,13 @@ formatting; NaN/inf (legal nowhere in JSON) become null.
 
 from __future__ import annotations
 
+import json
 import math
 from typing import Any
 
 import numpy as np
+
+from .errors import InputError
 
 
 def format_float(x: float) -> str:
@@ -59,6 +63,17 @@ def json_dumps(obj: Any, indent: int = 2, _level: int = 0) -> str:
         items = [f"{pad}{json_dumps(v, indent, _level + 1)}" for v in seq]
         return "[\n" + ",\n".join(items) + f"\n{close_pad}]"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def load_json(path) -> Any:
+    """Parse a JSON input file; unreadable or malformed files raise InputError."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{path} is not valid JSON: {exc}") from None
 
 
 def json_dump(obj: Any, path) -> None:

@@ -23,42 +23,17 @@ import numpy as np
 
 from .errors import DomainError, InputError
 from .metric import (
-    ClosedSet,
     EdgeStructure,
     FiniteMetricSpace,
     Gauge,
     hausdorff_distance,
     norm_value,
     point_to_set_distance,
+    validate_pair,
 )
 
 # Slack for comparing float inequalities built from exact example data.
 _SLACK = 1e-12
-
-
-def _normalize_images(space: FiniteMetricSpace, F: Mapping) -> dict[str, tuple[str, ...]]:
-    images = {}
-    for w in space.labels:
-        if w not in F:
-            raise InputError(f"F is not defined at {w!r}")
-        Z = F[w]
-        members = Z.members if isinstance(Z, ClosedSet) else tuple(Z)
-        if not members:
-            raise DomainError(f"F({w!r}) must be non-empty")
-        for y in members:
-            space.index(y)
-        images[w] = tuple(dict.fromkeys(members))
-    return images
-
-
-def _normalize_map(space: FiniteMetricSpace, f: Mapping) -> dict[str, str]:
-    out = {}
-    for w in space.labels:
-        if w not in f:
-            raise InputError(f"f is not defined at {w!r}")
-        space.index(f[w])
-        out[w] = f[w]
-    return out
 
 
 @dataclass
@@ -119,19 +94,12 @@ def verify_coincidence_hypotheses(
     checks would test truncation artifacts rather than the original data.
     An all-false report is a valid result; nothing raises.
     """
-    fmap = _normalize_map(space, f)
-    images = _normalize_images(space, F)
+    fmap, sets, misses = validate_pair(space, f, F)
+    images = {w: Z.members for w, Z in sets.items()}  # tuples: fast `in` below
     truncated = frozenset(truncated)
-    report = HypothesisReport()
-
-    f_range = set(fmap.values())
-    for u in space.labels:
-        for y in images[u]:
-            if y not in f_range:
-                report.range_ok = False
-                report.witnesses.append(
-                    {"condition": "range", "u": u, "member": y}
-                )
+    report = HypothesisReport(range_ok=not misses)
+    for u, y in misses:
+        report.witnesses.append({"condition": "range", "u": u, "member": y})
 
     for v in space.labels:
         fv = fmap[v]
@@ -144,7 +112,7 @@ def verify_coincidence_hypotheses(
             if not edges.contains(fv, fw):
                 continue
             d = space.distance(fv, fw)
-            D = point_to_set_distance(fw, images[w], space)
+            D = point_to_set_distance(fw, sets[w], space)
             bound = gauge(d) * d
             if D > bound + _SLACK:
                 report.condition_i_ok = False
@@ -218,8 +186,7 @@ def verify_kamran_inequality(
     """Check H(Fv, Fw) <= k(d(fv, fw)) d(fv, fw) + M D(fv, Fw) on all pairs."""
     if M < 0:
         raise InputError("M must be nonnegative")
-    fmap = _normalize_map(space, f)
-    images = _normalize_images(space, F)
+    fmap, images, _ = validate_pair(space, f, F)
     report = KamranReport(holds=True, M=float(M))
     for v in space.labels:
         for w in space.labels:
@@ -247,8 +214,7 @@ def enumerate_coincidence_points(
     space: FiniteMetricSpace, f: Mapping[str, str], F: Mapping
 ) -> CoincidenceSets:
     """Scan all points for f(w) in F(w); also collect w = f(w) in F(w)."""
-    fmap = _normalize_map(space, f)
-    images = _normalize_images(space, F)
+    fmap, images, _ = validate_pair(space, f, F)
     coin = []
     common = []
     for w in space.labels:

@@ -9,7 +9,6 @@ from graphfix.bernstein import (
     NodeVector,
     QParams,
     apply_operator,
-    basis,
     basis_vector,
     contraction_constant,
     iterate_to_limit,
@@ -85,18 +84,18 @@ def test_q_binomial_out_of_range():
 
 def test_basis_endpoint_interpolation():
     qp = QParams(5, 0.7)
-    assert basis(qp, 0, 0.0) == 1.0
-    assert all(basis(qp, i, 0.0) == 0.0 for i in range(1, 6))
-    assert basis(qp, 5, 1.0) == 1.0
-    assert all(basis(qp, i, 1.0) == 0.0 for i in range(5))
+    assert basis_vector(qp, 0.0)[0] == 1.0
+    assert all(basis_vector(qp, 0.0)[i] == 0.0 for i in range(1, 6))
+    assert basis_vector(qp, 1.0)[5] == 1.0
+    assert all(basis_vector(qp, 1.0)[i] == 0.0 for i in range(5))
 
 
 def test_basis_degree_one_is_linear():
     for q in (0.5, 1.0, 2.5):
         qp = QParams(1, q)
         for a in np.linspace(0.0, 1.0, 11):
-            assert abs(basis(qp, 1, a) - a) < TOL
-            assert abs(basis(qp, 0, a) - (1.0 - a)) < TOL
+            assert abs(basis_vector(qp, a)[1] - a) < TOL
+            assert abs(basis_vector(qp, a)[0] - (1.0 - a)) < TOL
 
 
 def test_basis_partition_of_unity():
@@ -129,7 +128,7 @@ def test_basis_reproduces_linear_functions():
 
 def test_basis_rejects_outside_unit_interval():
     with pytest.raises(InputError):
-        basis(QParams(3, 1.0), 1, 1.5)
+        basis_vector(QParams(3, 1.0), 1.5)[1]
 
 
 def test_nodes_endpoints_exact():
@@ -183,7 +182,7 @@ def test_contraction_lower_bounds_endpoint_mass():
         qp = QParams(n, q)
         b_nq = contraction_constant(qp)
         grid_min = min(
-            basis(qp, 0, a) + basis(qp, n, a) for a in np.linspace(0.0, 1.0, 2001)
+            basis_vector(qp, a)[[0, n]].sum() for a in np.linspace(0.0, 1.0, 2001)
         )
         assert b_nq <= grid_min + 1e-12
 

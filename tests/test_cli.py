@@ -130,6 +130,7 @@ def test_bernstein_square_limit(runner, tmp_path):
         assert abs(float(r["limit"]) - float(r["a"])) <= 1e-8
     summary = _read_json(tmp_path / "summary.json")
     assert summary["converged"] is True
+    assert summary["status"] == "converged"
     assert 0.0 < summary["b_nq"] < 1.0
 
 
@@ -143,6 +144,18 @@ def test_bernstein_phi_file(runner, tmp_path):
          "--phi", "file", "--phi-file", str(phi_path)],
     )
     assert res.exit_code == 0, res.output
+
+
+def test_bernstein_malformed_phi_file_is_input_error(runner, tmp_path):
+    phi_path = tmp_path / "phi.json"
+    phi_path.write_text(json.dumps([[0.0, 1.0], [0.5]]))
+    res = runner.invoke(
+        main,
+        ["--out", str(tmp_path), "bernstein", "--n", "4", "--q", "1.0",
+         "--phi", "file", "--phi-file", str(phi_path)],
+    )
+    assert res.exit_code == 2
+    assert res.stderr.startswith("error:")
 
 
 def test_fbvp_sin_forcing(runner, tmp_path):
@@ -193,6 +206,35 @@ def test_fbvp_forcing_file_rejects_unknown_names(runner, tmp_path):
          "--forcing-file", str(forcing)],
     )
     assert res.exit_code == 2
+
+
+def test_fbvp_malformed_forcing_file_is_input_error(runner, tmp_path):
+    forcing = tmp_path / "forcing.json"
+    forcing.write_text(json.dumps({"expr": "1 +"}))
+    res = runner.invoke(
+        main,
+        ["--out", str(tmp_path), "fbvp", "--beta", "1.5", "--forcing", "file",
+         "--forcing-file", str(forcing)],
+    )
+    assert res.exit_code == 2
+    assert res.stderr.startswith("error:")
+
+
+def test_fbvp_report_says_why_it_stopped(runner, tmp_path):
+    # exp has slope e^w > 0.5 near the start, so condition (i) fails at once
+    forcing = tmp_path / "forcing.json"
+    forcing.write_text(json.dumps({"expr": "exp(w)", "gauge_sup": 0.5}))
+    res = runner.invoke(
+        main,
+        ["--out", str(tmp_path), "fbvp", "--beta", "1.1", "--forcing", "file",
+         "--forcing-file", str(forcing)],
+    )
+    assert res.exit_code == 1
+    report = _read_json(tmp_path / "report.json")
+    assert report["converged"] is False
+    assert report["status"] == "hypothesis-violated"
+    assert report["condition"] == "i"
+    assert report["step"] == 1
 
 
 def test_sweep_fans_out(runner, tmp_path):
@@ -249,3 +291,26 @@ def test_seed_recorded_in_manifest(runner, tmp_path):
     assert res.exit_code == 0
     report = _read_json(tmp_path / "report.json")
     assert report["manifest"]["seed"] == 77
+
+
+def test_sweep_isolates_a_failing_job(runner, tmp_path):
+    spec = [
+        {"subcommand": "bernstein", "params": {"n": 3, "q": 1.0, "phi": "square"}},
+        {"subcommand": "verify", "input": "nope.json"},
+        {"subcommand": "fbvp", "params": {"beta": 2.0, "forcing": "const"}},
+    ]
+    spec_path = tmp_path / "sweep.json"
+    spec_path.write_text(json.dumps(spec))
+    res = runner.invoke(
+        main, ["--out", str(tmp_path), "sweep", str(spec_path), "--jobs", "2"]
+    )
+    assert res.exit_code == 2
+    summary = _read_json(tmp_path / "sweep.json")
+    runs = summary["runs"]
+    assert [r["exit_code"] for r in runs] == [0, 2, 0]
+    assert runs[0]["error"] is None and runs[2]["error"] is None
+    assert "nope.json" in runs[1]["error"]
+    assert os.path.exists(tmp_path / "run-000" / "summary.json")
+    assert os.path.exists(tmp_path / "run-002" / "report.json")
+    # stdout carries the sweep summary only, not the jobs' reports
+    assert json.loads(res.stdout) == summary

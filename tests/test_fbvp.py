@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from graphfix.engine import HypothesisViolated, MaxIterExceeded
-from graphfix.errors import DomainError, InputError
+from graphfix.errors import InputError
 from graphfix.fbvp import (
     FbvpProblem,
     GreenKernel,
@@ -13,7 +13,6 @@ from graphfix.fbvp import (
     _panel_weights,
     apply_integral_operator,
     build_operator_matrix,
-    gamma_function,
     green_kernel,
     picard_solve,
     quadrature_kappa,
@@ -27,32 +26,20 @@ TOL = 1e-12
 # --- gamma --------------------------------------------------------------------
 
 def test_gamma_integers():
-    assert abs(gamma_function(1.0) - 1.0) < TOL
-    assert abs(gamma_function(5.0) - 24.0) < 24.0 * TOL
-
-
-def test_gamma_half_is_sqrt_pi():
-    assert abs(gamma_function(0.5) - 1.7724538509055160) < 1e-12
+    assert GreenKernel(2.0).gamma_beta == 1.0
+    assert abs(GreenKernel(5.0).gamma_beta - 24.0) < 24.0 * TOL
 
 
 def test_gamma_against_libm_oracle():
-    for x in np.linspace(0.05, 30.0, 499):
-        ref = math.gamma(x)
-        assert abs(gamma_function(x) - ref) <= 1e-12 * abs(ref)
+    for beta in np.linspace(1.05, 30.0, 499):
+        assert GreenKernel(beta).gamma_beta == math.gamma(beta)
 
 
 def test_gamma_against_high_precision_oracle():
     mpmath.mp.dps = 40
-    for x in (0.5, 1.2345, 2.75, 7.5, 15.25):
-        ref = float(mpmath.gamma(x))
-        assert abs(gamma_function(x) - ref) <= 1e-12 * abs(ref)
-
-
-def test_gamma_domain():
-    with pytest.raises(DomainError):
-        gamma_function(0.0)
-    with pytest.raises(DomainError):
-        gamma_function(-1.5)
+    for beta in (1.01, 1.25, 1.5, 1.9, 2.0, 3.7):
+        ref = float(mpmath.gamma(beta))
+        assert abs(GreenKernel(beta).gamma_beta - ref) <= 1e-14 * abs(ref)
 
 
 # --- green kernel ----------------------------------------------------------------
@@ -229,26 +216,6 @@ def test_picard_budget_report():
     assert not rep.converged
     assert isinstance(rep.outcome.status, MaxIterExceeded)
     assert len(rep.displacement_history) >= 1
-
-
-def test_nontrivial_f_pair_roundtrip():
-    prob = FbvpProblem(
-        beta=2.0, g=lambda b, w: 0.5 * w + 1.0, gauge=Gauge.constant(0.5),
-        f_apply=lambda u: 2.0 * u, f_inverse=lambda u: 0.5 * u, grid_m=100,
-    )
-    rep = picard_solve(prob)
-    assert rep.converged
-    # the profile solves the same integral equation; f only relabels w*
-    w_star = prob.f_inverse(rep.solution.values)
-    assert np.max(np.abs(prob.f_apply(w_star) - rep.solution.values)) == 0.0
-
-
-def test_f_pair_must_invert():
-    with pytest.raises(InputError):
-        FbvpProblem(
-            beta=2.0, g=lambda b, w: 0.0, gauge=Gauge.constant(0.0),
-            f_apply=lambda u: 2.0 * u, f_inverse=lambda u: u, grid_m=20,
-        )
 
 
 def test_problem_validation():

@@ -11,9 +11,7 @@ from graphfix.metric import (
     Gauge,
     edges_from_dict,
     gauge_from_dict,
-    gauge_eval,
     hausdorff_distance,
-    is_edge,
     point_to_set_distance,
     space_from_dict,
 )
@@ -133,30 +131,30 @@ def test_point_to_set_dominated_by_hausdorff(data):
         assert point_to_set_distance(u, z, space) <= h + 1e-15
 
 
-# --- is_edge -----------------------------------------------------------------
+# --- edges -------------------------------------------------------------------
 
 def test_edges_reflexive_always():
     space = ternary_space()
     ball = EdgeStructure.ball(space, 1e-9)
     pairs = EdgeStructure.from_pairs(space, [("0", "1")])
     for s in space.labels:
-        assert is_edge(ball, s, s)
-        assert is_edge(pairs, s, s)
+        assert ball.contains(s, s)
+        assert pairs.contains(s, s)
 
 
 def test_ball_edges_strict_radius():
     space = ternary_space()
     edges = EdgeStructure.ball(space, 1.0 / 9.0)
-    assert is_edge(edges, "1/9", "1/27")   # d = 2/27 < 1/9
-    assert not is_edge(edges, "0", "1")    # d = 1 >= 1/9
-    assert not is_edge(edges, "0", "1/3")  # d = 1/3 >= 1/9
+    assert edges.contains("1/9", "1/27")   # d = 2/27 < 1/9
+    assert not edges.contains("0", "1")    # d = 1 >= 1/9
+    assert not edges.contains("0", "1/3")  # d = 1/3 >= 1/9
 
 
 def test_edges_unknown_label():
     space = ternary_space()
     edges = EdgeStructure.ball(space, 0.5)
     with pytest.raises(InputError):
-        is_edge(edges, "0", "missing")
+        edges.contains("0", "missing")
 
 
 @settings(max_examples=50, deadline=None)
@@ -164,34 +162,34 @@ def test_edges_unknown_label():
 def test_ball_reflexivity_property(data, radius):
     space, _ = data
     edges = EdgeStructure.ball(space, radius)
-    assert all(is_edge(edges, s, s) for s in space.labels)
+    assert all(edges.contains(s, s) for s in space.labels)
 
 
 # --- gauges -----------------------------------------------------------------
 
 def test_constant_gauge_everywhere():
     k = Gauge.constant(1.0 / 3.0)
-    assert gauge_eval(k, 0.04) == 1.0 / 3.0
-    assert gauge_eval(k, 0.0) == 1.0 / 3.0
-    assert gauge_eval(k, 1e9) == 1.0 / 3.0
+    assert k(0.04) == 1.0 / 3.0
+    assert k(0.0) == 1.0 / 3.0
+    assert k(1e9) == 1.0 / 3.0
 
 
 def test_zero_gauge():
     k = Gauge.constant(0.0)
-    assert gauge_eval(k, 123.0) == 0.0
+    assert k(123.0) == 0.0
 
 
 def test_piecewise_gauge_left_closed():
     k = Gauge.piecewise([0.0, 1.0], [0.2, 0.5], sup=0.5)
-    assert gauge_eval(k, 0.0) == 0.2
-    assert gauge_eval(k, 0.999) == 0.2
-    assert gauge_eval(k, 1.0) == 0.5  # breakpoint belongs to the right interval
-    assert gauge_eval(k, 5.0) == 0.5
+    assert k(0.0) == 0.2
+    assert k(0.999) == 0.2
+    assert k(1.0) == 0.5  # breakpoint belongs to the right interval
+    assert k(5.0) == 0.5
 
 
 def test_gauge_negative_argument():
     with pytest.raises(InputError):
-        gauge_eval(Gauge.constant(0.3), -0.1)
+        Gauge.constant(0.3)(-0.1)
 
 
 def test_gauge_validation():
@@ -216,7 +214,7 @@ def test_gauge_never_reaches_one(values, t):
         return
     bps = [float(i) for i in range(len(values))]
     k = Gauge.piecewise(bps, values, sup=sup)
-    v = gauge_eval(k, t)
+    v = k(t)
     assert 0.0 <= v < 1.0
     assert v <= k.certified_sup
 
@@ -262,9 +260,9 @@ def test_space_from_dict_variants():
 def test_edges_and_gauge_from_dict():
     space = FiniteMetricSpace.from_coords(["a", "b"], [0.0, 1.0])
     ball = edges_from_dict({"mode": "ball", "radius": 2.0}, space)
-    assert is_edge(ball, "a", "b")
+    assert ball.contains("a", "b")
     lst = edges_from_dict({"mode": "list", "pairs": [["a", "b"]]}, space)
-    assert is_edge(lst, "a", "b") and not is_edge(lst, "b", "a")
+    assert lst.contains("a", "b") and not lst.contains("b", "a")
     with pytest.raises(InputError):
         edges_from_dict({"mode": "list", "pairs": [["a", "zz"]]}, space)
     k = gauge_from_dict({"form": "constant", "value": 0.25, "sup": 0.3})
@@ -273,14 +271,8 @@ def test_edges_and_gauge_from_dict():
         gauge_from_dict({"form": "constant", "value": 1.2, "sup": 1.2})
 
 
-def test_closed_set_kinds():
+def test_closed_set_dedups_and_rejects_empty():
     fin = ClosedSet.finite(["a", "b", "a"])
     assert fin.members == ("a", "b")  # duplicates collapse
-    assert fin.kind == "finite"
-    single = ClosedSet.singleton(object())
-    assert single.kind == "singleton-image"
     with pytest.raises(DomainError):
         ClosedSet.finite([])
-    with pytest.raises(InputError):
-        space = ternary_space()
-        point_to_set_distance("0", single, space)
