@@ -21,7 +21,10 @@ and for phi with phi(0), phi(1) >= 0 the iterates converge to the line
 phi(0)(1-a) + phi(1)a.
 
 Basis evaluation runs in log space (all factors are positive), which
-keeps degrees up to the hundreds finite for q far from 1.
+keeps degrees up to the hundreds finite for q far from 1.  ``basis``
+evaluates a whole array of points at once: the log q-binomial row is
+built once in O(n) and the denominator is one (points x n) array, so the
+basis costs O(n) per point and the node matrix O(n^2).
 """
 
 from __future__ import annotations
@@ -35,10 +38,6 @@ import numpy as np
 from .engine import IterationConfig, IterationOutcome, run_operator_iteration
 from .errors import InputError
 from .metric import Gauge
-
-# Switch q-binomial products to log space beyond this magnitude.
-_OVERFLOW_GUARD = 1e250
-
 
 @dataclass(frozen=True)
 class QParams:
@@ -69,14 +68,26 @@ def q_integer(i: int, q: float) -> float:
     return (q**i - 1.0) / (q - 1.0)
 
 
-def _log_q_integer(i: int, q: float) -> float:
-    """log [i]_q for i >= 1, stable for q on either side of 1."""
+def _log_q_integers(n: int, q: float) -> np.ndarray:
+    """log [k]_q for k = 1..n, stable for q on either side of 1."""
+    k = np.arange(1, n + 1, dtype=float)
     if q == 1.0:
-        return math.log(i)
+        return np.log(k)
     lq = math.log(q)
     if q > 1.0:
-        return i * lq + math.log1p(-math.exp(-i * lq)) - math.log(q - 1.0)
-    return math.log(-math.expm1(i * lq)) - math.log1p(-q)
+        return k * lq + np.log1p(-np.exp(-k * lq)) - math.log(q - 1.0)
+    return np.log(-np.expm1(k * lq)) - math.log1p(-q)
+
+
+def _log_q_binomials(n: int, q: float) -> np.ndarray:
+    """log [n choose i]_q for i = 0..n in O(n): the cumulative sum of
+    log [n-k+1]_q - log [k]_q up to i = n/2, mirrored for the upper half."""
+    log_qint = _log_q_integers(n, q)
+    half = n // 2
+    row = np.zeros(n + 1)
+    row[1 : half + 1] = np.cumsum(log_qint[::-1][:half] - log_qint[:half])
+    row[n - half :] = row[half::-1]
+    return row
 
 
 def q_binomial(n: int, i: int, q: float) -> float:
@@ -85,20 +96,7 @@ def q_binomial(n: int, i: int, q: float) -> float:
         raise InputError("q-binomial needs 0 <= i <= n")
     if q <= 0:
         raise InputError("q must be positive")
-    i = min(i, n - i)
-    out = 1.0
-    for k in range(1, i + 1):
-        out *= q_integer(n - i + k, q) / q_integer(k, q)
-        if out > _OVERFLOW_GUARD:
-            return math.exp(_log_q_binomial(n, i, q))
-    return out
-
-
-def _log_q_binomial(n: int, i: int, q: float) -> float:
-    i = min(i, n - i)
-    return sum(
-        _log_q_integer(n - i + k, q) - _log_q_integer(k, q) for k in range(1, i + 1)
-    )
+    return math.exp(_log_q_binomials(n, q)[i])
 
 
 def nodes(params: QParams) -> np.ndarray:
@@ -109,44 +107,35 @@ def nodes(params: QParams) -> np.ndarray:
     )
 
 
-def _log_pochhammer_denominator(params: QParams, a: float) -> float:
-    """log prod_{j=0}^{n-1} (1 - a + q^j a), each factor positive."""
+def basis(params: QParams, points) -> np.ndarray:
+    """Row k holds the n+1 basis values b_{n,i}(q, a) at a = points[k].
+
+    Each row sums to 1 (Gauss identity); a = 0 and a = 1 give exact unit
+    rows.  Interior points are evaluated in log space for all points at
+    once, at O(n) array work per point.
+    """
     n, q = params.n, params.q
+    a = np.asarray(points, dtype=float)
+    if not np.all((a >= 0.0) & (a <= 1.0)):
+        raise InputError("basis argument a must lie in [0, 1]")
+    out = np.zeros((a.size, n + 1))
+    out[a == 0.0, 0] = 1.0
+    out[a == 1.0, n] = 1.0
+    inner = (a > 0.0) & (a < 1.0)
+    la, l1a = np.log(a[inner, None]), np.log1p(-a[inner, None])
     lq = math.log(q)
-    total = 0.0
-    for j in range(n):
-        t = j * lq + math.log(a) if a > 0 else -math.inf
-        if t > 50.0:  # q^j a dominates: factor = q^j a (1 + (1-a)/(q^j a))
-            total += t + math.log1p((1.0 - a) * math.exp(-t))
-        else:
-            total += math.log((1.0 - a) + (math.exp(t) if a > 0 else 0.0))
-    return total
+    # log prod_{j<n} (1 - a + q^j a) with t = j log q + log a: logaddexp is
+    # t + log1p((1 - a) e^-t) once t is large, so q far from 1 stays finite
+    logden = np.logaddexp(l1a, np.arange(n) * lq + la).sum(axis=1, keepdims=True)
+    i = np.arange(n + 1)
+    lognum = _log_q_binomials(n, q) + (i * (i - 1) / 2) * lq + i * la + (n - i) * l1a
+    out[inner] = np.exp(lognum - logden)
+    return out
 
 
 def basis_vector(params: QParams, a: float) -> np.ndarray:
-    """All n+1 basis values at a; they sum to 1 (Gauss identity)."""
-    n, q = params.n, params.q
-    if not (0.0 <= a <= 1.0):
-        raise InputError("basis argument a must lie in [0, 1]")
-    out = np.zeros(n + 1)
-    if a == 0.0:
-        out[0] = 1.0
-        return out
-    if a == 1.0:
-        out[n] = 1.0
-        return out
-    lq = math.log(q)
-    la, l1a = math.log(a), math.log1p(-a)
-    logden = _log_pochhammer_denominator(params, a)
-    for i in range(n + 1):
-        lognum = (
-            _log_q_binomial(n, i, q)
-            + (i * (i - 1) / 2) * lq
-            + i * la
-            + (n - i) * l1a
-        )
-        out[i] = math.exp(lognum - logden)
-    return out
+    """All n+1 basis values at the single point a."""
+    return basis(params, [a])[0]
 
 
 def apply_operator(params: QParams, node_values, a: float) -> float:
@@ -163,8 +152,7 @@ def apply_operator(params: QParams, node_values, a: float) -> float:
 
 def operator_matrix(params: QParams) -> np.ndarray:
     """Matrix B with B[i, j] = b_{n,j}(q, t_i): one iterate is B @ |u|."""
-    ts = nodes(params)
-    return np.vstack([basis_vector(params, t) for t in ts])
+    return basis(params, nodes(params))
 
 
 def contraction_constant(params: QParams) -> float:
@@ -233,7 +221,7 @@ class IterateResult:
         return apply_operator(self.params, self.node_vector.values, a)
 
     def evaluate_grid(self, grid) -> np.ndarray:
-        return np.array([self.evaluate(a) for a in np.asarray(grid, dtype=float)])
+        return basis(self.params, grid) @ np.abs(self.node_vector.values)
 
     def interpolant(self, a):
         """The predicted limit line through the endpoint moduli."""

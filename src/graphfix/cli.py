@@ -52,7 +52,9 @@ class RunManifest:
     format: str = "csv"
 
 
-def _load(problem_ref: str, depth: int | None):
+def _load(problem_ref: str | None, depth: int | None):
+    if problem_ref is None:
+        raise InputError("needs a problem: a builtin name or a problem file")
     if problem_ref in BUILTIN_NAMES:
         return builtin_problem(problem_ref, depth=depth)
     if os.path.exists(problem_ref):
@@ -75,6 +77,13 @@ def _table(manifest: RunManifest, stem: str, header: list[str], rows: list) -> N
     os.makedirs(manifest.out, exist_ok=True)
     path = os.path.join(manifest.out, f"{stem}.{manifest.format}")
     write_table(path, header, rows, manifest.format)
+
+
+def _require(params: dict, *keys: str) -> None:
+    """A run without one of its required parameters is an input error."""
+    missing = [key for key in keys if params.get(key) is None]
+    if missing:
+        raise InputError(f"missing required parameter(s): {', '.join(missing)}")
 
 
 def _exit_code(outcome: IterationOutcome) -> int:
@@ -176,7 +185,8 @@ def _phi_from_file(path):
 
 def run_bernstein(manifest: RunManifest) -> tuple[int, dict]:
     params = manifest.params
-    phi_name = params["phi"]
+    _require(params, "n", "q")
+    phi_name = params.get("phi", "square")
     if phi_name == "file":
         if not params.get("phi_file"):
             raise InputError("--phi file needs --phi-file PATH")
@@ -244,14 +254,23 @@ def _forcing_from_file(path):
             raise InputError(f"forcing expression uses unknown name {name!r}")
 
     def g(b, w):
-        return float(eval(code, {"__builtins__": {}}, {**_EVAL_NAMES, "b": b, "w": w}))
+        try:
+            return float(
+                eval(code, {"__builtins__": {}}, {**_EVAL_NAMES, "b": b, "w": w})
+            )
+        except (ArithmeticError, TypeError, ValueError) as exc:
+            raise InputError(
+                f"forcing expression {data['expr']!r} fails at "
+                f"b={float(b)}, w={float(w)}: {exc}"
+            ) from None
 
     return g, gauge_sup
 
 
 def run_fbvp(manifest: RunManifest) -> tuple[int, dict]:
     params = manifest.params
-    name = params["forcing"]
+    _require(params, "beta")
+    name = params.get("forcing", "sin-pi")
     if name == "file":
         if not params.get("forcing_file"):
             raise InputError("--forcing file needs --forcing-file PATH")
@@ -317,14 +336,18 @@ def run_sweep(manifest: RunManifest) -> tuple[int, dict]:
 
     def one(idx_job):
         idx, job = idx_job
-        sub = job.get("subcommand") if isinstance(job, dict) else None
-        if sub not in _RUNNERS:
-            error = f"error: sweep job {idx}: unknown subcommand {sub!r}"
+        job = job if isinstance(job, dict) else {}
+        sub, params = job.get("subcommand"), job.get("params", {})
+        if sub not in _RUNNERS or not isinstance(params, dict):
+            error = (
+                f"error: sweep job {idx} needs a known subcommand (got {sub!r}) "
+                "and a params object"
+            )
             return {"index": idx, "exit_code": EXIT_INPUT, "error": error}
         sub_manifest = RunManifest(
             subcommand=sub,
             input=job.get("input"),
-            params=dict(job.get("params", {})),
+            params=dict(params),
             out=os.path.join(manifest.out, f"run-{idx:03d}"),
             seed=manifest.seed,
             format=manifest.format,

@@ -224,6 +224,11 @@ def problem_from_dict(data: Mapping) -> CoincidenceProblem:
             raise InputError(f"problem file needs a {key!r} section")
     edges = edges_from_dict(data["edges"], space)
     gauge = gauge_from_dict(data["gauge"])
+    if not isinstance(data["f"], Mapping) or not isinstance(data["F"], Mapping):
+        raise InputError("problem file 'f' and 'F' must be objects keyed by label")
+    for w, image in data["F"].items():
+        if not isinstance(image, list):
+            raise InputError(f"F({w!r}) must be a list of labels, not {image!r}")
     fmap = {str(k): str(v) for k, v in data["f"].items()}
     images = {str(k): ClosedSet.finite(v) for k, v in data["F"].items()}
     cfg = data.get("config", {})

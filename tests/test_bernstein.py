@@ -1,6 +1,7 @@
 import math
 from math import comb
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -126,6 +127,36 @@ def test_basis_reproduces_linear_functions():
             assert abs(float(ts @ basis_vector(qp, a)) - a) <= 1e-12
 
 
+def _mp_basis(n, q, a):
+    """b_{n,i}(q, a) for i = 0..n at 50 digits, from the defining products."""
+    with mpmath.workdps(50):
+        q, a = mpmath.mpf(q), mpmath.mpf(a)
+        qint = (lambda k: (q**k - 1) / (q - 1)) if q != 1 else mpmath.mpf
+        binom = [mpmath.mpf(1)]
+        for k in range(1, n + 1):
+            binom.append(binom[-1] * qint(n - k + 1) / qint(k))
+        den = mpmath.fprod(1 - a + q**j * a for j in range(n))
+        return np.array([
+            float(binom[i] * q ** (i * (i - 1) // 2) * a**i * (1 - a) ** (n - i) / den)
+            for i in range(n + 1)
+        ])
+
+
+@pytest.mark.parametrize("n, q", [(120, 0.5), (200, 1.0), (100, 3.0), (150, 0.2)])
+def test_basis_matches_mpmath_at_high_degree(n, q):
+    qp = QParams(n, q)
+    for a in (0.013, 0.37, 0.81):
+        assert np.max(np.abs(basis_vector(qp, a) - _mp_basis(n, q, a))) <= 1e-12
+
+
+def test_operator_matrix_rows_are_basis_vectors():
+    for n, q in ((1, 0.5), (7, 2.0), (40, 0.9), (120, 1.0)):
+        qp = QParams(n, q)
+        B = operator_matrix(qp)
+        for t, row in zip(nodes(qp), B):
+            assert np.array_equal(row, basis_vector(qp, t))
+
+
 def test_basis_rejects_outside_unit_interval():
     with pytest.raises(InputError):
         basis_vector(QParams(3, 1.0), 1.5)[1]
@@ -202,6 +233,15 @@ def test_iterate_square_limit_is_identity_line():
     assert res.converged
     grid = np.linspace(0.0, 1.0, 101)
     assert np.max(np.abs(res.evaluate_grid(grid) - grid)) <= 1e-10
+
+
+def test_evaluate_grid_matches_pointwise_operator():
+    for n, q in ((5, 0.9), (8, 1.2), (20, 1.0)):
+        res = iterate_to_limit(QParams(n, q), lambda a: math.sin(math.pi * a) + a,
+                               max_iter=50)
+        grid = np.linspace(0.0, 1.0, 101)
+        pointwise = [apply_operator(res.params, res.node_vector, a) for a in grid]
+        assert np.max(np.abs(res.evaluate_grid(grid) - pointwise)) <= 1e-14
 
 
 def test_iterate_constant_fixed_immediately():

@@ -314,3 +314,46 @@ def test_sweep_isolates_a_failing_job(runner, tmp_path):
     assert os.path.exists(tmp_path / "run-002" / "report.json")
     # stdout carries the sweep summary only, not the jobs' reports
     assert json.loads(res.stdout) == summary
+
+
+def test_sweep_job_missing_a_parameter_is_input_error(runner, tmp_path):
+    spec = [
+        {"subcommand": "bernstein", "params": {"q": 1.0}},
+        {"subcommand": "verify", "input": "identity"},
+        {"subcommand": "fbvp", "params": {"m": 20}},
+        {"subcommand": "verify", "params": {}},
+    ]
+    spec_path = tmp_path / "sweep.json"
+    spec_path.write_text(json.dumps(spec))
+    res = runner.invoke(main, ["--out", str(tmp_path), "sweep", str(spec_path)])
+    assert res.exit_code == 2
+    runs = _read_json(tmp_path / "sweep.json")["runs"]
+    assert [r["exit_code"] for r in runs] == [2, 0, 2, 2]
+    assert runs[0]["error"] == "error: missing required parameter(s): n"
+    assert runs[2]["error"] == "error: missing required parameter(s): beta"
+    assert runs[3]["error"].startswith("error: needs a problem")
+    assert os.path.exists(tmp_path / "run-001" / "report.json")
+
+
+def test_fbvp_forcing_that_fails_when_evaluated_is_input_error(runner, tmp_path):
+    forcing = tmp_path / "forcing.json"
+    forcing.write_text(json.dumps({"expr": "log(w)"}))  # w = 0 at the start
+    res = runner.invoke(
+        main,
+        ["--out", str(tmp_path), "fbvp", "--beta", "1.5", "--forcing", "file",
+         "--forcing-file", str(forcing)],
+    )
+    assert res.exit_code == 2
+    assert res.stderr.startswith("error:")
+    assert "log(w)" in res.stderr and "w=0.0" in res.stderr
+
+
+def test_verify_problem_file_with_non_list_image_is_input_error(runner, tmp_path):
+    data = problem_to_dict(random_ladder_problem(random.Random(3)))
+    label = next(iter(data["F"]))
+    data["F"][label] = 1
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(data))
+    res = runner.invoke(main, ["--out", str(tmp_path), "verify", str(path)])
+    assert res.exit_code == 2
+    assert res.stderr.startswith("error:") and "list of labels" in res.stderr
