@@ -36,7 +36,7 @@ from typing import Callable
 import numpy as np
 
 from .engine import IterationConfig, IterationOutcome, run_operator_iteration
-from .errors import InputError
+from .errors import InputError, check_integer, check_real
 from .metric import Gauge
 
 @dataclass(frozen=True)
@@ -47,12 +47,14 @@ class QParams:
     q: float
 
     def __post_init__(self):
-        if int(self.n) != self.n or self.n < 1:
+        n = check_integer(self.n, "degree n")
+        q = check_real(self.q, "q")
+        if n < 1:
             raise InputError("degree n must be a positive integer")
-        if not (self.q > 0):
+        if not (q > 0):
             raise InputError("q must be positive")
-        object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "q", float(self.q))
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "q", q)
 
 
 def q_integer(i: int, q: float) -> float:

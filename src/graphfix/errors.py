@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the numeric parameter
+checks that raise them."""
+
+import numbers
 
 
 class InputError(ValueError):
@@ -25,3 +28,18 @@ class HypothesisViolation(RuntimeError):
         if detail:
             msg += f": {detail}"
         super().__init__(msg)
+
+
+def check_real(value, name: str) -> float:
+    """``value`` as a float; InputError unless it is a real number (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InputError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def check_integer(value, name: str) -> int:
+    """``value`` as an int; InputError unless it is an integral real number,
+    so 40.0 is accepted as 40."""
+    if not check_real(value, name).is_integer():
+        raise InputError(f"{name} must be an integer, got {value!r}")
+    return int(value)

@@ -17,9 +17,20 @@ a(1-b) (for a <= b) of -w'' with Dirichlet data.
 Discretization: a uniform grid b_j = j/m, composite Simpson weights
 assembled separately on [0, b_j] and [b_j, 1] so the |.|^(beta-1) kink at
 a = b never sits inside a panel (odd panel counts close with a 3/8 or
-trapezoid rule).  Since f enters only through the profile u = f(w), the
-Picard update is u <- K g(., u) with a precomputed (m+1)^2 matrix K, and
-the solver returns the coincidence profile u* = f(w*) directly.
+trapezoid rule).  With s_j = j/m and p = beta - 1 the kernel on the grid
+is a product minus a Toeplitz term,
+
+    Gamma(beta) G(b_j, a_k) = s_j^p s_(m-k)^p - [k < j] s_(j-k)^p,
+
+so the m+1 powers s^p give the whole matrix: an outer product, less a
+strided (copy-free) view of the same vector.  The weights need no per-row
+work either.  An even row is plain composite Simpson on [0, 1].  An odd
+row is a Toeplitz pattern in j - k (Simpson parity on each side of b_j)
+corrected in a few entries: the Simpson starts at 0 and b_j, the 3/8
+closures ending at b_j and at 1, or the trapezoid rule for a single
+panel.  Since f enters only through the profile u = f(w), the Picard
+update is u <- K g(., u) with a precomputed (m+1)^2 matrix K, and the
+solver returns the coincidence profile u* = f(w*) directly.
 """
 
 from __future__ import annotations
@@ -29,13 +40,14 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .engine import (
     IterationConfig,
     IterationOutcome,
     run_operator_iteration,
 )
-from .errors import InputError
+from .errors import InputError, check_integer, check_real
 from .metric import Gauge
 
 @dataclass(frozen=True)
@@ -67,49 +79,65 @@ def green_kernel(K: GreenKernel, b, a):
     return float(out) if np.isscalar(b) and np.isscalar(a) else out
 
 
-def _panel_weights(npanels: int) -> np.ndarray:
-    """Quadrature weights on npanels+1 equispaced nodes, unit spacing.
+def _toeplitz(v: np.ndarray) -> np.ndarray:
+    """Read-only (m+1) x (m+1) view T[j, k] = v[m + j - k] of a 2m+1 vector."""
+    return sliding_window_view(v[::-1], (v.size + 1) // 2)[::-1]
 
-    Composite Simpson for even counts; odd counts >= 3 close with the
-    3/8 rule on the last three panels; a single panel falls back to the
-    trapezoid rule (its O(h^3) local error is below the target accuracy).
+
+def _odd_row_corrections(m: int):
+    """Entries (rows, cols, weight differences in units of h) where the rule
+    on an odd row departs from its Toeplitz pattern.
+
+    An odd row j is split into the parts [0, b_j] and [b_j, 1], each with an
+    odd panel count n.  For n >= 3 the part starts with Simpson's 1/3 and
+    ends with the 3/8 closure; for n = 1 it is the trapezoid rule.  Entries
+    of different parts may coincide, so the differences are to be summed.
     """
-    if npanels < 0:
-        raise InputError("panel count must be nonnegative")
-    if npanels == 0:
-        return np.zeros(1)
-    if npanels == 1:
-        return np.array([0.5, 0.5])
-    w = np.zeros(npanels + 1)
-    simpson_panels = npanels if npanels % 2 == 0 else npanels - 3
-    if simpson_panels > 0:
-        w[0] += 1.0 / 3.0
-        w[simpson_panels] += 1.0 / 3.0
-        w[1:simpson_panels:2] += 4.0 / 3.0
-        w[2:simpson_panels:2] += 2.0 / 3.0
-    if npanels % 2 == 1:
-        w[-4:] += np.array([3.0, 9.0, 9.0, 3.0]) / 8.0
-    return w
+    j = np.arange(1, m, 2)
+    parts = []
+    for lo, hi in ((0 * j, j), (j, 0 * j + m)):
+        many = hi - lo >= 3
+        # rule minus pattern: 1/3 - 2/3 at the start; 1/3 + 3/8 - 2/3,
+        # 9/8 - 4/3, 9/8 - 2/3, 3/8 - 4/3 over the closure; 1/2 - 2/3 and
+        # 1/2 - 4/3 for a single panel
+        parts += [
+            (j[many], lo[many], [-1 / 3]),
+            (j[many], hi[many] - 3, [1 / 24, -5 / 24, 11 / 24, -23 / 24]),
+            (j[~many], lo[~many], [-1 / 6, -5 / 6]),
+        ]
+    rows = np.concatenate([np.repeat(r, len(w)) for r, _, w in parts])
+    cols = np.concatenate([(c[:, None] + np.arange(len(w))).ravel() for _, c, w in parts])
+    weights = np.concatenate([np.tile(w, r.size) for r, _, w in parts])
+    return rows, cols, weights
 
 
 def build_operator_matrix(beta: float, m: int) -> np.ndarray:
     """Quadrature-weighted kernel matrix K: (K v)_j ~ int G(b_j, a) v(a) da.
 
     Row j splits the integral at the grid node b_j, where the kernel's
-    second term loses smoothness.
+    second term loses smoothness.  K is built in place from the m+1
+    powers s^p (see the module docstring); rows 0 and m are exactly zero.
     """
     if m < 2 or m % 2 != 0:
         raise InputError("grid_m must be an even integer >= 2")
-    kernel = GreenKernel(beta)
-    grid = np.linspace(0.0, 1.0, m + 1)
-    h = 1.0 / m
-    G = green_kernel(kernel, grid[:, None], grid[None, :])
-    K = np.zeros((m + 1, m + 1))
-    for j in range(m + 1):
-        wts = np.zeros(m + 1)
-        wts[: j + 1] += _panel_weights(j) * h
-        wts[j:] += _panel_weights(m - j) * h
-        K[j] = wts * G[j]
+    scale = 1.0 / (m * GreenKernel(beta).gamma_beta)  # h / Gamma(beta)
+    sp = np.linspace(0.0, 1.0, m + 1) ** (beta - 1.0)
+    K = np.outer(sp, sp[::-1])
+    K -= _toeplitz(np.concatenate((np.zeros(m), sp)))
+    rows, cols, weights = _odd_row_corrections(m)
+    corrections = K[rows, cols] * (weights * scale)
+    simpson = np.full(m + 1, 2 / 3)
+    simpson[1::2] = 4 / 3
+    simpson[[0, m]] = 1 / 3
+    K[0::2] *= simpson * scale
+    # Odd rows, in d = j - k: Simpson parity left of b_j (4/3 at even d),
+    # the pattern shifted by one node right of it (4/3 at odd d), and the
+    # two interior weights 4/3 + 2/3 meeting at d = 0.
+    d = np.arange(-m, m + 1)
+    pattern = np.where((d % 2 == 0) == (d > 0), 4 / 3, 2 / 3)
+    pattern[m] = 2.0
+    K[1::2] *= _toeplitz(pattern * scale)[1::2]
+    np.add.at(K, (rows, cols), corrections)
     return K
 
 
@@ -165,6 +193,10 @@ class FbvpProblem:
     _matrix: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
+        self.beta = check_real(self.beta, "beta")
+        self.grid_m = check_integer(self.grid_m, "grid_m")
+        self.tol = check_real(self.tol, "tol")
+        self.max_iter = check_integer(self.max_iter, "max_iter")
         if not (self.beta > 1):
             raise InputError("fractional order beta must exceed 1")
         if self.grid_m < 2 or self.grid_m % 2 != 0:
@@ -200,8 +232,15 @@ def apply_integral_operator(problem: FbvpProblem, w: GridFunction) -> GridFuncti
 
 
 def quadrature_kappa(problem: FbvpProblem) -> float:
-    """max over grid nodes b of the quadrature of int |G(b, a)| da."""
-    return float(np.max(np.sum(np.abs(problem.matrix), axis=1)))
+    """max over grid nodes b of the quadrature of int |G(b, a)| da.
+
+    K has no negative entry: G >= 0 for every beta > 1, since
+    b(1-a) >= b-a, and every quadrature weight is positive.  So the row
+    sums of |K| are K @ 1, one matrix-vector product with no (m+1)^2
+    temporary.
+    """
+    K = problem.matrix
+    return float(np.max(K @ np.ones(K.shape[1])))
 
 
 @dataclass
@@ -264,13 +303,14 @@ def picard_solve(problem: FbvpProblem) -> PicardReport:
             max_iter=problem.max_iter,
         ),
     )
-    if outcome.converged:
-        u_star = np.asarray(outcome.status.w_star, dtype=float)
-    elif getattr(outcome.status, "last_point", None) is not None:
-        u_star = np.asarray(outcome.status.last_point, dtype=float)
+    point = getattr(outcome.status, "w_star", getattr(outcome.status, "last_point", None))
+    if point is not None:
+        # the engine's last step already measured ||u* - T(u*)|| for this point
+        u_star = np.asarray(point, dtype=float)
+        residual = outcome.trace.rows[-1].residual
     else:
         u_star = np.zeros(problem.grid_m + 1)
-    residual = float(np.max(np.abs(u_star - T(u_star))))
+        residual = float(np.max(np.abs(u_star - T(u_star))))
     history = [row.d for row in outcome.trace.rows if not math.isnan(row.d)]
     return PicardReport(
         solution=GridFunction(u_star),

@@ -81,6 +81,14 @@ def test_q_binomial_out_of_range():
         q_binomial(3, -1, 1.0)
 
 
+def test_qparams_rejects_non_numeric_parameters():
+    for n, q in (("abc", 1.0), ("5", 1.0), (None, 1.0), (2.5, 1.0), (5, "0.9"), (5, None)):
+        with pytest.raises(InputError):
+            QParams(n, q)
+    qp = QParams(5.0, 1)
+    assert (qp.n, qp.q) == (5, 1.0) and isinstance(qp.n, int)
+
+
 # --- basis --------------------------------------------------------------------------
 
 def test_basis_endpoint_interpolation():

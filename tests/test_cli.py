@@ -357,3 +357,23 @@ def test_verify_problem_file_with_non_list_image_is_input_error(runner, tmp_path
     res = runner.invoke(main, ["--out", str(tmp_path), "verify", str(path)])
     assert res.exit_code == 2
     assert res.stderr.startswith("error:") and "list of labels" in res.stderr
+
+
+def test_sweep_job_with_a_mistyped_parameter_is_input_error(runner, tmp_path):
+    spec = [
+        {"subcommand": "bernstein", "params": {"n": "abc", "q": 1.0}},
+        {"subcommand": "fbvp", "params": {"beta": "1.5"}},
+        {"subcommand": "fbvp", "params": {"beta": 1.5, "m": 40.5}},
+        {"subcommand": "fbvp", "params": {"beta": 1.5, "m": 40.0, "forcing": "const"}},
+    ]
+    spec_path = tmp_path / "sweep.json"
+    spec_path.write_text(json.dumps(spec))
+    res = runner.invoke(main, ["--out", str(tmp_path), "sweep", str(spec_path)])
+    assert res.exit_code == 2
+    runs = _read_json(tmp_path / "sweep.json")["runs"]
+    assert [r["exit_code"] for r in runs] == [2, 2, 2, 0]
+    assert runs[0]["error"] == "error: degree n must be a number, got 'abc'"
+    assert runs[1]["error"] == "error: beta must be a number, got '1.5'"
+    assert runs[2]["error"] == "error: grid_m must be an integer, got 40.5"
+    assert runs[3]["error"] is None
+    assert _read_json(tmp_path / "run-003" / "report.json")["m"] == 40

@@ -10,7 +10,6 @@ from graphfix.fbvp import (
     FbvpProblem,
     GreenKernel,
     GridFunction,
-    _panel_weights,
     apply_integral_operator,
     build_operator_matrix,
     green_kernel,
@@ -94,6 +93,43 @@ def test_kernel_input_validation():
 
 
 # --- quadrature weights -------------------------------------------------------------
+# The per-row construction build_operator_matrix replaced, kept as its oracle.
+
+def _panel_weights(npanels: int) -> np.ndarray:
+    """Quadrature weights on npanels+1 equispaced nodes, unit spacing.
+
+    Composite Simpson for even counts; odd counts >= 3 close with the
+    3/8 rule on the last three panels; a single panel falls back to the
+    trapezoid rule.
+    """
+    if npanels == 0:
+        return np.zeros(1)
+    if npanels == 1:
+        return np.array([0.5, 0.5])
+    w = np.zeros(npanels + 1)
+    simpson_panels = npanels if npanels % 2 == 0 else npanels - 3
+    if simpson_panels > 0:
+        w[0] += 1.0 / 3.0
+        w[simpson_panels] += 1.0 / 3.0
+        w[1:simpson_panels:2] += 4.0 / 3.0
+        w[2:simpson_panels:2] += 2.0 / 3.0
+    if npanels % 2 == 1:
+        w[-4:] += np.array([3.0, 9.0, 9.0, 3.0]) / 8.0
+    return w
+
+
+def _reference_operator_matrix(beta: float, m: int) -> np.ndarray:
+    """Row j: the kernel at b_j times the rule on [0, b_j] plus the rule on [b_j, 1]."""
+    grid = np.linspace(0.0, 1.0, m + 1)
+    G = green_kernel(GreenKernel(beta), grid[:, None], grid[None, :])
+    K = np.zeros((m + 1, m + 1))
+    for j in range(m + 1):
+        wts = np.zeros(m + 1)
+        wts[: j + 1] += _panel_weights(j) / m
+        wts[j:] += _panel_weights(m - j) / m
+        K[j] = wts * G[j]
+    return K
+
 
 def test_panel_weights_integrate_cubics():
     # Simpson (even) is exact on cubics; the 3/8 closure keeps that
@@ -108,6 +144,17 @@ def test_panel_weights_integrate_cubics():
 def test_panel_weights_single_panel_trapezoid():
     assert np.array_equal(_panel_weights(1), [0.5, 0.5])
     assert np.array_equal(_panel_weights(0), [0.0])
+
+
+@pytest.mark.parametrize("beta", [1.01, 1.25, 1.5, 1.9, 2.0, 3.7])
+def test_operator_matrix_matches_per_row_construction(beta):
+    for m in [*range(2, 41, 2), 200]:
+        K = build_operator_matrix(beta, m)
+        ref = _reference_operator_matrix(beta, m)
+        assert K.shape == ref.shape
+        assert np.max(np.abs(K - ref)) <= 1e-13 * np.max(np.abs(ref)), m
+        assert np.all(K[0] == 0.0) and np.all(K[m] == 0.0), m
+        assert np.all(K >= 0.0), m  # quadrature_kappa relies on it
 
 
 # --- integral operator ----------------------------------------------------------------
@@ -157,6 +204,11 @@ def test_kappa_matches_analytic_maximum():
     prob = FbvpProblem(beta=2.0, g=lambda b, w: 0.0, gauge=Gauge.constant(0.0),
                        grid_m=100)
     assert abs(quadrature_kappa(prob) - 0.125) <= 1e-6
+    for beta in (1.01, 1.5, 3.7):
+        prob = FbvpProblem(beta=beta, g=lambda b, w: 0.0, gauge=Gauge.constant(0.0),
+                           grid_m=100)
+        row_sums = np.sum(np.abs(prob.matrix), axis=1)
+        assert abs(quadrature_kappa(prob) - np.max(row_sums)) <= 1e-14 * np.max(row_sums)
 
 
 # --- picard solver -----------------------------------------------------------------------
@@ -181,6 +233,8 @@ def test_picard_linear_matches_direct_elimination():
     direct = np.linalg.solve(np.eye(prob.grid_m + 1) - 0.5 * K, K @ np.ones(201))
     assert np.max(np.abs(rep.solution.values - direct)) <= 1e-8
     assert rep.residual <= 1e-8
+    u = rep.solution.values
+    assert rep.residual == float(np.max(np.abs(u - K @ prob.forcing_vector(u))))
     assert rep.warning is None
     assert abs(rep.effective_factor - rep.kappa * 0.5) < TOL
 
@@ -216,6 +270,8 @@ def test_picard_budget_report():
     assert not rep.converged
     assert isinstance(rep.outcome.status, MaxIterExceeded)
     assert len(rep.displacement_history) >= 1
+    u = rep.solution.values
+    assert rep.residual == float(np.max(np.abs(u - prob.matrix @ prob.forcing_vector(u))))
 
 
 def test_problem_validation():
@@ -274,3 +330,13 @@ def test_condition_i_needs_samples():
                        grid_m=20)
     with pytest.raises(InputError):
         verify_condition_i(prob, [])
+
+
+def test_problem_rejects_non_numeric_parameters():
+    ok = dict(beta=1.5, g=lambda b, w: 0.0, gauge=Gauge.constant(0.0))
+    for bad in ({"beta": "1.5"}, {"grid_m": "40"}, {"grid_m": 40.5}, {"tol": None},
+                {"max_iter": [10]}, {"beta": True}):
+        with pytest.raises(InputError):
+            FbvpProblem(**{**ok, **bad})
+    prob = FbvpProblem(**ok, grid_m=40.0)
+    assert prob.grid_m == 40 and isinstance(prob.grid_m, int)
