@@ -3,7 +3,7 @@
 A library and CLI for iterating a single-valued map f against a
 closed-valued set-valued map F on a finite metric space carrying a
 directed reflexive graph, with certified geometric stopping bounds,
-brute-force hypothesis verifiers, and two operator applications: the
+exhaustive hypothesis verifiers, and two operator applications: the
 nonlinear q-analogue Bernstein iterates and a Picard solver for a
 fractional boundary value problem in Green-kernel integral form.
 """

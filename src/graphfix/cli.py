@@ -27,7 +27,13 @@ from .engine import (
     MaxIterExceeded,
     run_coincidence_iteration,
 )
-from .errors import DomainError, HypothesisViolation, InputError
+from .errors import (
+    DomainError,
+    HypothesisViolation,
+    InputError,
+    check_integer,
+    check_real,
+)
 from .fbvp import FbvpProblem, picard_solve
 from .metric import Gauge
 from .problems import BUILTIN_NAMES, builtin_problem, load_problem
@@ -56,6 +62,8 @@ def _load(problem_ref: str | None, depth: int | None):
     if problem_ref is None:
         raise InputError("needs a problem: a builtin name or a problem file")
     if problem_ref in BUILTIN_NAMES:
+        if depth is not None:
+            depth = check_integer(depth, "truncate")
         return builtin_problem(problem_ref, depth=depth)
     if os.path.exists(problem_ref):
         return load_problem(problem_ref)
@@ -124,7 +132,7 @@ def run_verify(manifest: RunManifest) -> tuple[int, dict]:
             problem.space,
             problem.f,
             problem.F,
-            Gauge.constant(params.get("kamran_sup", 0.999)),
+            Gauge.constant(check_real(params.get("kamran_sup", 0.999), "kamran_sup")),
             M=params.get("M", 0.0),
         )
         payload["kamran"] = kamran.to_dict()
@@ -200,7 +208,10 @@ def run_bernstein(manifest: RunManifest) -> tuple[int, dict]:
     result = iterate_to_limit(
         qp, phi, tol=params.get("tol", 1e-12), max_iter=params.get("max_iter", 200_000)
     )
-    grid = np.linspace(0.0, 1.0, params.get("grid", 101))
+    points = check_integer(params.get("grid", 101), "grid")
+    if points < 1:
+        raise InputError(f"grid needs at least one point, got {points}")
+    grid = np.linspace(0.0, 1.0, points)
     limit_vals = result.evaluate_grid(grid)
     interp_vals = result.interpolant(grid)
     rows = [
@@ -280,6 +291,8 @@ def run_fbvp(manifest: RunManifest) -> tuple[int, dict]:
     else:
         raise InputError(f"unknown forcing {name!r}")
     gauge_sup = params.get("gauge_sup")
+    if gauge_sup is not None:
+        gauge_sup = check_real(gauge_sup, "gauge_sup")
     gauge = Gauge.constant(default_sup if gauge_sup is None else gauge_sup)
 
     problem = FbvpProblem(

@@ -29,7 +29,13 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .errors import DomainError, HypothesisViolation, InputError
+from .errors import (
+    DomainError,
+    HypothesisViolation,
+    InputError,
+    check_integer,
+    check_real,
+)
 from .metric import (
     ClosedSet,
     EdgeStructure,
@@ -57,6 +63,11 @@ class IterationConfig:
     max_iter: int = 10_000
 
     def __post_init__(self):
+        object.__setattr__(self, "tol", check_real(self.tol, "tol"))
+        object.__setattr__(
+            self, "residual_tol", check_real(self.residual_tol, "residual_tol")
+        )
+        object.__setattr__(self, "max_iter", check_integer(self.max_iter, "max_iter"))
         if self.tol <= 0 or self.residual_tol <= 0:
             raise InputError("tolerances must be positive")
         if self.max_iter < 0:

@@ -34,13 +34,25 @@ def norm_value(vec, norm: str = "euclidean") -> float:
     return float(np.linalg.norm(np.asarray(vec, dtype=float), ord=_NORM_ORDS[norm]))
 
 
+def _check_triangle(labels: tuple[str, ...], m: np.ndarray) -> None:
+    """Raise InputError unless d(i, j) <= d(i, k) + d(k, j) + TRIANGLE_TOL."""
+    for k in range(len(labels)):
+        if np.any(m > m[:, [k]] + m[[k], :] + TRIANGLE_TOL):
+            i, j = np.unravel_index(np.argmax(m - (m[:, [k]] + m[[k], :])), m.shape)
+            raise InputError(
+                f"triangle inequality fails: d({labels[i]},{labels[j]}) > "
+                f"d({labels[i]},{labels[k]}) + d({labels[k]},{labels[j]})"
+            )
+
+
 @dataclass(frozen=True)
 class FiniteMetricSpace:
     """Labeled finite point set with a validated distance matrix.
 
     The matrix must be symmetric, nonnegative, zero on the diagonal and
-    satisfy the triangle inequality within ``TRIANGLE_TOL``; violations
-    raise :class:`InputError` at construction time.
+    satisfy the triangle inequality within ``TRIANGLE_TOL`` (taken as
+    given for spaces built by :meth:`from_coords`); violations raise
+    :class:`InputError` at construction time.
     """
 
     labels: tuple[str, ...]
@@ -48,6 +60,9 @@ class FiniteMetricSpace:
     _index: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        self._validate(triangle=True)
+
+    def _validate(self, triangle: bool) -> None:
         labels = tuple(str(s) for s in self.labels)
         object.__setattr__(self, "labels", labels)
         if len(set(labels)) != len(labels):
@@ -67,15 +82,8 @@ class FiniteMetricSpace:
             raise InputError("distance(i, i) must be 0")
         if not np.array_equal(m, m.T):
             raise InputError("distance matrix must be symmetric")
-        for k in range(n):
-            if np.any(m > m[:, [k]] + m[[k], :] + TRIANGLE_TOL):
-                i, j = np.unravel_index(
-                    np.argmax(m - (m[:, [k]] + m[[k], :])), m.shape
-                )
-                raise InputError(
-                    f"triangle inequality fails: d({labels[i]},{labels[j]}) > "
-                    f"d({labels[i]},{labels[k]}) + d({labels[k]},{labels[j]})"
-                )
+        if triangle:
+            _check_triangle(labels, m)
         object.__setattr__(self, "_index", {s: i for i, s in enumerate(labels)})
 
     @classmethod
@@ -86,7 +94,13 @@ class FiniteMetricSpace:
     def from_coords(
         cls, labels: Sequence[str], coords, norm: str = "euclidean"
     ) -> "FiniteMetricSpace":
-        """Derive the distance matrix from per-label coordinates."""
+        """Derive the distance matrix from per-label coordinates.
+
+        A norm-induced distance satisfies the triangle inequality, so the
+        O(n^3) check is skipped: at large coordinates its absolute
+        ``TRIANGLE_TOL`` would sit below the rounding of the distances and
+        reject valid spaces.  Every other check still runs.
+        """
         pts = np.asarray(coords, dtype=float)
         if pts.ndim == 1:
             pts = pts[:, None]
@@ -96,8 +110,11 @@ class FiniteMetricSpace:
         ordv = _NORM_ORDS.get(norm)
         if ordv is None:
             raise InputError(f"unknown norm {norm!r}")
-        m = np.linalg.norm(diffs, ord=ordv, axis=2)
-        return cls(tuple(labels), m)
+        space = cls.__new__(cls)
+        object.__setattr__(space, "labels", tuple(labels))
+        object.__setattr__(space, "matrix", np.linalg.norm(diffs, ord=ordv, axis=2))
+        space._validate(triangle=False)
+        return space
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -202,19 +219,30 @@ class EdgeStructure:
     """Directed reflexive graph over a finite metric space.
 
     Either a metric ball (edge iff d(u, v) < radius, strict) or an
-    explicit pair list; the diagonal is always included, and the pair
-    representation is a set, so there are no parallel edges.
+    explicit pair list.  Both are held as one read-only boolean
+    ``adjacency`` matrix, indexed like ``space.labels`` and built once at
+    construction with the diagonal set.
     """
 
     space: FiniteMetricSpace
     radius: float | None = None
-    pairs: frozenset | None = None
+    adjacency: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        if (self.radius is None) == (self.pairs is None):
+        if (self.radius is None) == (self.adjacency is None):
             raise InputError("edge structure is either a ball or a pair list")
-        if self.radius is not None and self.radius < 0:
-            raise InputError("ball radius must be nonnegative")
+        if self.radius is not None:
+            if self.radius < 0:
+                raise InputError("ball radius must be nonnegative")
+            adjacency = self.space.matrix < self.radius
+        else:
+            adjacency = np.array(self.adjacency, dtype=bool)
+            n = len(self.space)
+            if adjacency.shape != (n, n):
+                raise InputError(f"adjacency matrix must be {n}x{n}")
+        np.fill_diagonal(adjacency, True)
+        adjacency.flags.writeable = False
+        object.__setattr__(self, "adjacency", adjacency)
 
     @classmethod
     def ball(cls, space: FiniteMetricSpace, radius: float) -> "EdgeStructure":
@@ -224,29 +252,20 @@ class EdgeStructure:
     def from_pairs(
         cls, space: FiniteMetricSpace, pairs: Iterable[Sequence[str]]
     ) -> "EdgeStructure":
-        edge_set = set()
-        for u, v in pairs:
-            space.index(u)
-            space.index(v)
-            edge_set.add((str(u), str(v)))
-        for s in space.labels:  # close under the diagonal
-            edge_set.add((s, s))
-        return cls(space=space, pairs=frozenset(edge_set))
-
-    @classmethod
-    def complete(cls, space: FiniteMetricSpace) -> "EdgeStructure":
-        return cls.from_pairs(
-            space, [(u, v) for u in space.labels for v in space.labels]
-        )
+        n = len(space)
+        index = space._index
+        try:
+            flat = [index[u] * n + index[v] for u, v in pairs]
+        except KeyError as exc:
+            raise InputError(f"unknown point label {exc.args[0]!r}") from None
+        except (TypeError, ValueError):
+            raise InputError("edges must be [u, v] pairs of point labels") from None
+        adjacency = np.zeros(n * n, dtype=bool)
+        adjacency[flat] = True
+        return cls(space=space, adjacency=adjacency.reshape(n, n))
 
     def contains(self, u: str, v: str) -> bool:
-        self.space.index(u)
-        self.space.index(v)
-        if u == v:
-            return True
-        if self.radius is not None:
-            return self.space.distance(u, v) < self.radius
-        return (u, v) in self.pairs
+        return bool(self.adjacency[self.space.index(u), self.space.index(v)])
 
     @property
     def mode(self) -> str:

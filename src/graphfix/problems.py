@@ -186,7 +186,13 @@ def problem_to_dict(problem: CoincidenceProblem) -> dict:
         "edges": (
             {"mode": "ball", "radius": problem.edges.radius}
             if problem.edges.mode == "ball"
-            else {"mode": "list", "pairs": sorted(map(list, problem.edges.pairs))}
+            else {
+                "mode": "list",
+                "pairs": sorted(
+                    [space.labels[u], space.labels[v]]
+                    for u, v in zip(*problem.edges.adjacency.nonzero())
+                ),
+            }
         ),
         "gauge": (
             {

@@ -1,8 +1,4 @@
-"""Brute-force verifiers and enumeration oracles on finite spaces.
-
-Everything here is an exhaustive double/triple loop over point labels:
-these functions are the ground truth the iteration engine is tested
-against, so clarity wins over speed (spaces stay below ~20 points).
+"""Hypothesis verifiers and enumeration oracles on finite spaces.
 
 ``verify_coincidence_hypotheses`` checks the graph-contraction
 hypotheses the engine relies on; ``verify_kamran_inequality`` checks the
@@ -12,6 +8,16 @@ stronger Hausdorff-based inequality
 
 for comparison (the ternary orbit example violates it for every gauge
 while passing the graph-local hypotheses).
+
+Both checks are exhaustive over every ordered pair (v, w), and both are
+index-based: after one validation of (f, F) they read only the distance
+matrix, the edge adjacency matrix and two integer arrays, f as the
+vector of image indices and F as an n x k array of member indices
+(shorter rows padded with repeats of their first member, which min and
+max ignore).  An n-point check is a few n x n array expressions, with
+O(n^2) temporaries; witnesses are built for failing pairs only, in the
+order of the label loops that define the reports (v, then w, then p).
+The loop forms are kept in the test suite as oracles.
 """
 
 from __future__ import annotations
@@ -21,19 +27,37 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import DomainError, InputError
+from .errors import DomainError, InputError, check_real
 from .metric import (
+    ClosedSet,
     EdgeStructure,
     FiniteMetricSpace,
     Gauge,
-    hausdorff_distance,
     norm_value,
-    point_to_set_distance,
     validate_pair,
 )
 
 # Slack for comparing float inequalities built from exact example data.
 _SLACK = 1e-12
+
+
+def _index_arrays(
+    space: FiniteMetricSpace, fmap: Mapping[str, str], images: Mapping[str, ClosedSet]
+) -> tuple[np.ndarray, np.ndarray]:
+    """f as a vector of image indices, and F as an n x k array of member
+    indices whose shorter rows repeat their first member."""
+    index = space.index
+    fi = np.array([index(fmap[w]) for w in space.labels], dtype=np.intp)
+    rows = [[index(y) for y in images[w].members] for w in space.labels]
+    k = max(map(len, rows))
+    members = np.array([r + r[:1] * (k - len(r)) for r in rows], dtype=np.intp)
+    return fi, members
+
+
+def _gauge_at(gauge: Gauge, t: np.ndarray) -> np.ndarray:
+    """``gauge(t)`` elementwise on an array of nonnegative arguments."""
+    pos = np.searchsorted(gauge.breakpoints, t, side="right") - 1
+    return np.asarray(gauge.values)[pos]
 
 
 @dataclass
@@ -95,69 +119,74 @@ def verify_coincidence_hypotheses(
     An all-false report is a valid result; nothing raises.
     """
     fmap, sets, misses = validate_pair(space, f, F)
-    images = {w: Z.members for w, Z in sets.items()}  # tuples: fast `in` below
-    truncated = frozenset(truncated)
+    labels = space.labels
+    n = len(labels)
+    fi, members = _index_arrays(space, fmap, sets)
+    dist = space.matrix
     report = HypothesisReport(range_ok=not misses)
     for u, y in misses:
         report.witnesses.append({"condition": "range", "u": u, "member": y})
 
-    for v in space.labels:
-        fv = fmap[v]
-        for w in space.labels:
-            if w in truncated:
-                continue
-            fw = fmap[w]
-            if fw not in images[v]:
-                continue
-            if not edges.contains(fv, fw):
-                continue
-            d = space.distance(fv, fw)
-            D = point_to_set_distance(fw, sets[w], space)
-            bound = gauge(d) * d
-            if D > bound + _SLACK:
-                report.condition_i_ok = False
+    # Row-major (v, w) tables: f(w) in F(v), the edge (f(v), f(w)), d(f(v), f(w)).
+    in_image = np.zeros((n, n), dtype=bool)
+    in_image[np.arange(n)[:, None], members] = True
+    owns = in_image[:, fi]
+    edge = edges.adjacency[np.ix_(fi, fi)]
+    d = dist[np.ix_(fi, fi)]
+    cut = frozenset(truncated)
+    skip = np.array([w in cut for w in labels])
+    active = owns & edge & ~skip
+
+    bound = _gauge_at(gauge, d) * d
+    D = dist[fi[:, None], members].min(axis=1)  # D(f(w), F(w)), one per w
+    fail_i = active & (D > bound + _SLACK)
+    # (ii) fails for (v, w) iff some p with f(p) in F(w) and no edge
+    # (f(w), f(p)) lies within d(f(v), f(w)) + slack of f(w): compare
+    # with the nearest such p, one number per w.
+    broken = owns & ~edge
+    nearest = np.where(broken, d, np.inf).min(axis=1)
+    fail_ii = active & (nearest[None, :] <= d + _SLACK)
+    report.condition_i_ok = not fail_i.any()
+    report.condition_ii_ok = not fail_ii.any()
+
+    for v, w in zip(*np.nonzero(fail_i | fail_ii)):
+        dvw = float(d[v, w])
+        fv, fw = fmap[labels[v]], fmap[labels[w]]
+        if fail_i[v, w]:
+            report.witnesses.append(
+                {
+                    "condition": "i",
+                    "v": labels[v],
+                    "w": labels[w],
+                    "fv": fv,
+                    "fw": fw,
+                    "d": dvw,
+                    "D": float(D[w]),
+                    "bound": float(bound[v, w]),
+                }
+            )
+        if fail_ii[v, w]:
+            for p in np.nonzero(broken[w] & (d[w] <= d[v, w] + _SLACK))[0]:
                 report.witnesses.append(
                     {
-                        "condition": "i",
-                        "v": v,
-                        "w": w,
-                        "fv": fv,
+                        "condition": "ii",
+                        "v": labels[v],
+                        "w": labels[w],
+                        "p": labels[p],
                         "fw": fw,
-                        "d": d,
-                        "D": D,
-                        "bound": bound,
+                        "fp": fmap[labels[p]],
+                        "d_fw_fp": float(d[w, p]),
+                        "d": dvw,
                     }
                 )
-            for p in space.labels:
-                fp = fmap[p]
-                if fp not in images[w]:
-                    continue
-                if space.distance(fw, fp) > d + _SLACK:
-                    continue
-                if not edges.contains(fw, fp):
-                    report.condition_ii_ok = False
-                    report.witnesses.append(
-                        {
-                            "condition": "ii",
-                            "v": v,
-                            "w": w,
-                            "p": p,
-                            "fw": fw,
-                            "fp": fp,
-                            "d_fw_fp": space.distance(fw, fp),
-                            "d": d,
-                        }
-                    )
 
-    for w0 in space.labels:
-        for p0 in images[w0]:
-            if edges.contains(fmap[w0], p0):
-                report.start_exists = True
-                report.admissible_start = (w0, p0)
-                break
-        if report.start_exists:
-            break
-    if not report.start_exists:
+    # first w0 in label order, then the first p0 in F(w0) member order
+    starts = edges.adjacency[fi[:, None], members]
+    if starts.any():
+        w0, j = divmod(int(np.argmax(starts)), members.shape[1])
+        report.start_exists = True
+        report.admissible_start = (labels[w0], labels[members[w0, j]])
+    else:
         report.witnesses.append(
             {"condition": "start", "detail": "no admissible (w0, p0) pair"}
         )
@@ -184,21 +213,39 @@ def verify_kamran_inequality(
     M: float = 0.0,
 ) -> KamranReport:
     """Check H(Fv, Fw) <= k(d(fv, fw)) d(fv, fw) + M D(fv, Fw) on all pairs."""
+    M = check_real(M, "M")
     if M < 0:
         raise InputError("M must be nonnegative")
     fmap, images, _ = validate_pair(space, f, F)
-    report = KamranReport(holds=True, M=float(M))
-    for v in space.labels:
-        for w in space.labels:
-            H = hausdorff_distance(images[v], images[w], space)
-            d = space.distance(fmap[v], fmap[w])
-            D = point_to_set_distance(fmap[v], images[w], space)
-            rhs = gauge(d) * d + M * D
-            if H > rhs + _SLACK:
-                report.holds = False
-                report.witnesses.append(
-                    {"v": v, "w": w, "H": H, "d": d, "D": D, "lhs": H, "rhs": rhs}
-                )
+    labels = space.labels
+    fi, members = _index_arrays(space, fmap, images)
+    dist = space.matrix
+    # P[u, w] = D(u, F(w)), one member slot at a time: temporaries stay n x n
+    P = dist[:, members[:, 0]]
+    for j in range(1, members.shape[1]):
+        np.minimum(P, dist[:, members[:, j]], out=P)
+    # sup[v, w] = max over u in F(v) of D(u, F(w)); H is its symmetrised max
+    sup = P[members[:, 0]]
+    for j in range(1, members.shape[1]):
+        np.maximum(sup, P[members[:, j]], out=sup)
+    H = np.maximum(sup, sup.T)
+    d = dist[np.ix_(fi, fi)]
+    D = P[fi]  # D(f(v), F(w))
+    rhs = _gauge_at(gauge, d) * d + M * D
+    fail = H > rhs + _SLACK
+    report = KamranReport(holds=not fail.any(), M=M)
+    for v, w in zip(*np.nonzero(fail)):
+        report.witnesses.append(
+            {
+                "v": labels[v],
+                "w": labels[w],
+                "H": float(H[v, w]),
+                "d": float(d[v, w]),
+                "D": float(D[v, w]),
+                "lhs": float(H[v, w]),
+                "rhs": float(rhs[v, w]),
+            }
+        )
     return report
 
 

@@ -377,3 +377,38 @@ def test_sweep_job_with_a_mistyped_parameter_is_input_error(runner, tmp_path):
     assert runs[2]["error"] == "error: grid_m must be an integer, got 40.5"
     assert runs[3]["error"] is None
     assert _read_json(tmp_path / "run-003" / "report.json")["m"] == 40
+
+
+def test_sweep_job_with_a_mistyped_solver_option_is_input_error(runner, tmp_path):
+    spec = [
+        {"subcommand": "bernstein", "params": {"n": 3, "q": 1.0, "grid": "abc"}},
+        {"subcommand": "bernstein", "params": {"n": 3, "q": 1.0, "max_iter": "x"}},
+        {"subcommand": "bernstein", "params": {"n": 3, "q": 1.0, "tol": "x"}},
+        {"subcommand": "iterate", "input": "example-3-3", "params": {"tol": "x"}},
+        {"subcommand": "iterate", "input": "example-3-3",
+         "params": {"residual_tol": "x"}},
+        {"subcommand": "iterate", "input": "example-3-3", "params": {"max_iter": 1.5}},
+        {"subcommand": "fbvp", "params": {"beta": 1.5, "gauge_sup": "x"}},
+        {"subcommand": "verify", "input": "example-3-3", "params": {"truncate": "x"}},
+        {"subcommand": "verify", "input": "example-3-3",
+         "params": {"kamran": True, "M": "x"}},
+        {"subcommand": "iterate", "input": "example-3-3", "params": {"max_iter": 50.0}},
+    ]
+    spec_path = tmp_path / "sweep.json"
+    spec_path.write_text(json.dumps(spec))
+    res = runner.invoke(main, ["--out", str(tmp_path), "sweep", str(spec_path)])
+    assert res.exit_code == 2
+    runs = _read_json(tmp_path / "sweep.json")["runs"]
+    assert [r["exit_code"] for r in runs] == [2] * 9 + [0]
+    assert [r["error"] for r in runs] == [
+        "error: grid must be a number, got 'abc'",
+        "error: max_iter must be a number, got 'x'",
+        "error: tol must be a number, got 'x'",
+        "error: tol must be a number, got 'x'",
+        "error: residual_tol must be a number, got 'x'",
+        "error: max_iter must be an integer, got 1.5",
+        "error: gauge_sup must be a number, got 'x'",
+        "error: truncate must be a number, got 'x'",
+        "error: M must be a number, got 'x'",
+        None,
+    ]

@@ -1,3 +1,7 @@
+import dataclasses
+import json
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -237,6 +241,30 @@ def test_space_rejects_bad_matrices():
         )
 
 
+@pytest.mark.parametrize("scale", [1e9, 1e12, 1e15])
+@pytest.mark.parametrize("norm", ["euclidean", "manhattan"])
+@pytest.mark.parametrize("dim", [1, 3])
+def test_large_collinear_coordinates_build(scale, norm, dim):
+    # the norm guarantees the triangle inequality; at these magnitudes the
+    # rounding of the distances exceeds the matrix check's TRIANGLE_TOL
+    rng = np.random.default_rng(80)
+    t = rng.uniform(-1.0, 1.0, 80) * scale
+    direction = np.array([1.0, -2.0, 0.5])[:dim]
+    labels = [f"x{i}" for i in range(80)]
+    space = FiniteMetricSpace.from_coords(labels, t[:, None] * direction, norm=norm)
+    assert len(space) == 80
+    # the same distances as an explicit matrix still meet the full check
+    with pytest.raises(InputError, match="triangle"):
+        FiniteMetricSpace.from_matrix(labels, space.matrix)
+
+
+def test_coordinate_spaces_keep_the_other_checks():
+    with pytest.raises(InputError, match="distinct"):
+        FiniteMetricSpace.from_coords(["a", "a"], [0.0, 1.0])
+    with pytest.raises(InputError, match="finite"):
+        FiniteMetricSpace.from_coords(["a", "b"], [0.0, float("nan")])
+
+
 def test_space_from_dict_variants():
     space = space_from_dict(
         {"points": [{"label": "a", "coord": [0.0]}, {"label": "b", "coord": [2.0]}]}
@@ -263,12 +291,46 @@ def test_edges_and_gauge_from_dict():
     assert ball.contains("a", "b")
     lst = edges_from_dict({"mode": "list", "pairs": [["a", "b"]]}, space)
     assert lst.contains("a", "b") and not lst.contains("b", "a")
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="'zz'"):
         edges_from_dict({"mode": "list", "pairs": [["a", "zz"]]}, space)
+    for bad in ([["a"]], [["a", "b", "a"]], [3], [[["a"], "b"]]):
+        with pytest.raises(InputError, match="pairs of point labels"):
+            edges_from_dict({"mode": "list", "pairs": bad}, space)
     k = gauge_from_dict({"form": "constant", "value": 0.25, "sup": 0.3})
     assert k(1.0) == 0.25 and k.certified_sup == 0.3
     with pytest.raises(InputError):
         gauge_from_dict({"form": "constant", "value": 1.2, "sup": 1.2})
+
+
+def test_list_edges_round_trip_through_problem_dict():
+    from graphfix.problems import problem_from_dict, problem_to_dict, ternary_orbit_problem
+
+    p = ternary_orbit_problem(6)
+    labels = p.space.labels
+    rng = random.Random(5)
+    pairs = [(u, v) for u in labels for v in labels if rng.random() < 0.3]
+    pairs.append((p.f[p.w0], p.p0))
+    edges = EdgeStructure.from_pairs(p.space, pairs)
+    problem = dataclasses.replace(p, edges=edges)
+    data = problem_to_dict(problem)
+    expected = sorted({(u, v) for u, v in pairs} | {(s, s) for s in labels})
+    assert data["edges"] == {"mode": "list", "pairs": [list(e) for e in expected]}
+    back = problem_from_dict(json.loads(json.dumps(data)))
+    assert back.edges.mode == "list"
+    for u in labels:
+        for v in labels:
+            assert back.edges.contains(u, v) == edges.contains(u, v)
+            assert edges.contains(u, v) == (u == v or (u, v) in pairs)
+
+
+def test_edge_adjacency_is_built_once_and_read_only():
+    space = ternary_space()
+    ball = EdgeStructure.ball(space, 1.0 / 9.0)
+    assert np.array_equal(ball.adjacency, (space.matrix < 1.0 / 9.0) | np.eye(len(space), dtype=bool))
+    with pytest.raises(ValueError):
+        ball.adjacency[0, 1] = True
+    zero = EdgeStructure.ball(space, 0.0)  # no pair is closer than 0: diagonal only
+    assert np.array_equal(zero.adjacency, np.eye(len(space), dtype=bool))
 
 
 def test_closed_set_dedups_and_rejects_empty():
