@@ -406,10 +406,12 @@ def main(ctx, out, seed, fmt):
 
 
 def _manifest(ctx, subcommand, input_ref, params) -> RunManifest:
+    """The run's manifest; ``params`` are the command's options, in the
+    order the command declares them."""
     return RunManifest(
         subcommand=subcommand,
         input=input_ref,
-        params=params,
+        params={p.name: params[p.name] for p in ctx.command.params if p.name in params},
         out=ctx.obj["out"],
         seed=ctx.obj["seed"],
         format=ctx.obj["format"],
@@ -419,18 +421,12 @@ def _manifest(ctx, subcommand, input_ref, params) -> RunManifest:
 @main.command()
 @click.argument("problem")
 @click.option("--kamran", is_flag=True, help="Also check the Hausdorff inequality.")
-@click.option("--M", "m_const", type=float, default=0.0, show_default=True)
+@click.option("--M", "M", type=float, default=0.0, show_default=True)
 @click.option("--kamran-sup", type=float, default=0.999, show_default=True)
 @click.option("--truncate", type=int, default=None, help="Builtin truncation depth.")
 @click.pass_context
-def verify(ctx, problem, kamran, m_const, kamran_sup, truncate):
+def verify(ctx, problem, **params):
     """Check the contraction/graph hypotheses of PROBLEM (builtin or file)."""
-    params = {
-        "kamran": kamran,
-        "M": m_const,
-        "kamran_sup": kamran_sup,
-        "truncate": truncate,
-    }
     _dispatch(run_verify, _manifest(ctx, "verify", problem, params))
 
 
@@ -443,16 +439,8 @@ def verify(ctx, problem, kamran, m_const, kamran_sup, truncate):
 @click.option("--max-iter", type=int, default=None)
 @click.option("--truncate", type=int, default=None, help="Builtin truncation depth.")
 @click.pass_context
-def iterate(ctx, problem, w0, p0, tol, residual_tol, max_iter, truncate):
+def iterate(ctx, problem, **params):
     """Run the coincidence iteration on PROBLEM; write trace and outcome."""
-    params = {
-        "w0": w0,
-        "p0": p0,
-        "tol": tol,
-        "residual_tol": residual_tol,
-        "max_iter": max_iter,
-        "truncate": truncate,
-    }
     _dispatch(run_iterate, _manifest(ctx, "iterate", problem, params))
 
 
@@ -470,17 +458,8 @@ def iterate(ctx, problem, w0, p0, tol, residual_tol, max_iter, truncate):
 @click.option("--max-iter", type=int, default=200_000, show_default=True)
 @click.option("--grid", type=int, default=101, show_default=True)
 @click.pass_context
-def bernstein(ctx, n, q, phi, phi_file, tol, max_iter, grid):
+def bernstein(ctx, **params):
     """Iterate the nonlinear q-Bernstein operator to its limit."""
-    params = {
-        "n": n,
-        "q": q,
-        "phi": phi,
-        "phi_file": phi_file,
-        "tol": tol,
-        "max_iter": max_iter,
-        "grid": grid,
-    }
     _dispatch(run_bernstein, _manifest(ctx, "bernstein", None, params))
 
 
@@ -498,17 +477,8 @@ def bernstein(ctx, n, q, phi, phi_file, tol, max_iter, grid):
 @click.option("--max-iter", type=int, default=10_000, show_default=True)
 @click.option("--gauge-sup", type=float, default=None, help="Override the gauge bound.")
 @click.pass_context
-def fbvp(ctx, beta, forcing, forcing_file, m, tol, max_iter, gauge_sup):
+def fbvp(ctx, **params):
     """Solve the fractional boundary problem by Picard iteration."""
-    params = {
-        "beta": beta,
-        "forcing": forcing,
-        "forcing_file": forcing_file,
-        "m": m,
-        "tol": tol,
-        "max_iter": max_iter,
-        "gauge_sup": gauge_sup,
-    }
     _dispatch(run_fbvp, _manifest(ctx, "fbvp", None, params))
 
 
@@ -516,9 +486,9 @@ def fbvp(ctx, beta, forcing, forcing_file, m, tol, max_iter, gauge_sup):
 @click.argument("specfile")
 @click.option("--jobs", type=int, default=1, show_default=True)
 @click.pass_context
-def sweep(ctx, specfile, jobs):
+def sweep(ctx, specfile, **params):
     """Fan out independent runs described in SPECFILE (JSON array)."""
-    _dispatch(run_sweep, _manifest(ctx, "sweep", specfile, {"jobs": jobs}))
+    _dispatch(run_sweep, _manifest(ctx, "sweep", specfile, params))
 
 
 if __name__ == "__main__":

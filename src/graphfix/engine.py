@@ -41,6 +41,7 @@ from .metric import (
     EdgeStructure,
     FiniteMetricSpace,
     Gauge,
+    ValidatedPair,
     point_to_set_distance,
     validate_pair,
 )
@@ -142,6 +143,7 @@ class IterationTrace:
 class Converged:
     w_star: object
     f_w_star: object
+    exact: bool | None = None  # f(w*) in F(w*); None for operator iterates
 
 
 @dataclass
@@ -191,6 +193,7 @@ class IterationOutcome:
             "common_fixed_point": self.common_fixed_point,
             "iterations": self.iterations,
             "final_residual": self.final_residual,
+            "exact_coincidence": getattr(self.status, "exact", None),
         }
         if isinstance(self.status, HypothesisViolated):
             out["condition"] = self.status.condition
@@ -207,6 +210,10 @@ class CoincidenceProblem:
     belong to F(w0) with (f(w0), p0) an edge.  ``truncated`` marks points
     whose successor data was clamped when an infinite space was cut to a
     finite one; verifiers skip pairs owned by those points.
+
+    ``pair`` is the validated (f, F), whose read-only f and F replace
+    the given ones.  It is reused while ``space``, ``f`` and ``F`` are its
+    own, so ``dataclasses.replace`` to a new start checks only the start.
     """
 
     space: FiniteMetricSpace
@@ -218,33 +225,32 @@ class CoincidenceProblem:
     p0: str
     config: IterationConfig = IterationConfig()
     truncated: frozenset = frozenset()
+    pair: ValidatedPair | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        fmap, images, misses = validate_pair(self.space, self.f, self.F)
-        if misses:
-            w, y = misses[0]
-            raise InputError(
-                f"range condition fails: {y!r} in F({w!r}) is not an f-image"
-            )
-        object.__setattr__(self, "f", fmap)
-        object.__setattr__(self, "F", images)
+        pair = self.pair
+        if pair is None or not (
+            pair.space is self.space and pair.f is self.f and pair.F is self.F
+        ):
+            pair = validate_pair(self.space, self.f, self.F)
+            if pair.misses:
+                w, y = pair.misses[0]
+                raise InputError(
+                    f"range condition fails: {y!r} in F({w!r}) is not an f-image"
+                )
+            object.__setattr__(self, "pair", pair)
+            object.__setattr__(self, "f", pair.f)
+            object.__setattr__(self, "F", pair.F)
         object.__setattr__(self, "truncated", frozenset(self.truncated))
         self.space.index(self.w0)
         self.space.index(self.p0)
-        if self.p0 not in images[self.w0]:
+        if self.p0 not in self.F[self.w0]:
             raise InputError("p0 must belong to F(w0)")
-        if not self.edges.contains(fmap[self.w0], self.p0):
+        if not self.edges.contains(self.f[self.w0], self.p0):
             raise InputError("(f(w0), p0) must be an edge")
 
     def members(self, w: str) -> tuple[str, ...]:
         return self.F[w].members
-
-    def preimage(self, y: str) -> str | None:
-        """Lowest-index preimage of y under f, or None."""
-        for w in self.space.labels:
-            if self.f[w] == y:
-                return w
-        return None
 
 
 def select_successor(
@@ -281,15 +287,16 @@ def select_successor(
 def run_coincidence_iteration(problem: CoincidenceProblem) -> IterationOutcome:
     """Iterate the graph-checked successor selection until certified stop.
 
-    Per step the engine checks that (a) the selected point lies in
-    F(w_n), (b) consecutive image points are joined by an edge, (c) the
-    step distances satisfy d_{n+1} <= sqrt(k(d_n)) d_n.  It stops when
+    Per step the engine checks that (a) consecutive image points are
+    joined by an edge, (b) the step distances satisfy
+    d_{n+1} <= sqrt(k(d_n)) d_n.  The selected point is a member of
+    F(w_n) and has a preimage under f by construction.  It stops when
     the step distance falls below ``tol`` and the residual
     D(f(w_n), F(w_n)) below ``residual_tol``, or when the tail bound
     certifies the distance to the limit is below ``tol`` (again residual
-    gated, so a Converged outcome always has a small residual).  At the
-    limit it also reports the common fixed point a = f(w*) whenever
-    f(a) = a and f(a) in F(a).
+    gated, so a Converged outcome always has a small residual, and says
+    whether f(w*) lies in F(w*) exactly).  At the limit it also reports
+    the common fixed point a = f(w*) whenever f(a) = a and f(a) in F(a).
     """
     space = problem.space
     f = problem.f
@@ -301,6 +308,8 @@ def run_coincidence_iteration(problem: CoincidenceProblem) -> IterationOutcome:
     def outcome(status, common=None):
         return IterationOutcome(status, trace, cert, common)
 
+    labels = space.labels
+    inverse = problem.pair.inverse  # every member of every F(w) has a preimage
     w0 = problem.w0
     fw0 = f[w0]
     start_edge = problem.edges.contains(fw0, problem.p0)
@@ -318,9 +327,7 @@ def run_coincidence_iteration(problem: CoincidenceProblem) -> IterationOutcome:
     if not start_edge:
         return outcome(HypothesisViolated("edge", 0))
 
-    w = problem.preimage(problem.p0)
-    if w is None:
-        return outcome(HypothesisViolated("range", 0))
+    w = labels[inverse[space.index(problem.p0)]]
     prev_fw = fw0
     fw = f[w]
     d1 = space.distance(fw0, problem.p0)
@@ -345,18 +352,15 @@ def run_coincidence_iteration(problem: CoincidenceProblem) -> IterationOutcome:
             a = fw_star
             if f[a] == a and a in problem.members(a):
                 common = a
-            return outcome(Converged(w_star, fw_star), common)
+            exact = fw_star in problem.members(w_star)
+            return outcome(Converged(w_star, fw_star, exact), common)
         if n > cfg.max_iter:
             return outcome(MaxIterExceeded(w))
         try:
             y = select_successor(d_n, fw, problem.F[w], gauge, space)
         except HypothesisViolation as exc:
             return outcome(HypothesisViolated(exc.condition, n))
-        if y not in problem.members(w):
-            return outcome(HypothesisViolated("ii", n))
-        w_next = problem.preimage(y)
-        if w_next is None:
-            return outcome(HypothesisViolated("range", n))
+        w_next = labels[inverse[space.index(y)]]
         d_next = space.distance(fw, y)
         prev_fw, w, fw = fw, w_next, f[w_next]
         d_prev, d_n = d_n, d_next

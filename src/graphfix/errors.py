@@ -16,8 +16,8 @@ class HypothesisViolation(RuntimeError):
     """A contraction/graph hypothesis failed at runtime.
 
     ``condition`` names the failed hypothesis: ``"i"`` (contraction
-    inequality), ``"ii"`` (edge propagation), ``"edge"`` (graph membership
-    along the orbit), or ``"range"`` (a selected point has no preimage).
+    inequality), ``"ii"`` (edge propagation), or ``"edge"`` (graph
+    membership along the orbit).
     """
 
     def __init__(self, condition: str, step: int = -1, detail: str = ""):

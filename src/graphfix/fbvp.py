@@ -159,21 +159,10 @@ class GridFunction:
     def m(self) -> int:
         return self.values.size - 1
 
-    @property
-    def grid(self) -> np.ndarray:
-        return np.linspace(0.0, 1.0, self.values.size)
-
-    def sup_norm(self) -> float:
-        return float(np.max(np.abs(self.values)))
-
     @classmethod
     def from_callable(cls, fn: Callable[[float], float], m: int) -> "GridFunction":
         grid = np.linspace(0.0, 1.0, m + 1)
         return cls(np.array([float(fn(b)) for b in grid]))
-
-    @classmethod
-    def zeros(cls, m: int) -> "GridFunction":
-        return cls(np.zeros(m + 1))
 
 
 @dataclass

@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DomainError, InputError
+from .errors import DomainError, InputError, check_real
 
 # Triangle-inequality slack accepted when validating a distance matrix.
 TRIANGLE_TOL = 1e-9
@@ -34,10 +35,24 @@ def norm_value(vec, norm: str = "euclidean") -> float:
     return float(np.linalg.norm(np.asarray(vec, dtype=float), ord=_NORM_ORDS[norm]))
 
 
+def _real_array(value, name: str) -> np.ndarray:
+    """``value`` as a float array; InputError unless it reads as a
+    rectangular array of numbers."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise InputError(f"{name} must be a rectangular array of numbers") from None
+
+
 def _check_triangle(labels: tuple[str, ...], m: np.ndarray) -> None:
-    """Raise InputError unless d(i, j) <= d(i, k) + d(k, j) + TRIANGLE_TOL."""
+    """Raise InputError unless d(i, j) <= d(i, k) + d(k, j) + TRIANGLE_TOL.
+    Its n x n buffers are allocated once: fresh ones per k cost page faults."""
+    bound = np.empty_like(m)
+    over = np.empty(m.shape, dtype=bool)
     for k in range(len(labels)):
-        if np.any(m > m[:, [k]] + m[[k], :] + TRIANGLE_TOL):
+        np.add(m[:, k : k + 1], m[k : k + 1, :], out=bound)
+        bound += TRIANGLE_TOL
+        if np.greater(m, bound, out=over).any():
             i, j = np.unravel_index(np.argmax(m - (m[:, [k]] + m[[k], :])), m.shape)
             raise InputError(
                 f"triangle inequality fails: d({labels[i]},{labels[j]}) > "
@@ -69,7 +84,7 @@ class FiniteMetricSpace:
             raise InputError("point labels must be distinct")
         if not labels:
             raise InputError("a metric space needs at least one point")
-        m = np.asarray(self.matrix, dtype=float)
+        m = _real_array(self.matrix, "distances")
         object.__setattr__(self, "matrix", m)
         n = len(labels)
         if m.shape != (n, n):
@@ -101,7 +116,7 @@ class FiniteMetricSpace:
         ``TRIANGLE_TOL`` would sit below the rounding of the distances and
         reject valid spaces.  Every other check still runs.
         """
-        pts = np.asarray(coords, dtype=float)
+        pts = _real_array(coords, "coordinates")
         if pts.ndim == 1:
             pts = pts[:, None]
         if len(pts) != len(labels):
@@ -165,38 +180,71 @@ def _finite_members(Z) -> tuple[str, ...]:
     return members
 
 
-def validate_pair(
-    space: FiniteMetricSpace, f: Mapping, F: Mapping
-) -> tuple[dict[str, str], dict[str, ClosedSet], list[tuple[str, str]]]:
-    """Check a pair (f, F) on ``space``: the one validation path for (f, F).
+@dataclass(frozen=True)
+class ValidatedPair:
+    """A pair (f, F) checked on ``space``, and its index form.
+
+    ``f`` and ``F`` are read-only label maps (F to ClosedSets); ``misses``
+    lists the pairs (w, y) with y in F(w) outside the range of f.  The
+    read-only integer arrays are indexed like ``space.labels``: ``fi[w]``
+    is the index of f(w), row w of ``members`` holds the member indices
+    of F(w), padded with repeats of the first (min and max ignore
+    repeats), and ``inverse[y]`` is the lowest-index preimage of y, or -1.
+    """
+
+    space: FiniteMetricSpace
+    f: Mapping[str, str]
+    F: Mapping[str, ClosedSet]
+    misses: tuple[tuple[str, str], ...]
+    fi: np.ndarray = field(repr=False)
+    members: np.ndarray = field(repr=False)
+    inverse: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        for a in (self.fi, self.members, self.inverse):
+            a.flags.writeable = False
+
+
+def validate_pair(space: FiniteMetricSpace, f: Mapping, F: Mapping) -> ValidatedPair:
+    """Check a pair (f, F) on ``space``: the one validation path for (f, F),
+    and the only code that turns its labels into indices.
 
     f and F must be defined at every label, every f(w) and every member
     of F(w) must be a label of the space, and every F(w) must be a
     non-empty set (an iterable of labels, or a ClosedSet, which is reused
-    as it is).  Returns f as a dict, F as a dict of ClosedSets, and the
-    pairs (w, y) with y in F(w) outside the range of f: the range
-    condition is left to the caller, to enforce or to report.
+    as it is).  The range condition is left to the caller, to enforce or
+    to report from ``misses``.
     """
+    labels = space.labels
     index = space.index
     fmap: dict[str, str] = {}
     images: dict[str, ClosedSet] = {}
-    for w in space.labels:
+    fi = []
+    rows = []
+    for w in labels:
         if w not in f:
             raise InputError(f"f is not defined at {w!r}")
         if w not in F:
             raise InputError(f"F is not defined at {w!r}")
-        index(f[w])
+        fi.append(index(f[w]))
         fmap[w] = f[w]
         Z = F[w]
-        cs = Z if isinstance(Z, ClosedSet) else ClosedSet.finite(Z)
-        for y in cs.members:
-            index(y)
-        images[w] = cs
-    f_range = set(fmap.values())
-    misses = [
-        (w, y) for w in space.labels for y in images[w].members if y not in f_range
-    ]
-    return fmap, images, misses
+        images[w] = Z if isinstance(Z, ClosedSet) else ClosedSet.finite(Z)
+        rows.append([index(y) for y in images[w].members])
+    fi = np.array(fi, dtype=np.intp)
+    k = max(map(len, rows))
+    members = np.array([r + r[:1] * (k - len(r)) for r in rows], dtype=np.intp)
+    inverse = np.full(len(labels), -1, dtype=np.intp)
+    images_of_f, first = np.unique(fi, return_index=True)
+    inverse[images_of_f] = first
+    has_preimage = (inverse >= 0).tolist()
+    misses = tuple(
+        (w, labels[j]) for w, r in zip(labels, rows) for j in r if not has_preimage[j]
+    )
+    return ValidatedPair(
+        space, MappingProxyType(fmap), MappingProxyType(images), misses,
+        fi, members, inverse,
+    )
 
 
 def point_to_set_distance(u: str, Z, space: FiniteMetricSpace) -> float:
@@ -232,9 +280,11 @@ class EdgeStructure:
         if (self.radius is None) == (self.adjacency is None):
             raise InputError("edge structure is either a ball or a pair list")
         if self.radius is not None:
-            if self.radius < 0:
+            radius = check_real(self.radius, "ball radius")
+            if radius < 0:
                 raise InputError("ball radius must be nonnegative")
-            adjacency = self.space.matrix < self.radius
+            object.__setattr__(self, "radius", radius)
+            adjacency = self.space.matrix < radius
         else:
             adjacency = np.array(self.adjacency, dtype=bool)
             n = len(self.space)
@@ -246,7 +296,7 @@ class EdgeStructure:
 
     @classmethod
     def ball(cls, space: FiniteMetricSpace, radius: float) -> "EdgeStructure":
-        return cls(space=space, radius=float(radius))
+        return cls(space=space, radius=radius)
 
     @classmethod
     def from_pairs(
@@ -288,11 +338,13 @@ class Gauge:
     certified_sup: float
 
     def __post_init__(self):
-        bp = tuple(float(b) for b in self.breakpoints)
-        vals = tuple(float(v) for v in self.values)
+        bp = tuple(check_real(b, "gauge breakpoint") for b in self.breakpoints)
+        vals = tuple(check_real(v, "gauge value") for v in self.values)
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "certified_sup", float(self.certified_sup))
+        object.__setattr__(
+            self, "certified_sup", check_real(self.certified_sup, "gauge sup")
+        )
         if not bp or len(bp) != len(vals):
             raise InputError("gauge needs matching breakpoints and values")
         if bp[0] != 0.0:
@@ -308,7 +360,7 @@ class Gauge:
 
     @classmethod
     def constant(cls, value: float, sup: float | None = None) -> "Gauge":
-        return cls((0.0,), (float(value),), float(value if sup is None else sup))
+        return cls((0.0,), (value,), value if sup is None else sup)
 
     @classmethod
     def piecewise(
@@ -366,7 +418,7 @@ def edges_from_dict(data: Mapping, space: FiniteMetricSpace) -> EdgeStructure:
     if mode == "ball":
         if "radius" not in data:
             raise InputError("ball edges need a 'radius'")
-        return EdgeStructure.ball(space, float(data["radius"]))
+        return EdgeStructure.ball(space, data["radius"])
     if mode == "list":
         pairs = data.get("pairs")
         if not isinstance(pairs, list):
@@ -382,14 +434,14 @@ def gauge_from_dict(data: Mapping) -> Gauge:
     if form == "constant":
         if "value" not in data:
             raise InputError("constant gauge needs a 'value'")
-        return Gauge.constant(float(data["value"]), data.get("sup"))
+        return Gauge.constant(data["value"], data.get("sup"))
     if form == "piecewise":
         try:
-            return Gauge.piecewise(
-                [float(b) for b in data["breakpoints"]],
-                [float(v) for v in data["values"]],
-                float(data["sup"]),
-            )
+            breakpoints, values = data["breakpoints"], data["values"]
+            sup = data["sup"]
         except KeyError as exc:
             raise InputError(f"piecewise gauge needs {exc}") from None
+        if not isinstance(breakpoints, list) or not isinstance(values, list):
+            raise InputError("piecewise gauge breakpoints and values must be arrays")
+        return Gauge.piecewise(breakpoints, values, sup)
     raise InputError(f"unknown gauge form {form!r}")

@@ -17,7 +17,6 @@ exactly on 0.
 
 from __future__ import annotations
 
-import json
 import random
 from typing import Mapping
 
@@ -238,10 +237,12 @@ def problem_from_dict(data: Mapping) -> CoincidenceProblem:
     fmap = {str(k): str(v) for k, v in data["f"].items()}
     images = {str(k): ClosedSet.finite(v) for k, v in data["F"].items()}
     cfg = data.get("config", {})
+    if not isinstance(cfg, Mapping):
+        raise InputError("problem file 'config' must be an object")
     config = IterationConfig(
-        tol=float(cfg.get("tol", 1e-9)),
-        residual_tol=float(cfg.get("residual_tol", 1e-8)),
-        max_iter=int(cfg.get("max_iter", 10_000)),
+        tol=cfg.get("tol", 1e-9),
+        residual_tol=cfg.get("residual_tol", 1e-8),
+        max_iter=cfg.get("max_iter", 10_000),
     )
     return CoincidenceProblem(
         space=space,
@@ -258,8 +259,3 @@ def problem_from_dict(data: Mapping) -> CoincidenceProblem:
 
 def load_problem(path) -> CoincidenceProblem:
     return problem_from_dict(load_json(path))
-
-
-def save_problem(problem: CoincidenceProblem, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(problem_to_dict(problem), fh, indent=2)

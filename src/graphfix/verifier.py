@@ -11,8 +11,9 @@ while passing the graph-local hypotheses).
 
 Both checks are exhaustive over every ordered pair (v, w), and both are
 index-based: after one validation of (f, F) they read only the distance
-matrix, the edge adjacency matrix and two integer arrays, f as the
-vector of image indices and F as an n x k array of member indices
+matrix, the edge adjacency matrix and the two integer arrays of the
+validated pair (``metric.ValidatedPair``), f as the vector ``fi`` of
+image indices and F as the n x k array ``members`` of member indices
 (shorter rows padded with repeats of their first member, which min and
 max ignore).  An n-point check is a few n x n array expressions, with
 O(n^2) temporaries; witnesses are built for failing pairs only, in the
@@ -29,7 +30,6 @@ import numpy as np
 
 from .errors import DomainError, InputError, check_real
 from .metric import (
-    ClosedSet,
     EdgeStructure,
     FiniteMetricSpace,
     Gauge,
@@ -39,19 +39,6 @@ from .metric import (
 
 # Slack for comparing float inequalities built from exact example data.
 _SLACK = 1e-12
-
-
-def _index_arrays(
-    space: FiniteMetricSpace, fmap: Mapping[str, str], images: Mapping[str, ClosedSet]
-) -> tuple[np.ndarray, np.ndarray]:
-    """f as a vector of image indices, and F as an n x k array of member
-    indices whose shorter rows repeat their first member."""
-    index = space.index
-    fi = np.array([index(fmap[w]) for w in space.labels], dtype=np.intp)
-    rows = [[index(y) for y in images[w].members] for w in space.labels]
-    k = max(map(len, rows))
-    members = np.array([r + r[:1] * (k - len(r)) for r in rows], dtype=np.intp)
-    return fi, members
 
 
 def _gauge_at(gauge: Gauge, t: np.ndarray) -> np.ndarray:
@@ -118,13 +105,13 @@ def verify_coincidence_hypotheses(
     checks would test truncation artifacts rather than the original data.
     An all-false report is a valid result; nothing raises.
     """
-    fmap, sets, misses = validate_pair(space, f, F)
+    pair = validate_pair(space, f, F)
+    fmap, fi, members = pair.f, pair.fi, pair.members
     labels = space.labels
     n = len(labels)
-    fi, members = _index_arrays(space, fmap, sets)
     dist = space.matrix
-    report = HypothesisReport(range_ok=not misses)
-    for u, y in misses:
+    report = HypothesisReport(range_ok=not pair.misses)
+    for u, y in pair.misses:
         report.witnesses.append({"condition": "range", "u": u, "member": y})
 
     # Row-major (v, w) tables: f(w) in F(v), the edge (f(v), f(w)), d(f(v), f(w)).
@@ -216,9 +203,9 @@ def verify_kamran_inequality(
     M = check_real(M, "M")
     if M < 0:
         raise InputError("M must be nonnegative")
-    fmap, images, _ = validate_pair(space, f, F)
+    pair = validate_pair(space, f, F)
+    fi, members = pair.fi, pair.members
     labels = space.labels
-    fi, members = _index_arrays(space, fmap, images)
     dist = space.matrix
     # P[u, w] = D(u, F(w)), one member slot at a time: temporaries stay n x n
     P = dist[:, members[:, 0]]
@@ -260,16 +247,15 @@ class CoincidenceSets:
 def enumerate_coincidence_points(
     space: FiniteMetricSpace, f: Mapping[str, str], F: Mapping
 ) -> CoincidenceSets:
-    """Scan all points for f(w) in F(w); also collect w = f(w) in F(w)."""
-    fmap, images, _ = validate_pair(space, f, F)
-    coin = []
-    common = []
-    for w in space.labels:
-        if fmap[w] in images[w]:
-            coin.append(w)
-            if fmap[w] == w:
-                common.append(w)
-    return CoincidenceSets(tuple(coin), tuple(common))
+    """Every w with f(w) in F(w), and among them every w = f(w)."""
+    pair = validate_pair(space, f, F)
+    coin = (pair.members == pair.fi[:, None]).any(axis=1)
+    common = coin & (pair.fi == np.arange(len(space)))
+    labels = space.labels
+    return CoincidenceSets(
+        tuple(labels[i] for i in np.flatnonzero(coin)),
+        tuple(labels[i] for i in np.flatnonzero(common)),
+    )
 
 
 def best_approximant_set(

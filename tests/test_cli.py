@@ -9,7 +9,11 @@ import pytest
 from click.testing import CliRunner
 
 from graphfix.cli import main
-from graphfix.problems import problem_to_dict, random_ladder_problem
+from graphfix.problems import (
+    problem_to_dict,
+    random_ladder_problem,
+    ternary_orbit_problem,
+)
 from graphfix.serialize import format_float, json_dumps
 from graphfix.verifier import enumerate_coincidence_points
 
@@ -84,6 +88,24 @@ def test_iterate_ternary_orbit(runner, tmp_path):
     for a, b in zip(ds, ds[1:]):
         assert b <= math.sqrt(1.0 / 3.0) * a * (1 + 1e-12) + 1e-15
     assert all(r["edge_ok"] == "true" for r in rows)
+
+
+def test_iterate_says_whether_the_stop_is_an_exact_coincidence(runner, tmp_path):
+    # the default depth walks onto 0, where f(0) = 0 lies in F(0)
+    res = runner.invoke(main, ["--out", str(tmp_path), "iterate", "example-3-3"])
+    assert res.exit_code == 0, res.output
+    assert _read_json(tmp_path / "outcome.json")["exact_coincidence"] is True
+    # at depth 20 the residual falls below tol one rung above the cut:
+    # converged within tolerance, but f(w*) is not in F(w*)
+    res = runner.invoke(
+        main, ["--out", str(tmp_path), "iterate", "example-3-3", "--truncate", "20"]
+    )
+    assert res.exit_code == 0, res.output
+    outcome = _read_json(tmp_path / "outcome.json")
+    assert outcome["status"] == "converged"
+    assert outcome["w_star"] == f"1/{3**19}"
+    assert outcome["final_residual"] == pytest.approx(2.868e-10, rel=1e-3)
+    assert outcome["exact_coincidence"] is False
 
 
 def test_iterate_budget_zero(runner, tmp_path):
@@ -357,6 +379,46 @@ def test_verify_problem_file_with_non_list_image_is_input_error(runner, tmp_path
     res = runner.invoke(main, ["--out", str(tmp_path), "verify", str(path)])
     assert res.exit_code == 2
     assert res.stderr.startswith("error:") and "list of labels" in res.stderr
+
+
+def _ragged_coordinates(data):
+    del data["distances"]
+    for i, point in enumerate(data["points"]):
+        point["coord"] = [float(i), 0.0] if i == 1 else [float(i)]
+
+
+_MISTYPED_NUMBERS = {
+    "ball-radius": (
+        lambda data: data["edges"].update(radius="x"),
+        "ball radius must be a number, got 'x'",
+    ),
+    "gauge-value": (
+        lambda data: data["gauge"].update(value="x"),
+        "gauge value must be a number, got 'x'",
+    ),
+    "config-tol": (
+        lambda data: data["config"].update(tol="x"),
+        "tol must be a number, got 'x'",
+    ),
+    "ragged-coordinates": (
+        _ragged_coordinates,
+        "coordinates must be a rectangular array of numbers",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MISTYPED_NUMBERS))
+def test_verify_problem_file_with_a_mistyped_number_is_input_error(
+    runner, tmp_path, case
+):
+    mistype, message = _MISTYPED_NUMBERS[case]
+    data = problem_to_dict(ternary_orbit_problem(6))
+    mistype(data)
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(data))
+    res = runner.invoke(main, ["--out", str(tmp_path), "verify", str(path)])
+    assert res.exit_code == 2
+    assert res.stderr == f"error: {message}\n"
 
 
 def test_sweep_job_with_a_mistyped_parameter_is_input_error(runner, tmp_path):

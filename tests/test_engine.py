@@ -24,6 +24,7 @@ from graphfix.problems import (
     random_ladder_problem,
     ternary_orbit_problem,
 )
+from graphfix.serialize import json_dumps
 from graphfix.verifier import enumerate_coincidence_points
 
 TOL = 1e-12
@@ -171,6 +172,64 @@ def test_construction_rejects_bad_problems():
             p0="a",
         )
     assert space is not None
+
+
+def test_restart_does_not_revalidate_the_pair(monkeypatch):
+    import graphfix.engine as engine
+
+    calls = []
+    validate = engine.validate_pair
+    monkeypatch.setattr(
+        engine, "validate_pair", lambda *args: calls.append(args) or validate(*args)
+    )
+    p = ternary_orbit_problem(8)
+    assert len(calls) == 1
+    q = dataclasses.replace(p, w0="1/9", p0="1/81")
+    r = dataclasses.replace(q, w0="1/3", p0="1/27", config=IterationConfig(tol=1e-6))
+    assert len(calls) == 1
+    assert q.pair is p.pair and r.pair is p.pair
+    assert q.f is p.f and q.F is p.F
+    # a bad start still raises, without a validation
+    with pytest.raises(InputError):
+        dataclasses.replace(p, p0="1")
+    with pytest.raises(InputError):
+        dataclasses.replace(p, w0="nowhere")
+    assert len(calls) == 1
+    # a new F is validated again, and one outside the range of f is refused
+    bad_F = {**p.F, "1": ClosedSet.finite(["1"])}  # 1 is nobody's image
+    with pytest.raises(InputError, match="range condition"):
+        dataclasses.replace(p, F=bad_F)
+    assert len(calls) == 2
+
+
+def test_restarts_match_fresh_builds():
+    rng = random.Random(2024)
+    for _ in range(20):
+        p = random_ladder_problem(rng)
+        starts = [
+            (w0, p0)
+            for w0 in p.space.labels
+            for p0 in p.members(w0)
+            if p.edges.contains(p.f[w0], p0)
+        ]
+        assert starts
+        for w0, p0 in starts:
+            restart = dataclasses.replace(p, w0=w0, p0=p0)
+            fresh = CoincidenceProblem(
+                space=p.space,
+                f=dict(p.f),
+                F={w: list(Z.members) for w, Z in p.F.items()},
+                edges=p.edges,
+                gauge=p.gauge,
+                w0=w0,
+                p0=p0,
+                config=p.config,
+            )
+            assert fresh.pair is not restart.pair
+            a = run_coincidence_iteration(restart)
+            b = run_coincidence_iteration(fresh)
+            assert repr(a.trace.rows) == repr(b.trace.rows)
+            assert json_dumps(a.to_dict()) == json_dumps(b.to_dict())
 
 
 def _ladder_problem(gauge_value, edges=None, decoy=False):

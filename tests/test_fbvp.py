@@ -162,7 +162,7 @@ def test_operator_matrix_matches_per_row_construction(beta):
 def test_operator_zero_forcing():
     prob = FbvpProblem(beta=1.5, g=lambda b, w: 0.0, gauge=Gauge.constant(0.0),
                        grid_m=40)
-    out = apply_integral_operator(prob, GridFunction.zeros(40))
+    out = apply_integral_operator(prob, GridFunction(np.zeros(41)))
     assert np.all(out.values == 0.0)
 
 
@@ -171,7 +171,7 @@ def test_operator_sin_forcing_classical():
         beta=2.0, g=lambda b, w: math.pi**2 * math.sin(math.pi * b),
         gauge=Gauge.constant(0.0), grid_m=200,
     )
-    out = apply_integral_operator(prob, GridFunction.zeros(200))
+    out = apply_integral_operator(prob, GridFunction(np.zeros(201)))
     err = np.max(np.abs(out.values - np.sin(math.pi * prob.grid)))
     assert err <= 1e-5
     assert out.values[0] == 0.0 and out.values[-1] == 0.0
@@ -180,7 +180,7 @@ def test_operator_sin_forcing_classical():
 def test_operator_constant_forcing_quadratic():
     prob = FbvpProblem(beta=2.0, g=lambda b, w: 1.0, gauge=Gauge.constant(0.0),
                        grid_m=200)
-    out = apply_integral_operator(prob, GridFunction.zeros(200))
+    out = apply_integral_operator(prob, GridFunction(np.zeros(201)))
     exact = prob.grid * (1.0 - prob.grid) / 2.0
     assert np.max(np.abs(out.values - exact)) <= 1e-6
 
@@ -193,7 +193,7 @@ def test_quadrature_order_at_least_two():
             beta=2.0, g=lambda b, w: math.pi**2 * math.sin(math.pi * b),
             gauge=Gauge.constant(0.0), grid_m=m,
         )
-        out = apply_integral_operator(prob, GridFunction.zeros(m))
+        out = apply_integral_operator(prob, GridFunction(np.zeros(m + 1)))
         errs.append(np.max(np.abs(out.values - np.sin(math.pi * prob.grid))))
     assert errs[0] / errs[1] >= 3.5
     assert errs[1] / errs[2] >= 3.5

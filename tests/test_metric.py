@@ -18,6 +18,7 @@ from graphfix.metric import (
     hausdorff_distance,
     point_to_set_distance,
     space_from_dict,
+    validate_pair,
 )
 
 TOL = 1e-12
@@ -331,6 +332,32 @@ def test_edge_adjacency_is_built_once_and_read_only():
         ball.adjacency[0, 1] = True
     zero = EdgeStructure.ball(space, 0.0)  # no pair is closer than 0: diagonal only
     assert np.array_equal(zero.adjacency, np.eye(len(space), dtype=bool))
+
+
+def test_validated_pair_index_form_is_read_only():
+    space = FiniteMetricSpace.from_coords(["a", "b", "c", "d"], [0.0, 1.0, 2.0, 3.0])
+    f = {"a": "b", "b": "b", "c": "a", "d": "a"}
+    F = {"a": ["b", "a"], "b": ["c"], "c": ["a", "b", "a"], "d": ClosedSet.finite(["b"])}
+    pair = validate_pair(space, f, F)
+    assert pair.space is space
+    assert dict(pair.f) == f
+    assert pair.F["d"] is F["d"]  # a ClosedSet is reused as it is
+    assert pair.F["c"].members == ("a", "b")
+    assert pair.misses == (("b", "c"),)  # c is nobody's image
+    assert pair.fi.tolist() == [1, 1, 0, 0]
+    assert pair.members.tolist() == [[1, 0], [2, 2], [0, 1], [1, 1]]  # padded
+    assert pair.inverse.tolist() == [2, 0, -1, -1]  # lowest-index preimage
+    for arr in (pair.fi, pair.members, pair.inverse):
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    with pytest.raises(TypeError):
+        pair.f["a"] = "a"
+    with pytest.raises(TypeError):
+        pair.F["a"] = ClosedSet.finite(["a"])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        pair.fi = None
+    with pytest.raises(InputError):
+        validate_pair(space, {**f, "a": "z"}, F)
 
 
 def test_closed_set_dedups_and_rejects_empty():

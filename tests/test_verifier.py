@@ -36,11 +36,12 @@ _SLACK = 1e-12
 # --- loop oracles: the checks as label loops, the form that defines them -------
 
 def _reference_hypotheses(space, f, F, edges, gauge, truncated=frozenset()):
-    fmap, sets, misses = validate_pair(space, f, F)
+    pair = validate_pair(space, f, F)
+    fmap, sets = pair.f, pair.F
     images = {w: Z.members for w, Z in sets.items()}
     truncated = frozenset(truncated)
-    report = HypothesisReport(range_ok=not misses)
-    for u, y in misses:
+    report = HypothesisReport(range_ok=not pair.misses)
+    for u, y in pair.misses:
         report.witnesses.append({"condition": "range", "u": u, "member": y})
 
     for v in space.labels:
@@ -91,7 +92,8 @@ def _reference_hypotheses(space, f, F, edges, gauge, truncated=frozenset()):
 
 
 def _reference_kamran(space, f, F, gauge, M=0.0):
-    fmap, images, _ = validate_pair(space, f, F)
+    pair = validate_pair(space, f, F)
+    fmap, images = pair.f, pair.F
     report = KamranReport(holds=True, M=float(M))
     for v in space.labels:
         for w in space.labels:
