@@ -30,7 +30,7 @@ basis costs O(n) per point and the node matrix O(n^2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -143,10 +143,7 @@ def basis_vector(params: QParams, a: float) -> np.ndarray:
 def apply_operator(params: QParams, node_values, a: float) -> float:
     """(L phi)(a) = sum_i |values_i| b_{n,i}(q, a); the modulus is what
     makes the operator nonlinear."""
-    vals = np.asarray(
-        node_values.values if isinstance(node_values, NodeVector) else node_values,
-        dtype=float,
-    )
+    vals = np.asarray(node_values, dtype=float)
     if vals.shape != (params.n + 1,):
         raise InputError(f"expected {params.n + 1} node values")
     return float(basis_vector(params, a) @ np.abs(vals))
@@ -175,62 +172,36 @@ def contraction_constant(params: QParams) -> float:
     return math.exp(log_b)
 
 
-@dataclass(frozen=True)
-class NodeVector:
-    """n+1 real samples attached to the operator nodes."""
+@dataclass(kw_only=True)
+class IterateResult(IterationOutcome):
+    """The iteration's outcome, with the node values it stopped at (the
+    limit's samples when it converged) and evaluators for the limit."""
 
     params: QParams
     values: np.ndarray
-    nodes: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.shape != (self.params.n + 1,):
-            raise InputError(f"expected {self.params.n + 1} node values")
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "nodes", nodes(self.params))
-
-    @classmethod
-    def sample(cls, params: QParams, phi: Callable[[float], float]) -> "NodeVector":
-        ts = nodes(params)
-        return cls(params, np.array([float(phi(t)) for t in ts]))
-
-
-@dataclass
-class IterateResult:
-    """Converged node vector plus an evaluator for the limit function."""
-
-    params: QParams
-    node_vector: NodeVector
     b_nq: float
-    outcome: IterationOutcome
     endpoint_nonneg: bool
 
-    @property
-    def converged(self) -> bool:
-        return self.outcome.converged
-
-    @property
-    def iterations(self) -> int:
-        return self.outcome.iterations
-
-    @property
-    def final_displacement(self) -> float:
-        rows = self.outcome.trace.rows
-        return rows[-1].d if rows else float("nan")
-
-    def evaluate(self, a: float) -> float:
-        return apply_operator(self.params, self.node_vector.values, a)
-
     def evaluate_grid(self, grid) -> np.ndarray:
-        return basis(self.params, grid) @ np.abs(self.node_vector.values)
+        return basis(self.params, grid) @ np.abs(self.values)
 
     def interpolant(self, a):
         """The predicted limit line through the endpoint moduli."""
-        v0 = abs(float(self.node_vector.values[0]))
-        v1 = abs(float(self.node_vector.values[-1]))
+        v0, v1 = abs(float(self.values[0])), abs(float(self.values[-1]))
         a = np.asarray(a, dtype=float)
         return v0 * (1.0 - a) + v1 * a
+
+    def _record(self) -> dict:
+        rows = self.trace.rows
+        return {
+            "n": self.params.n,
+            "q": self.params.q,
+            "iterations": self.iterations,
+            "final_displacement": rows[-1].d if rows else float("nan"),
+            "b_nq": self.b_nq,
+            "converged": self.converged,
+            "endpoint_nonneg": self.endpoint_nonneg,
+        }
 
 
 def iterate_to_limit(
@@ -247,11 +218,11 @@ def iterate_to_limit(
     first application folds the values into the nonnegative cone, after
     which the endpoint values are no longer those of phi).
     """
-    start = NodeVector.sample(params, phi)
+    start = np.array([float(phi(t)) for t in nodes(params)])
     B = operator_matrix(params)
     b_nq = contraction_constant(params)
     gauge = Gauge.constant(1.0 - b_nq)
-    endpoint_nonneg = start.values[0] >= 0.0 and start.values[-1] >= 0.0
+    endpoint_nonneg = bool(start[0] >= 0.0 and start[-1] >= 0.0)
 
     if endpoint_nonneg:
         def in_w0(delta) -> bool:
@@ -262,15 +233,16 @@ def iterate_to_limit(
 
     outcome = run_operator_iteration(
         lambda u: B @ np.abs(u),
-        start.values,
+        start,
         in_w0,
         gauge,
         IterationConfig(tol=tol, residual_tol=tol, max_iter=max_iter),
     )
-    if outcome.converged:
-        final = NodeVector(params, outcome.status.w_star)
-    elif getattr(outcome.status, "last_point", None) is not None:
-        final = NodeVector(params, outcome.status.last_point)
-    else:
-        final = start
-    return IterateResult(params, final, b_nq, outcome, endpoint_nonneg)
+    point = outcome.point
+    return IterateResult(
+        **vars(outcome),
+        params=params,
+        values=start if point is None else point,
+        b_nq=b_nq,
+        endpoint_nonneg=endpoint_nonneg,
+    )

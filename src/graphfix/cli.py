@@ -103,12 +103,6 @@ def _exit_code(outcome: IterationOutcome) -> int:
     return EXIT_HYPOTHESIS
 
 
-def _stop_reason(outcome: IterationOutcome) -> dict:
-    """The status, and the failing condition and step, as outcome.json has them."""
-    record = outcome.to_dict()
-    return {k: record[k] for k in ("status", "condition", "step") if k in record}
-
-
 # ---------------------------------------------------------------------------
 # Runners (shared by the click commands and the sweep executor).  Each one
 # writes its files and returns (exit code, report payload).
@@ -219,21 +213,7 @@ def run_bernstein(manifest: RunManifest) -> tuple[int, dict]:
         for a, lv, iv in zip(grid, limit_vals, interp_vals)
     ]
     _table(manifest, "bernstein", ["a", "limit", "interpolant", "abs_error"], rows)
-    payload = _emit(
-        manifest,
-        "summary.json",
-        {
-            "n": qp.n,
-            "q": qp.q,
-            "iterations": result.iterations,
-            "final_displacement": result.final_displacement,
-            "b_nq": result.b_nq,
-            "converged": result.converged,
-            "endpoint_nonneg": result.endpoint_nonneg,
-            **_stop_reason(result.outcome),
-        },
-    )
-    return _exit_code(result.outcome), payload
+    return _exit_code(result), _emit(manifest, "summary.json", result.to_dict())
 
 
 _FORCING_BUILTINS = {
@@ -309,17 +289,8 @@ def run_fbvp(manifest: RunManifest) -> tuple[int, dict]:
         for b, u in zip(problem.grid, report.solution.values)
     ]
     _table(manifest, "solution", ["b", "u_star"], rows)
-    payload = _emit(
-        manifest,
-        "report.json",
-        {
-            "beta": problem.beta,
-            "m": problem.grid_m,
-            **report.to_dict(),
-            **_stop_reason(report.outcome),
-        },
-    )
-    return _exit_code(report.outcome), payload
+    payload = {"beta": problem.beta, "m": problem.grid_m, **report.to_dict()}
+    return _exit_code(report), _emit(manifest, "report.json", payload)
 
 
 _RUNNERS = {

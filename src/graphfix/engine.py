@@ -159,6 +159,12 @@ class MaxIterExceeded:
 
 @dataclass
 class IterationOutcome:
+    """How a run stopped, with its trace and certificate.
+
+    The one result type of all three solvers: the q-Bernstein and FBVP
+    results subclass it and add their own fields and record keys.
+    """
+
     status: object
     trace: IterationTrace
     certificate: ConvergenceCertificate
@@ -179,15 +185,19 @@ class IterationOutcome:
     def final_residual(self) -> float:
         return self.trace.rows[-1].residual if self.trace.rows else float("nan")
 
-    def to_dict(self) -> dict:
+    @property
+    def point(self):
+        """Where the run stopped: w* when it converged, the last iterate
+        when the budget ran out, and None after a hypothesis failure."""
         if isinstance(self.status, Converged):
-            status = "converged"
-        elif isinstance(self.status, HypothesisViolated):
-            status = "hypothesis-violated"
-        else:
-            status = "max-iter-exceeded"
-        out = {
-            "status": status,
+            return self.status.w_star
+        if isinstance(self.status, MaxIterExceeded):
+            return self.status.last_point
+        return None
+
+    def _record(self) -> dict:
+        """The solver's own keys of :meth:`to_dict`; subclasses replace it."""
+        return {
             "w_star": getattr(self.status, "w_star", None),
             "fw_star": getattr(self.status, "f_w_star", None),
             "common_fixed_point": self.common_fixed_point,
@@ -195,6 +205,17 @@ class IterationOutcome:
             "final_residual": self.final_residual,
             "exact_coincidence": getattr(self.status, "exact", None),
         }
+
+    def to_dict(self) -> dict:
+        """The run's record: ``status``, the solver's keys, and the failing
+        ``condition`` and ``step`` when a hypothesis failed."""
+        if isinstance(self.status, Converged):
+            status = "converged"
+        elif isinstance(self.status, HypothesisViolated):
+            status = "hypothesis-violated"
+        else:
+            status = "max-iter-exceeded"
+        out = {"status": status, **self._record()}
         if isinstance(self.status, HypothesisViolated):
             out["condition"] = self.status.condition
             out["step"] = self.status.step

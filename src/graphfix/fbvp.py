@@ -232,21 +232,18 @@ def quadrature_kappa(problem: FbvpProblem) -> float:
     return float(np.max(K @ np.ones(K.shape[1])))
 
 
-@dataclass
-class PicardReport:
-    """Solver result: coincidence profile plus convergence diagnostics."""
+@dataclass(kw_only=True)
+class PicardReport(IterationOutcome):
+    """The Picard iteration's outcome, with the coincidence profile and
+    the solver's diagnostics."""
 
     solution: GridFunction
-    converged: bool
-    iterations: int
     residual: float
     kappa: float
     effective_factor: float
     warning: str | None
-    displacement_history: list[float]
-    outcome: IterationOutcome
 
-    def to_dict(self) -> dict:
+    def _record(self) -> dict:
         return {
             "converged": self.converged,
             "iterations": self.iterations,
@@ -292,25 +289,20 @@ def picard_solve(problem: FbvpProblem) -> PicardReport:
             max_iter=problem.max_iter,
         ),
     )
-    point = getattr(outcome.status, "w_star", getattr(outcome.status, "last_point", None))
-    if point is not None:
+    u_star = outcome.point
+    if u_star is not None:
         # the engine's last step already measured ||u* - T(u*)|| for this point
-        u_star = np.asarray(point, dtype=float)
-        residual = outcome.trace.rows[-1].residual
+        residual = outcome.final_residual
     else:
         u_star = np.zeros(problem.grid_m + 1)
         residual = float(np.max(np.abs(u_star - T(u_star))))
-    history = [row.d for row in outcome.trace.rows if not math.isnan(row.d)]
     return PicardReport(
+        **vars(outcome),
         solution=GridFunction(u_star),
-        converged=outcome.converged,
-        iterations=outcome.iterations,
         residual=residual,
         kappa=kappa,
         effective_factor=effective,
         warning=warning,
-        displacement_history=history,
-        outcome=outcome,
     )
 
 

@@ -67,12 +67,16 @@ class FiniteMetricSpace:
     The matrix must be symmetric, nonnegative, zero on the diagonal and
     satisfy the triangle inequality within ``TRIANGLE_TOL`` (taken as
     given for spaces built by :meth:`from_coords`); violations raise
-    :class:`InputError` at construction time.
+    :class:`InputError` at construction time.  A :meth:`from_coords`
+    space keeps its read-only ``coords`` (one row per label) and its
+    ``norm``; both are None for a space given by its matrix.
     """
 
     labels: tuple[str, ...]
     matrix: np.ndarray
     _index: dict = field(init=False, repr=False, compare=False)
+    coords: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    norm: str | None = field(default=None, init=False, compare=False)
 
     def __post_init__(self):
         self._validate(triangle=True)
@@ -125,9 +129,13 @@ class FiniteMetricSpace:
         ordv = _NORM_ORDS.get(norm)
         if ordv is None:
             raise InputError(f"unknown norm {norm!r}")
+        pts = pts.copy()
+        pts.flags.writeable = False
         space = cls.__new__(cls)
         object.__setattr__(space, "labels", tuple(labels))
         object.__setattr__(space, "matrix", np.linalg.norm(diffs, ord=ordv, axis=2))
+        object.__setattr__(space, "coords", pts)
+        object.__setattr__(space, "norm", norm)
         space._validate(triangle=False)
         return space
 

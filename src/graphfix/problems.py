@@ -179,9 +179,18 @@ def random_ladder_problem(
 
 def problem_to_dict(problem: CoincidenceProblem) -> dict:
     space = problem.space
+    if space.coords is None:
+        points = [{"label": s} for s in space.labels]
+        geometry = {"distances": [list(map(float, row)) for row in space.matrix]}
+    else:
+        points = [
+            {"label": s, "coord": list(map(float, c))}
+            for s, c in zip(space.labels, space.coords)
+        ]
+        geometry = {"norm": space.norm}
     out = {
-        "points": [{"label": s} for s in space.labels],
-        "distances": [list(map(float, row)) for row in space.matrix],
+        "points": points,
+        **geometry,
         "edges": (
             {"mode": "ball", "radius": problem.edges.radius}
             if problem.edges.mode == "ball"
@@ -236,6 +245,9 @@ def problem_from_dict(data: Mapping) -> CoincidenceProblem:
             raise InputError(f"F({w!r}) must be a list of labels, not {image!r}")
     fmap = {str(k): str(v) for k, v in data["f"].items()}
     images = {str(k): ClosedSet.finite(v) for k, v in data["F"].items()}
+    truncated = data.get("truncated", [])
+    if not isinstance(truncated, list):
+        raise InputError(f"'truncated' must be a list of labels, not {truncated!r}")
     cfg = data.get("config", {})
     if not isinstance(cfg, Mapping):
         raise InputError("problem file 'config' must be an object")
@@ -253,7 +265,7 @@ def problem_from_dict(data: Mapping) -> CoincidenceProblem:
         w0=str(data["w0"]),
         p0=str(data["p0"]),
         config=config,
-        truncated=frozenset(str(s) for s in data.get("truncated", ())),
+        truncated=frozenset(map(str, truncated)),
     )
 
 

@@ -116,7 +116,7 @@ def test_criterion_4_bernstein_iterates():
         limit = result.evaluate_grid(grid)
         # phi(0) = 0, phi(1) = 1: the limit line is the identity
         assert np.max(np.abs(limit - grid)) <= 1e-8
-        ds = [r.d for r in result.outcome.trace.rows if not math.isnan(r.d)]
+        ds = [r.d for r in result.trace.rows if not math.isnan(r.d)]
         bound = 1.0 - result.b_nq + 1e-12
         for a, b in zip(ds, ds[1:]):
             if a > 0:
@@ -187,7 +187,7 @@ def test_criterion_7_fbvp_fractional_self_consistency():
         assert rep.converged
         assert rep.residual <= 1e-8
         ratio_cap = rep.kappa / 4.0
-        ds = rep.displacement_history
+        ds = [r.d for r in rep.trace.rows if not math.isnan(r.d)]
         for a, b in zip(ds, ds[1:]):
             if a > 1e-12:
                 assert b <= ratio_cap * a + 1e-14

@@ -7,7 +7,6 @@ import pytest
 
 from graphfix.bernstein import (
     IterateResult,
-    NodeVector,
     QParams,
     apply_operator,
     basis_vector,
@@ -193,6 +192,11 @@ def test_operator_modulus_flips_negative_constants():
         assert abs(apply_operator(qp, vals, a) - 1.25) <= 1e-12
 
 
+
+def test_apply_operator_rejects_wrong_node_count():
+    with pytest.raises(InputError):
+        apply_operator(QParams(3, 1.0), np.zeros(3), 0.5)  # needs n+1 = 4 values
+
 def test_operator_degree_one_two_terms():
     qp = QParams(1, 1.7)
     vals = np.array([-2.0, 3.0])
@@ -248,7 +252,7 @@ def test_evaluate_grid_matches_pointwise_operator():
         res = iterate_to_limit(QParams(n, q), lambda a: math.sin(math.pi * a) + a,
                                max_iter=50)
         grid = np.linspace(0.0, 1.0, 101)
-        pointwise = [apply_operator(res.params, res.node_vector, a) for a in grid]
+        pointwise = [apply_operator(res.params, res.values, a) for a in grid]
         assert np.max(np.abs(res.evaluate_grid(grid) - pointwise)) <= 1e-14
 
 
@@ -256,7 +260,7 @@ def test_iterate_constant_fixed_immediately():
     res = iterate_to_limit(QParams(4, 1.2), lambda a: 3.0, tol=1e-12)
     assert res.converged
     assert res.iterations == 0
-    assert abs(res.evaluate(0.37) - 3.0) <= 1e-12
+    assert abs(res.evaluate_grid([0.37])[0] - 3.0) <= 1e-12
 
 
 def test_iterate_displacement_contracts_by_interior_mass():
@@ -265,7 +269,7 @@ def test_iterate_displacement_contracts_by_interior_mass():
         res = iterate_to_limit(QParams(n, q), lambda a: math.sin(math.pi * a) + a,
                                tol=1e-11)
         assert res.converged
-        ds = [r.d for r in res.outcome.trace.rows if not math.isnan(r.d)]
+        ds = [r.d for r in res.trace.rows if not math.isnan(r.d)]
         b = res.b_nq
         for x, y in zip(ds, ds[1:]):
             if x > 1e-13:
@@ -302,13 +306,6 @@ def test_iterate_outside_nonneg_endpoints_reports_empirical_limit():
 def test_iterate_budget_report():
     res = iterate_to_limit(QParams(6, 1.0), lambda a: a * a, tol=1e-12, max_iter=3)
     assert not res.converged
-    ds = [r.d for r in res.outcome.trace.rows]
+    ds = [r.d for r in res.trace.rows]
     assert len(ds) == 3  # displacement history retained
 
-
-def test_node_vector_validation():
-    qp = QParams(3, 1.0)
-    with pytest.raises(InputError):
-        NodeVector(qp, np.zeros(3))  # needs n+1 = 4 values
-    nv = NodeVector.sample(qp, lambda a: a)
-    assert nv.values[0] == 0.0 and nv.values[-1] == 1.0

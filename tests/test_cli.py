@@ -382,7 +382,7 @@ def test_verify_problem_file_with_non_list_image_is_input_error(runner, tmp_path
 
 
 def _ragged_coordinates(data):
-    del data["distances"]
+    data.pop("distances", None)
     for i, point in enumerate(data["points"]):
         point["coord"] = [float(i), 0.0] if i == 1 else [float(i)]
 
@@ -420,6 +420,21 @@ def test_verify_problem_file_with_a_mistyped_number_is_input_error(
     assert res.exit_code == 2
     assert res.stderr == f"error: {message}\n"
 
+
+
+@pytest.mark.parametrize("truncated", [5, "ab"])
+def test_verify_problem_file_with_non_list_truncated_is_input_error(
+    runner, tmp_path, truncated
+):
+    data = problem_to_dict(ternary_orbit_problem(6))
+    data["truncated"] = truncated
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(data))
+    res = runner.invoke(main, ["--out", str(tmp_path), "verify", str(path)])
+    assert res.exit_code == 2
+    assert res.stderr == (
+        f"error: 'truncated' must be a list of labels, not {truncated!r}\n"
+    )
 
 def test_sweep_job_with_a_mistyped_parameter_is_input_error(runner, tmp_path):
     spec = [
@@ -474,3 +489,53 @@ def test_sweep_job_with_a_mistyped_solver_option_is_input_error(runner, tmp_path
         "error: M must be a number, got 'x'",
         None,
     ]
+
+
+# The keys each run record has always written, besides the manifest;
+# "condition" and "step" join them exactly when a hypothesis fails.
+_RECORD_KEYS = {
+    "outcome.json": {"status", "w_star", "fw_star", "common_fixed_point",
+                     "iterations", "final_residual", "exact_coincidence"},
+    "summary.json": {"n", "q", "iterations", "final_displacement", "b_nq",
+                     "converged", "endpoint_nonneg", "status"},
+    "report.json": {"beta", "m", "converged", "iterations", "residual", "kappa",
+                    "effective_factor", "warning", "status"},
+}
+
+_STATUS = {0: "converged", 1: "hypothesis-violated", 3: "max-iter-exceeded"}
+
+_RECORD_RUNS = {
+    "iterate-converged": (["iterate", "example-3-3"], 0, "outcome.json"),
+    "iterate-budget": (["iterate", "example-3-3", "--max-iter", "0"], 3, "outcome.json"),
+    "bernstein-converged": (["bernstein", "--n", "5", "--q", "0.9"], 0, "summary.json"),
+    "bernstein-budget": (
+        ["bernstein", "--n", "5", "--q", "0.9", "--max-iter", "1"], 3, "summary.json"
+    ),
+    "fbvp-converged": (["fbvp", "--beta", "1.5"], 0, "report.json"),
+    "fbvp-budget": (
+        ["fbvp", "--beta", "1.5", "--forcing", "linear-w", "--max-iter", "1"],
+        3,
+        "report.json",
+    ),
+    # exp has slope e^w > 0.5 near the start, so condition (i) fails at once
+    "fbvp-violated": (
+        ["fbvp", "--beta", "1.1", "--forcing", "file", "--forcing-file", "FORCING"],
+        1,
+        "report.json",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_RECORD_RUNS))
+def test_run_record_keys_and_stop(runner, tmp_path, case):
+    args, code, name = _RECORD_RUNS[case]
+    forcing = tmp_path / "forcing.json"
+    forcing.write_text(json.dumps({"expr": "exp(w)", "gauge_sup": 0.5}))
+    args = [str(forcing) if a == "FORCING" else a for a in args]
+    res = runner.invoke(main, ["--out", str(tmp_path), *args])
+    assert res.exit_code == code, res.output
+    record = _read_json(tmp_path / name)
+    assert json.loads(res.stdout) == record
+    assert record["status"] == _STATUS[code]
+    stop = {"condition", "step"} if code == 1 else set()
+    assert set(record) == {"manifest"} | _RECORD_KEYS[name] | stop

@@ -247,7 +247,7 @@ def test_picard_fractional_self_consistency():
     rep = picard_solve(prob)
     assert rep.converged
     assert rep.residual <= 1e-8
-    ds = rep.displacement_history
+    ds = [r.d for r in rep.trace.rows if not math.isnan(r.d)]
     for x, y in zip(ds, ds[1:]):
         if x > 1e-12:
             assert y <= (rep.kappa / 4.0) * x + 1e-14
@@ -259,7 +259,7 @@ def test_picard_gauge_violation_flagged():
                        gauge=Gauge.constant(0.1), grid_m=40)
     rep = picard_solve(prob)
     assert not rep.converged
-    assert isinstance(rep.outcome.status, HypothesisViolated)
+    assert isinstance(rep.status, HypothesisViolated)
 
 
 def test_picard_budget_report():
@@ -268,8 +268,8 @@ def test_picard_budget_report():
                        tol=1e-14, max_iter=2)
     rep = picard_solve(prob)
     assert not rep.converged
-    assert isinstance(rep.outcome.status, MaxIterExceeded)
-    assert len(rep.displacement_history) >= 1
+    assert isinstance(rep.status, MaxIterExceeded)
+    assert len(rep.trace.rows) >= 1
     u = rep.solution.values
     assert rep.residual == float(np.max(np.abs(u - prob.matrix @ prob.forcing_vector(u))))
 

@@ -324,6 +324,35 @@ def test_list_edges_round_trip_through_problem_dict():
             assert edges.contains(u, v) == (u == v or (u, v) in pairs)
 
 
+
+def test_coordinate_space_round_trips_through_problem_dict_bit_identically():
+    # explicit distances at this scale fail the absolute triangle tolerance
+    # on rounding alone, so the file keeps the coordinates and the norm
+    from graphfix.engine import CoincidenceProblem
+    from graphfix.problems import problem_from_dict, problem_to_dict
+    from graphfix.serialize import json_dumps
+
+    labels = [f"p{i}" for i in range(80)]
+    coords = 1e12 * np.random.default_rng(7).random(80)
+    space = FiniteMetricSpace.from_coords(labels, coords, norm="chebyshev")
+    problem = CoincidenceProblem(
+        space=space,
+        f={s: s for s in labels},
+        F={s: ClosedSet.finite([s]) for s in labels},
+        edges=EdgeStructure.ball(space, 1.0),
+        gauge=Gauge.constant(0.5),
+        w0="p0",
+        p0="p0",
+    )
+    data = json.loads(json_dumps(problem_to_dict(problem)))
+    assert "distances" not in data and data["norm"] == "chebyshev"
+    back = problem_from_dict(data)
+    assert back.space.norm == "chebyshev"
+    assert back.space.matrix.tobytes() == space.matrix.tobytes()
+    assert back.space.coords.tobytes() == space.coords.tobytes()
+    with pytest.raises(ValueError):
+        space.coords[0, 0] = 0.0
+
 def test_edge_adjacency_is_built_once_and_read_only():
     space = ternary_space()
     ball = EdgeStructure.ball(space, 1.0 / 9.0)
