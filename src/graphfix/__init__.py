@@ -20,7 +20,6 @@ from .engine import (
     TraceRow,
     run_coincidence_iteration,
     run_operator_iteration,
-    select_successor,
     tail_bound,
 )
 from .errors import DomainError, HypothesisViolation, InputError
@@ -71,7 +70,6 @@ __all__ = [
     "point_to_set_distance",
     "run_coincidence_iteration",
     "run_operator_iteration",
-    "select_successor",
     "tail_bound",
     "verify_coincidence_hypotheses",
     "verify_invariant_approx_hypotheses",

@@ -31,7 +31,6 @@ import numpy as np
 
 from .errors import (
     DomainError,
-    HypothesisViolation,
     InputError,
     check_integer,
     check_real,
@@ -42,7 +41,6 @@ from .metric import (
     FiniteMetricSpace,
     Gauge,
     ValidatedPair,
-    point_to_set_distance,
     validate_pair,
 )
 
@@ -229,8 +227,9 @@ class CoincidenceProblem:
     ``f`` maps every label to a label; ``F`` maps every label to a finite
     closed set whose members must all lie in the range of f.  ``p0`` must
     belong to F(w0) with (f(w0), p0) an edge.  ``truncated`` marks points
-    whose successor data was clamped when an infinite space was cut to a
-    finite one; verifiers skip pairs owned by those points.
+    (labels of the space) whose successor data was clamped when an
+    infinite space was cut to a finite one; verifiers skip pairs owned by
+    those points.
 
     ``pair`` is the validated (f, F), whose read-only f and F replace
     the given ones.  It is reused while ``space``, ``f`` and ``F`` are its
@@ -263,64 +262,39 @@ class CoincidenceProblem:
             object.__setattr__(self, "f", pair.f)
             object.__setattr__(self, "F", pair.F)
         object.__setattr__(self, "truncated", frozenset(self.truncated))
-        self.space.index(self.w0)
-        self.space.index(self.p0)
+        for label in (self.w0, self.p0, *sorted(self.truncated)):
+            self.space.index(label)
         if self.p0 not in self.F[self.w0]:
             raise InputError("p0 must belong to F(w0)")
+        # the walk and the verifiers index the adjacency by the space's labels
+        if self.edges.space is not self.space and (
+            self.edges.space.labels != self.space.labels
+        ):
+            raise InputError("edges must be built over the problem's labels, in order")
         if not self.edges.contains(self.f[self.w0], self.p0):
             raise InputError("(f(w0), p0) must be an edge")
-
-    def members(self, w: str) -> tuple[str, ...]:
-        return self.F[w].members
-
-
-def select_successor(
-    prev_step: float,
-    fw_n: str,
-    Fw_n,
-    gauge: Gauge,
-    space: FiniteMetricSpace,
-) -> str:
-    """Pick the next image point out of F(w_n).
-
-    On a finite set the nearest member (ties to the lowest label index)
-    automatically satisfies the selection inequality
-    d(fw_n, y) <= D(fw_n, F(w_n)) / sqrt(k(prev_step)), so the nearest
-    member is always returned.  A zero gauge value with positive residual
-    is impossible under the contraction hypothesis and raises
-    :class:`HypothesisViolation`.
-    """
-    members = Fw_n.members if isinstance(Fw_n, ClosedSet) else tuple(Fw_n)
-    if not members:
-        raise DomainError("cannot select from an empty set")
-    if prev_step < 0:
-        raise InputError("prev_step must be nonnegative")
-    best = min(members, key=lambda y: (space.distance(fw_n, y), space.index(y)))
-    D = space.distance(fw_n, best)
-    if D > 0 and (prev_step == 0 or gauge(prev_step) == 0.0):
-        raise HypothesisViolation(
-            "i",
-            detail="zero gauge with positive residual forces D = 0",
-        )
-    return best
 
 
 def run_coincidence_iteration(problem: CoincidenceProblem) -> IterationOutcome:
     """Iterate the graph-checked successor selection until certified stop.
 
-    Per step the engine checks that (a) consecutive image points are
-    joined by an edge, (b) the step distances satisfy
-    d_{n+1} <= sqrt(k(d_n)) d_n.  The selected point is a member of
-    F(w_n) and has a preimage under f by construction.  It stops when
-    the step distance falls below ``tol`` and the residual
-    D(f(w_n), F(w_n)) below ``residual_tol``, or when the tail bound
-    certifies the distance to the limit is below ``tol`` (again residual
-    gated, so a Converged outcome always has a small residual, and says
-    whether f(w*) lies in F(w*) exactly).  At the limit it also reports
-    the common fixed point a = f(w*) whenever f(a) = a and f(a) in F(a).
+    The successor y_{n+1} is the member of F(w_n) nearest f(w_n), ties to
+    the lowest index; on a finite set it satisfies the selection
+    inequality d(f(w_n), y) <= D(f(w_n), F(w_n)) / sqrt(k(d_n)) for every
+    gauge value.  It is pulled back through f, so after the start a walk
+    is a chain of lookups in the tables of the validated pair.  Per step
+    the engine checks that (a) consecutive image points are joined by an
+    edge, (b) the step distances satisfy d_{n+1} <= sqrt(k(d_n)) d_n, and
+    (c) the gauge is not zero while the residual is positive, which the
+    contraction hypothesis rules out.  It stops when the step distance
+    falls below ``tol`` and the residual D(f(w_n), F(w_n)) below
+    ``residual_tol``, or when the tail bound certifies the distance to
+    the limit is below ``tol`` (again residual gated, so a Converged
+    outcome always has a small residual, and says whether f(w*) lies in
+    F(w*) exactly).  At the limit it also reports the common fixed point
+    a = f(w*) whenever f(a) = a and f(a) in F(a).
     """
     space = problem.space
-    f = problem.f
     gauge = problem.gauge
     cfg = problem.config
     cert = ConvergenceCertificate.from_gauge(gauge)
@@ -330,37 +304,29 @@ def run_coincidence_iteration(problem: CoincidenceProblem) -> IterationOutcome:
         return IterationOutcome(status, trace, cert, common)
 
     labels = space.labels
-    inverse = problem.pair.inverse  # every member of every F(w) has a preimage
-    w0 = problem.w0
-    fw0 = f[w0]
-    start_edge = problem.edges.contains(fw0, problem.p0)
+    adjacency = problem.edges.adjacency
+    # every member of every F(w) has a preimage, by construction
+    fi, inverse, nearest, gap, coincident = problem.pair.tables
+    w0 = space.index(problem.w0)
+    p0 = space.index(problem.p0)
+    fw0 = fi[w0]
+    # construction checked that (f(w0), p0) is an edge
     trace.append(
-        TraceRow(
-            0,
-            w0,
-            fw0,
-            float("nan"),
-            point_to_set_distance(fw0, problem.members(w0), space),
-            float("nan"),
-            start_edge,
-        )
+        TraceRow(0, labels[w0], labels[fw0], float("nan"), gap[w0], float("nan"), True)
     )
-    if not start_edge:
-        return outcome(HypothesisViolated("edge", 0))
-
-    w = labels[inverse[space.index(problem.p0)]]
+    w = inverse[p0]
     prev_fw = fw0
-    fw = f[w]
-    d1 = space.distance(fw0, problem.p0)
+    fw = fi[w]
+    d1 = float(space.matrix[fw0, p0])
     d_n = d1
     d_prev = None
     n = 1
 
     while True:
-        residual = point_to_set_distance(fw, problem.members(w), space)
+        residual = gap[w]
         bound = tail_bound(cert, d1, n)
-        edge_ok = problem.edges.contains(prev_fw, fw)
-        trace.append(TraceRow(n, w, fw, d_n, residual, bound, edge_ok))
+        edge_ok = bool(adjacency[prev_fw, fw])
+        trace.append(TraceRow(n, labels[w], labels[fw], d_n, residual, bound, edge_ok))
         if not edge_ok:
             return outcome(HypothesisViolated("edge", n))
         if d_prev is not None:
@@ -368,23 +334,15 @@ def run_coincidence_iteration(problem: CoincidenceProblem) -> IterationOutcome:
             if d_n > limit * (1 + _REL_SLACK) + _ABS_SLACK:
                 return outcome(HypothesisViolated("i", n))
         if residual <= cfg.residual_tol and (d_n <= cfg.tol or bound <= cfg.tol):
-            w_star, fw_star = w, fw
-            common = None
-            a = fw_star
-            if f[a] == a and a in problem.members(a):
-                common = a
-            exact = fw_star in problem.members(w_star)
-            return outcome(Converged(w_star, fw_star, exact), common)
+            common = labels[fw] if fi[fw] == fw and coincident[fw] else None
+            return outcome(Converged(labels[w], labels[fw], coincident[w]), common)
         if n > cfg.max_iter:
-            return outcome(MaxIterExceeded(w))
-        try:
-            y = select_successor(d_n, fw, problem.F[w], gauge, space)
-        except HypothesisViolation as exc:
-            return outcome(HypothesisViolated(exc.condition, n))
-        w_next = labels[inverse[space.index(y)]]
-        d_next = space.distance(fw, y)
-        prev_fw, w, fw = fw, w_next, f[w_next]
-        d_prev, d_n = d_n, d_next
+            return outcome(MaxIterExceeded(labels[w]))
+        if residual > 0 and (d_n == 0 or gauge(d_n) == 0.0):
+            return outcome(HypothesisViolated("i", n))
+        prev_fw, w = fw, inverse[nearest[w]]
+        fw = fi[w]
+        d_prev, d_n = d_n, residual
         n += 1
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
+from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -22,7 +23,7 @@ import numpy as np
 
 from .errors import DomainError, InputError, check_real
 
-# Triangle-inequality slack accepted when validating a distance matrix.
+# Relative triangle-inequality slack accepted when validating a distance matrix.
 TRIANGLE_TOL = 1e-9
 
 _NORM_ORDS = {"euclidean": 2, "manhattan": 1, "chebyshev": np.inf}
@@ -45,15 +46,20 @@ def _real_array(value, name: str) -> np.ndarray:
 
 
 def _check_triangle(labels: tuple[str, ...], m: np.ndarray) -> None:
-    """Raise InputError unless d(i, j) <= d(i, k) + d(k, j) + TRIANGLE_TOL.
-    Its n x n buffers are allocated once: fresh ones per k cost page faults."""
+    """Raise InputError unless d(i, j) <= (d(i, k) + d(k, j)) (1 + TRIANGLE_TOL).
+
+    The slack is relative, so it scales with the rounding of the distances
+    it compares.  The factor is folded into one scaled copy of the matrix,
+    and the n x n buffers are allocated once: fresh ones per k cost page
+    faults.
+    """
+    grown = m * (1.0 + TRIANGLE_TOL)
     bound = np.empty_like(m)
     over = np.empty(m.shape, dtype=bool)
     for k in range(len(labels)):
-        np.add(m[:, k : k + 1], m[k : k + 1, :], out=bound)
-        bound += TRIANGLE_TOL
+        np.add(grown[:, k : k + 1], grown[k : k + 1, :], out=bound)
         if np.greater(m, bound, out=over).any():
-            i, j = np.unravel_index(np.argmax(m - (m[:, [k]] + m[[k], :])), m.shape)
+            i, j = np.unravel_index(np.argmax(m - bound), m.shape)
             raise InputError(
                 f"triangle inequality fails: d({labels[i]},{labels[j]}) > "
                 f"d({labels[i]},{labels[k]}) + d({labels[k]},{labels[j]})"
@@ -65,8 +71,8 @@ class FiniteMetricSpace:
     """Labeled finite point set with a validated distance matrix.
 
     The matrix must be symmetric, nonnegative, zero on the diagonal and
-    satisfy the triangle inequality within ``TRIANGLE_TOL`` (taken as
-    given for spaces built by :meth:`from_coords`); violations raise
+    satisfy the triangle inequality within a relative ``TRIANGLE_TOL``
+    (taken as given for spaces built by :meth:`from_coords`); violations raise
     :class:`InputError` at construction time.  A :meth:`from_coords`
     space keeps its read-only ``coords`` (one row per label) and its
     ``norm``; both are None for a space given by its matrix.
@@ -116,9 +122,7 @@ class FiniteMetricSpace:
         """Derive the distance matrix from per-label coordinates.
 
         A norm-induced distance satisfies the triangle inequality, so the
-        O(n^3) check is skipped: at large coordinates its absolute
-        ``TRIANGLE_TOL`` would sit below the rounding of the distances and
-        reject valid spaces.  Every other check still runs.
+        O(n^3) check is skipped.  Every other check still runs.
         """
         pts = _real_array(coords, "coordinates")
         if pts.ndim == 1:
@@ -194,10 +198,13 @@ class ValidatedPair:
 
     ``f`` and ``F`` are read-only label maps (F to ClosedSets); ``misses``
     lists the pairs (w, y) with y in F(w) outside the range of f.  The
-    read-only integer arrays are indexed like ``space.labels``: ``fi[w]``
-    is the index of f(w), row w of ``members`` holds the member indices
-    of F(w), padded with repeats of the first (min and max ignore
-    repeats), and ``inverse[y]`` is the lowest-index preimage of y, or -1.
+    read-only arrays are indexed like ``space.labels``: ``fi[w]`` is the
+    index of f(w), row w of ``members`` holds the member indices of F(w),
+    padded with repeats of the first (min and max ignore repeats), and
+    ``inverse[y]`` is the lowest-index preimage of y, or -1.  ``nearest[w]``
+    is the member of F(w) nearest f(w), ties to the lowest index,
+    ``gap[w]`` is D(f(w), F(w)), and ``coincident[w]`` says whether f(w)
+    lies in F(w).
     """
 
     space: FiniteMetricSpace
@@ -207,10 +214,23 @@ class ValidatedPair:
     fi: np.ndarray = field(repr=False)
     members: np.ndarray = field(repr=False)
     inverse: np.ndarray = field(repr=False)
+    nearest: np.ndarray = field(repr=False)
+    gap: np.ndarray = field(repr=False)
+    coincident: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        for a in (self.fi, self.members, self.inverse):
+        for a in (self.fi, self.members, self.inverse, self.nearest, self.gap,
+                  self.coincident):
             a.flags.writeable = False
+
+    @cached_property
+    def tables(self) -> tuple[list, ...]:
+        """``fi``, ``inverse``, ``nearest``, ``gap`` and ``coincident`` as
+        Python lists, built once per pair for scalar lookups."""
+        return tuple(
+            a.tolist()
+            for a in (self.fi, self.inverse, self.nearest, self.gap, self.coincident)
+        )
 
 
 def validate_pair(space: FiniteMetricSpace, f: Mapping, F: Mapping) -> ValidatedPair:
@@ -242,6 +262,10 @@ def validate_pair(space: FiniteMetricSpace, f: Mapping, F: Mapping) -> Validated
     fi = np.array(fi, dtype=np.intp)
     k = max(map(len, rows))
     members = np.array([r + r[:1] * (k - len(r)) for r in rows], dtype=np.intp)
+    # rows in index order, so argmin's first minimum is the lowest index
+    ordered = np.sort(members, axis=1)
+    to_members = space.matrix[fi[:, None], ordered]
+    nearest = ordered[np.arange(len(labels)), to_members.argmin(axis=1)]
     inverse = np.full(len(labels), -1, dtype=np.intp)
     images_of_f, first = np.unique(fi, return_index=True)
     inverse[images_of_f] = first
@@ -251,7 +275,8 @@ def validate_pair(space: FiniteMetricSpace, f: Mapping, F: Mapping) -> Validated
     )
     return ValidatedPair(
         space, MappingProxyType(fmap), MappingProxyType(images), misses,
-        fi, members, inverse,
+        fi, members, inverse, nearest, to_members.min(axis=1),
+        (members == fi[:, None]).any(axis=1),
     )
 
 

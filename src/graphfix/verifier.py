@@ -11,13 +11,14 @@ while passing the graph-local hypotheses).
 
 Both checks are exhaustive over every ordered pair (v, w), and both are
 index-based: after one validation of (f, F) they read only the distance
-matrix, the edge adjacency matrix and the two integer arrays of the
-validated pair (``metric.ValidatedPair``), f as the vector ``fi`` of
-image indices and F as the n x k array ``members`` of member indices
-(shorter rows padded with repeats of their first member, which min and
-max ignore).  An n-point check is a few n x n array expressions, with
-O(n^2) temporaries; witnesses are built for failing pairs only, in the
-order of the label loops that define the reports (v, then w, then p).
+matrix, the edge adjacency matrix and the arrays of the validated pair
+(``metric.ValidatedPair``): f as the vector ``fi`` of image indices, F
+as the n x k array ``members`` of member indices (shorter rows padded
+with repeats of their first member, which min and max ignore), and
+D(f(w), F(w)) as its ``gap`` table.  An n-point check is a few n x n
+array expressions, with O(n^2) temporaries; witnesses are built for
+failing pairs only, in the order of the label loops that define the
+reports (v, then w, then p).
 The loop forms are kept in the test suite as oracles.
 """
 
@@ -125,7 +126,7 @@ def verify_coincidence_hypotheses(
     active = owns & edge & ~skip
 
     bound = _gauge_at(gauge, d) * d
-    D = dist[fi[:, None], members].min(axis=1)  # D(f(w), F(w)), one per w
+    D = pair.gap  # D(f(w), F(w)), one per w
     fail_i = active & (D > bound + _SLACK)
     # (ii) fails for (v, w) iff some p with f(p) in F(w) and no edge
     # (f(w), f(p)) lies within d(f(v), f(w)) + slack of f(w): compare
@@ -249,11 +250,10 @@ def enumerate_coincidence_points(
 ) -> CoincidenceSets:
     """Every w with f(w) in F(w), and among them every w = f(w)."""
     pair = validate_pair(space, f, F)
-    coin = (pair.members == pair.fi[:, None]).any(axis=1)
-    common = coin & (pair.fi == np.arange(len(space)))
+    common = pair.coincident & (pair.fi == np.arange(len(space)))
     labels = space.labels
     return CoincidenceSets(
-        tuple(labels[i] for i in np.flatnonzero(coin)),
+        tuple(labels[i] for i in np.flatnonzero(pair.coincident)),
         tuple(labels[i] for i in np.flatnonzero(common)),
     )
 

@@ -43,7 +43,7 @@ def test_criterion_1_ternary_orbit_reproduction():
     outcome = run_coincidence_iteration(problem)
     assert isinstance(outcome.status, Converged)
     assert outcome.status.w_star == "0"
-    assert outcome.status.f_w_star in problem.members("0")
+    assert outcome.status.f_w_star in problem.F["0"]
     assert outcome.common_fixed_point == "0"
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0

@@ -10,6 +10,7 @@ from click.testing import CliRunner
 
 from graphfix.cli import main
 from graphfix.problems import (
+    builtin_problem,
     problem_to_dict,
     random_ladder_problem,
     ternary_orbit_problem,
@@ -435,6 +436,18 @@ def test_verify_problem_file_with_non_list_truncated_is_input_error(
     assert res.stderr == (
         f"error: 'truncated' must be a list of labels, not {truncated!r}\n"
     )
+
+
+def test_verify_problem_file_with_unknown_truncated_label_is_input_error(
+    runner, tmp_path
+):
+    data = problem_to_dict(builtin_problem("example-3-3"))
+    data["truncated"] = ["nope", 7]
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(data))
+    res = runner.invoke(main, ["--out", str(tmp_path), "verify", str(path)])
+    assert res.exit_code == 2
+    assert res.stderr == "error: unknown point label '7'\n"
 
 def test_sweep_job_with_a_mistyped_parameter_is_input_error(runner, tmp_path):
     spec = [

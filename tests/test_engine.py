@@ -11,14 +11,23 @@ from graphfix.engine import (
     Converged,
     HypothesisViolated,
     IterationConfig,
+    IterationOutcome,
+    IterationTrace,
     MaxIterExceeded,
+    TraceRow,
     run_coincidence_iteration,
     run_operator_iteration,
-    select_successor,
     tail_bound,
 )
-from graphfix.errors import DomainError, HypothesisViolation, InputError
-from graphfix.metric import ClosedSet, EdgeStructure, FiniteMetricSpace, Gauge
+from graphfix.errors import DomainError, InputError
+from graphfix.metric import (
+    ClosedSet,
+    EdgeStructure,
+    FiniteMetricSpace,
+    Gauge,
+    point_to_set_distance,
+    validate_pair,
+)
 from graphfix.problems import (
     identity_problem,
     random_ladder_problem,
@@ -36,45 +45,206 @@ def ternary_space(depth=6):
     return FiniteMetricSpace.from_coords(labels, values)
 
 
-# --- select_successor ---------------------------------------------------------
+# --- the reference walk ---------------------------------------------------------
+
+def _reference_walk(problem):
+    """The label-loop walk: the nearest member of F(w_n) found by
+    ``space.distance`` over its labels, ties to the lowest label index,
+    with every distance, residual and edge looked up by label."""
+    space, f, F, gauge, cfg = (
+        problem.space, problem.f, problem.F, problem.gauge, problem.config
+    )
+    cert = ConvergenceCertificate.from_gauge(gauge)
+    trace = IterationTrace()
+
+    def outcome(status, common=None):
+        return IterationOutcome(status, trace, cert, common)
+
+    def preimage(y):
+        return next(w for w in space.labels if f[w] == y)
+
+    w0 = problem.w0
+    fw0 = f[w0]
+    start_edge = problem.edges.contains(fw0, problem.p0)
+    trace.append(TraceRow(0, w0, fw0, float("nan"),
+                          point_to_set_distance(fw0, F[w0], space), float("nan"),
+                          start_edge))
+    if not start_edge:
+        return outcome(HypothesisViolated("edge", 0))
+    w = preimage(problem.p0)
+    prev_fw, fw = fw0, f[w]
+    d1 = d_n = space.distance(fw0, problem.p0)
+    d_prev = None
+    n = 1
+    while True:
+        residual = point_to_set_distance(fw, F[w], space)
+        bound = tail_bound(cert, d1, n)
+        edge_ok = problem.edges.contains(prev_fw, fw)
+        trace.append(TraceRow(n, w, fw, d_n, residual, bound, edge_ok))
+        if not edge_ok:
+            return outcome(HypothesisViolated("edge", n))
+        if d_prev is not None:
+            limit = math.sqrt(gauge(d_prev)) * d_prev
+            if d_n > limit * (1 + 1e-10) + 1e-14:
+                return outcome(HypothesisViolated("i", n))
+        if residual <= cfg.residual_tol and (d_n <= cfg.tol or bound <= cfg.tol):
+            common = fw if f[fw] == fw and fw in F[fw] else None
+            return outcome(Converged(w, fw, fw in F[w]), common)
+        if n > cfg.max_iter:
+            return outcome(MaxIterExceeded(w))
+        y = min(F[w].members, key=lambda y: (space.distance(fw, y), space.index(y)))
+        D = space.distance(fw, y)
+        if D > 0 and (d_n == 0 or gauge(d_n) == 0.0):
+            return outcome(HypothesisViolated("i", n))
+        prev_fw, w = fw, preimage(y)
+        fw = f[w]
+        d_prev, d_n = d_n, D
+        n += 1
+
+
+def _admissible_starts(p):
+    return [
+        (w0, p0)
+        for w0 in p.space.labels
+        for p0 in p.F[w0].members
+        if p.edges.contains(p.f[w0], p0)
+    ]
+
+
+def _assert_walks_match_reference(problem, every_start=True):
+    starts = _admissible_starts(problem) if every_start else [(problem.w0, problem.p0)]
+    assert starts
+    for w0, p0 in starts:
+        q = dataclasses.replace(problem, w0=w0, p0=p0)
+        got, want = run_coincidence_iteration(q), _reference_walk(q)
+        assert repr(got.trace.rows) == repr(want.trace.rows)
+        assert got.to_dict() == want.to_dict()
+        assert json_dumps(got.to_dict()) == json_dumps(want.to_dict())
+
+
+@pytest.mark.parametrize("max_iter", [None, 0, 2])
+def test_walk_matches_reference_walk(max_iter):
+    config = None if max_iter is None else IterationConfig(max_iter=max_iter)
+    for depth in (3, 4, 5, 6, 9, 12):
+        _assert_walks_match_reference(ternary_orbit_problem(depth, config))
+    rng = random.Random(808)
+    for _ in range(40):
+        p = random_ladder_problem(rng)
+        if config is not None:
+            p = dataclasses.replace(p, config=config)
+        _assert_walks_match_reference(p)
+    for gauge_value in (0.0, 0.01, 0.05, 0.5):
+        for sparse in (False, True):
+            for decoy in (False, True):
+                p = _ladder_problem(gauge_value, decoy=decoy)
+                if sparse:
+                    edges = EdgeStructure.from_pairs(p.space, [("x0", "x1")])
+                    p = dataclasses.replace(p, edges=edges)
+                if config is not None:
+                    p = dataclasses.replace(p, config=config)
+                _assert_walks_match_reference(p)
+    for p in (_tie_problem(), _zero_step_problem(), _twin_problem()):
+        _assert_walks_match_reference(p)
+
+
+# --- successor selection ---------------------------------------------------------
+
+def _identity_pair(space, F):
+    """validate_pair for f = id, with F(w) = {w} where ``F`` is silent."""
+    return validate_pair(
+        space, {s: s for s in space.labels}, {s: F.get(s, [s]) for s in space.labels}
+    )
+
 
 def test_select_nearest_on_orbit_step():
     space = ternary_space()
-    y = select_successor(
-        2.0 / 9.0, "1/9", ClosedSet.finite(["1/3", "1/81"]),
-        Gauge.constant(1.0 / 3.0), space,
-    )
-    assert y == "1/81"
+    pair = _identity_pair(space, {"1/9": ["1/3", "1/81"]})
+    w = space.index("1/9")
+    assert space.labels[pair.nearest[w]] == "1/81"
+    assert pair.gap[w] == space.distance("1/9", "1/81")
+    assert not pair.coincident[w]
 
 
 def test_select_returns_coincident_member():
     space = ternary_space()
-    y = select_successor(
-        0.5, "1/9", ClosedSet.finite(["1", "1/9"]), Gauge.constant(0.5), space
+    pair = _identity_pair(space, {"1/9": ["1", "1/9"]})
+    w = space.index("1/9")
+    assert space.labels[pair.nearest[w]] == "1/9"
+    assert pair.gap[w] == 0.0 and pair.coincident[w]
+
+
+def _twin_problem():
+    # a and b are distinct labels at distance 0; f = id and F swaps them
+    space = FiniteMetricSpace.from_matrix(["a", "b"], [[0.0, 0.0], [0.0, 0.0]])
+    return CoincidenceProblem(
+        space=space,
+        f={"a": "a", "b": "b"},
+        F={"a": ["b"], "b": ["a"]},
+        edges=EdgeStructure.ball(space, 1.0),
+        gauge=Gauge.constant(0.5),
+        w0="b",
+        p0="a",
     )
-    assert y == "1/9"
+
+
+def test_a_member_at_distance_zero_is_not_a_coincidence():
+    p = _twin_problem()
+    assert p.pair.gap.tolist() == [0.0, 0.0]
+    assert p.pair.coincident.tolist() == [False, False]
+    assert enumerate_coincidence_points(p.space, p.f, p.F).coincidence == ()
+    out = run_coincidence_iteration(p)
+    assert out.status == Converged("a", "a", False)
+    assert out.common_fixed_point is None
+
+
+def _tie_problem():
+    # f = id; from 1 the walk reaches 0.5, whose members 1 and 0, listed in
+    # reverse index order, are both at distance 0.5
+    space = FiniteMetricSpace.from_coords(["0", "0.5", "1"], [0.0, 0.5, 1.0])
+    return CoincidenceProblem(
+        space=space,
+        f={s: s for s in space.labels},
+        F={"0": ["0"], "0.5": ["1", "0"], "1": ["0.5"]},
+        edges=EdgeStructure.ball(space, 2.0),
+        gauge=Gauge.constant(0.25),
+        w0="1",
+        p0="0.5",
+    )
 
 
 def test_select_tie_breaks_to_lowest_index():
-    space = FiniteMetricSpace.from_coords(["0", "0.5", "1"], [0.0, 0.5, 1.0])
-    y = select_successor(
-        1.0, "0.5", ClosedSet.finite(["1", "0"]), Gauge.constant(0.25), space
+    p = _tie_problem()
+    assert p.pair.nearest[p.space.index("0.5")] == p.space.index("0")
+    out = run_coincidence_iteration(p)
+    # the tie goes to "0"; the step of 0.5 after 0.5 then breaks (i)
+    assert [r.w_label for r in out.trace.rows] == ["1", "0.5", "0"]
+    assert out.status == HypothesisViolated("i", 2)
+
+
+def _zero_step_problem():
+    # f(b) = a is reached with a first step of 0, and D(a, F(a)) = 2 > 0
+    space = FiniteMetricSpace.from_coords(["a", "b", "c"], [0.0, 1.0, 2.0])
+    return CoincidenceProblem(
+        space=space,
+        f={"a": "a", "b": "a", "c": "c"},
+        F={"a": ["c"], "b": ["a"], "c": ["c"]},
+        edges=EdgeStructure.ball(space, 5.0),
+        gauge=Gauge.constant(0.5),
+        w0="b",
+        p0="a",
     )
-    assert y == "0"  # both at distance 0.5; "0" has the lower label index
 
 
 def test_select_zero_gauge_with_positive_residual():
-    space = ternary_space()
-    with pytest.raises(HypothesisViolation):
-        select_successor(
-            0.1, "1/9", ClosedSet.finite(["1"]), Gauge.constant(0.0), space
-        )
-
-
-def test_select_empty_set():
-    space = ternary_space()
-    with pytest.raises(DomainError):
-        select_successor(0.1, "1/9", (), Gauge.constant(0.5), space)
+    # k(d_1) = 0 with D(f(w_1), F(w_1)) > 0 fails at step 1, before any
+    # step-ratio check could
+    out = run_coincidence_iteration(_ladder_problem(0.0))
+    assert out.status == HypothesisViolated("i", 1)
+    assert out.trace.rows[-1].residual > 0
+    # so does d_1 = 0
+    out = run_coincidence_iteration(_zero_step_problem())
+    assert out.status == HypothesisViolated("i", 1)
+    assert out.trace.rows[-1].d == 0.0 and out.trace.rows[-1].residual == 2.0
 
 
 # --- tail_bound -----------------------------------------------------------------
@@ -174,6 +344,19 @@ def test_construction_rejects_bad_problems():
     assert space is not None
 
 
+def test_construction_rejects_edges_over_other_labels():
+    p = ternary_orbit_problem(6)
+    same = FiniteMetricSpace.from_matrix(p.space.labels, p.space.matrix)
+    q = dataclasses.replace(p, edges=EdgeStructure.ball(same, 1.0 / 9.0))
+    assert run_coincidence_iteration(q).to_dict() == run_coincidence_iteration(p).to_dict()
+    order = np.arange(len(p.space))[::-1]
+    flipped = FiniteMetricSpace.from_matrix(
+        [p.space.labels[i] for i in order], p.space.matrix[np.ix_(order, order)]
+    )
+    with pytest.raises(InputError, match="edges must be built over"):
+        dataclasses.replace(p, edges=EdgeStructure.ball(flipped, 1.0 / 9.0))
+
+
 def test_restart_does_not_revalidate_the_pair(monkeypatch):
     import graphfix.engine as engine
 
@@ -188,6 +371,10 @@ def test_restart_does_not_revalidate_the_pair(monkeypatch):
     r = dataclasses.replace(q, w0="1/3", p0="1/27", config=IterationConfig(tol=1e-6))
     assert len(calls) == 1
     assert q.pair is p.pair and r.pair is p.pair
+    # the walk's tables are shared too, and their Python lists built once
+    for name in ("nearest", "gap", "coincident", "tables"):
+        assert getattr(q.pair, name) is getattr(p.pair, name)
+        assert getattr(r.pair, name) is getattr(p.pair, name)
     assert q.f is p.f and q.F is p.F
     # a bad start still raises, without a validation
     with pytest.raises(InputError):
@@ -206,12 +393,7 @@ def test_restarts_match_fresh_builds():
     rng = random.Random(2024)
     for _ in range(20):
         p = random_ladder_problem(rng)
-        starts = [
-            (w0, p0)
-            for w0 in p.space.labels
-            for p0 in p.members(w0)
-            if p.edges.contains(p.f[w0], p0)
-        ]
+        starts = _admissible_starts(p)
         assert starts
         for w0, p0 in starts:
             restart = dataclasses.replace(p, w0=w0, p0=p0)

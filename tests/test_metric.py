@@ -247,16 +247,29 @@ def test_space_rejects_bad_matrices():
 @pytest.mark.parametrize("dim", [1, 3])
 def test_large_collinear_coordinates_build(scale, norm, dim):
     # the norm guarantees the triangle inequality; at these magnitudes the
-    # rounding of the distances exceeds the matrix check's TRIANGLE_TOL
+    # rounding of the distances exceeds any absolute slack of 1e-9
     rng = np.random.default_rng(80)
     t = rng.uniform(-1.0, 1.0, 80) * scale
     direction = np.array([1.0, -2.0, 0.5])[:dim]
     labels = [f"x{i}" for i in range(80)]
     space = FiniteMetricSpace.from_coords(labels, t[:, None] * direction, norm=norm)
     assert len(space) == 80
-    # the same distances as an explicit matrix still meet the full check
-    with pytest.raises(InputError, match="triangle"):
-        FiniteMetricSpace.from_matrix(labels, space.matrix)
+    # the same distances as an explicit matrix pass the relative slack
+    assert np.array_equal(FiniteMetricSpace.from_matrix(labels, space.matrix).matrix,
+                          space.matrix)
+
+
+def test_triangle_violation_beyond_relative_slack_is_refused():
+    rng = np.random.default_rng(80)
+    t = rng.uniform(-1.0, 1.0, 80) * 1e12
+    labels = [f"x{i}" for i in range(80)]
+    m = np.abs(t[:, None] - t[None, :])
+    FiniteMetricSpace.from_matrix(labels, m)
+    # stretch the pair of extreme points past the points between them
+    i, j = int(np.argmin(t)), int(np.argmax(t))
+    m[i, j] = m[j, i] = m[i, j] * (1 + 1e-7)
+    with pytest.raises(InputError, match="triangle inequality fails"):
+        FiniteMetricSpace.from_matrix(labels, m)
 
 
 def test_coordinate_spaces_keep_the_other_checks():
@@ -326,8 +339,8 @@ def test_list_edges_round_trip_through_problem_dict():
 
 
 def test_coordinate_space_round_trips_through_problem_dict_bit_identically():
-    # explicit distances at this scale fail the absolute triangle tolerance
-    # on rounding alone, so the file keeps the coordinates and the norm
+    # the file keeps the coordinates and the norm, so the space reloads as
+    # a coordinate space, without the O(n^3) explicit-matrix check
     from graphfix.engine import CoincidenceProblem
     from graphfix.problems import problem_from_dict, problem_to_dict
     from graphfix.serialize import json_dumps
@@ -376,7 +389,15 @@ def test_validated_pair_index_form_is_read_only():
     assert pair.fi.tolist() == [1, 1, 0, 0]
     assert pair.members.tolist() == [[1, 0], [2, 2], [0, 1], [1, 1]]  # padded
     assert pair.inverse.tolist() == [2, 0, -1, -1]  # lowest-index preimage
-    for arr in (pair.fi, pair.members, pair.inverse):
+    assert pair.nearest.tolist() == [1, 2, 0, 1]  # member of F(w) nearest f(w)
+    assert pair.gap.tolist() == [0.0, 1.0, 0.0, 1.0]  # D(f(w), F(w))
+    assert pair.coincident.tolist() == [True, False, True, False]
+    assert pair.tables == (
+        [1, 1, 0, 0], [2, 0, -1, -1], [1, 2, 0, 1], [0.0, 1.0, 0.0, 1.0],
+        [True, False, True, False],
+    )
+    for arr in (pair.fi, pair.members, pair.inverse, pair.nearest, pair.gap,
+                pair.coincident):
         with pytest.raises(ValueError):
             arr[0] = 0
     with pytest.raises(TypeError):
