@@ -28,8 +28,6 @@ from .metric import (
     EdgeStructure,
     FiniteMetricSpace,
     Gauge,
-    hausdorff_distance,
-    point_to_set_distance,
 )
 from .verifier import (
     CoincidenceSets,
@@ -66,8 +64,6 @@ __all__ = [
     "TraceRow",
     "best_approximant_set",
     "enumerate_coincidence_points",
-    "hausdorff_distance",
-    "point_to_set_distance",
     "run_coincidence_iteration",
     "run_operator_iteration",
     "tail_bound",

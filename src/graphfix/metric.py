@@ -29,20 +29,25 @@ TRIANGLE_TOL = 1e-9
 _NORM_ORDS = {"euclidean": 2, "manhattan": 1, "chebyshev": np.inf}
 
 
-def norm_value(vec, norm: str = "euclidean") -> float:
-    """Length of a coordinate vector under the named norm."""
-    if norm not in _NORM_ORDS:
-        raise InputError(f"unknown norm {norm!r}; expected one of {sorted(_NORM_ORDS)}")
-    return float(np.linalg.norm(np.asarray(vec, dtype=float), ord=_NORM_ORDS[norm]))
-
-
 def _real_array(value, name: str) -> np.ndarray:
     """``value`` as a float array; InputError unless it reads as a
-    rectangular array of numbers."""
+    rectangular array of numbers (a string is not a number)."""
     try:
-        return np.asarray(value, dtype=float)
+        arr = np.asarray(value)
     except (TypeError, ValueError):
         raise InputError(f"{name} must be a rectangular array of numbers") from None
+    if arr.dtype.kind == "O":  # integers beyond 64 bits, or entries that are no numbers
+        arr = np.array([check_real(x, name) for x in arr.flat]).reshape(arr.shape)
+    if arr.dtype.kind not in "iuf":
+        raise InputError(f"{name} must be a rectangular array of numbers")
+    return arr.astype(float, copy=False)
+
+
+def _norm_ord(norm: str):
+    """The ``numpy.linalg.norm`` order of a named norm."""
+    if norm not in _NORM_ORDS:
+        raise InputError(f"unknown norm {norm!r}; expected one of {sorted(_NORM_ORDS)}")
+    return _NORM_ORDS[norm]
 
 
 def _check_triangle(labels: tuple[str, ...], m: np.ndarray) -> None:
@@ -113,7 +118,7 @@ class FiniteMetricSpace:
 
     @classmethod
     def from_matrix(cls, labels: Sequence[str], matrix) -> "FiniteMetricSpace":
-        return cls(tuple(labels), np.asarray(matrix, dtype=float))
+        return cls(tuple(labels), matrix)
 
     @classmethod
     def from_coords(
@@ -130,9 +135,7 @@ class FiniteMetricSpace:
         if len(pts) != len(labels):
             raise InputError("one coordinate vector per label required")
         diffs = pts[:, None, :] - pts[None, :, :]
-        ordv = _NORM_ORDS.get(norm)
-        if ordv is None:
-            raise InputError(f"unknown norm {norm!r}")
+        ordv = _norm_ord(norm)
         pts = pts.copy()
         pts.flags.writeable = False
         space = cls.__new__(cls)
@@ -180,16 +183,6 @@ class ClosedSet:
 
     def __contains__(self, label: str) -> bool:
         return label in self.members
-
-
-def _finite_members(Z) -> tuple[str, ...]:
-    """Normalize a finite closed set given as ClosedSet or label iterable."""
-    if isinstance(Z, ClosedSet):
-        return Z.members
-    members = tuple(dict.fromkeys(str(s) for s in Z))
-    if not members:
-        raise DomainError("closed set must be non-empty")
-    return members
 
 
 @dataclass(frozen=True)
@@ -278,21 +271,6 @@ def validate_pair(space: FiniteMetricSpace, f: Mapping, F: Mapping) -> Validated
         fi, members, inverse, nearest, to_members.min(axis=1),
         (members == fi[:, None]).any(axis=1),
     )
-
-
-def point_to_set_distance(u: str, Z, space: FiniteMetricSpace) -> float:
-    """min over members z of Z of d(u, z); zero exactly when u belongs to Z."""
-    members = _finite_members(Z)
-    return min(space.distance(u, z) for z in members)
-
-
-def hausdorff_distance(Y, Z, space: FiniteMetricSpace) -> float:
-    """max of the two directed suprema of point-to-set distances."""
-    ym = _finite_members(Y)
-    zm = _finite_members(Z)
-    fwd = max(point_to_set_distance(u, zm, space) for u in ym)
-    bwd = max(point_to_set_distance(v, ym, space) for v in zm)
-    return max(fwd, bwd)
 
 
 @dataclass(frozen=True)

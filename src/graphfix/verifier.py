@@ -20,6 +20,8 @@ array expressions, with O(n^2) temporaries; witnesses are built for
 failing pairs only, in the order of the label loops that define the
 reports (v, then w, then p).
 The loop forms are kept in the test suite as oracles.
+``verify_invariant_approx_hypotheses`` runs ``verify_coincidence_hypotheses``
+on the best-approximant set, so it has no pair loop of its own.
 """
 
 from __future__ import annotations
@@ -34,7 +36,8 @@ from .metric import (
     EdgeStructure,
     FiniteMetricSpace,
     Gauge,
-    norm_value,
+    _norm_ord,
+    _real_array,
     validate_pair,
 )
 
@@ -258,17 +261,28 @@ def enumerate_coincidence_points(
     )
 
 
-def best_approximant_set(
-    Q: Sequence, z, norm: str = "euclidean", tol: float = 1e-12
-) -> list[tuple]:
-    """All minimizers of ||q - z|| over Q; ties within ``tol`` all included."""
-    pts = [tuple(float(c) for c in np.atleast_1d(q)) for q in Q]
-    if not pts:
+def best_approximant_set(Q: Sequence, z, norm: str = "euclidean") -> list[tuple]:
+    """All minimizers of ||q - z|| over Q (ties within ``_SLACK``), in the
+    order of Q without repeats.  The points of Q and z share one dimension
+    (numbers are 1-D points), and every coordinate must be finite."""
+    pts = _real_array(Q, "Q")
+    if not len(pts):
         raise DomainError("Q must be non-empty")
-    zv = np.atleast_1d(np.asarray(z, dtype=float))
-    dists = [norm_value(np.asarray(p) - zv, norm) for p in pts]
-    dmin = min(dists)
-    return [p for p, d in zip(pts, dists) if d <= dmin + tol]
+    if pts.ndim == 1:
+        pts = pts[:, None]
+    zv = np.atleast_1d(_real_array(z, "z"))
+    if pts.ndim != 2 or zv.shape != pts.shape[1:]:
+        raise InputError("z and the points of Q must be vectors of one dimension")
+    if not (np.isfinite(pts).all() and np.isfinite(zv).all()):
+        raise InputError("the coordinates of Q and z must be finite")
+    dists = np.linalg.norm(pts - zv, ord=_norm_ord(norm), axis=1)
+    best = pts[dists <= dists.min() + _SLACK]
+    return list(dict.fromkeys(map(tuple, best.tolist())))
+
+
+def _point(value) -> tuple:
+    """A point given by its coordinates, as a tuple of floats."""
+    return tuple(_real_array(value, "a point").ravel().tolist())
 
 
 def verify_invariant_approx_hypotheses(
@@ -281,66 +295,63 @@ def verify_invariant_approx_hypotheses(
 ) -> HypothesisReport:
     """Check the invariant best-approximation hypotheses on a finite Q.
 
-    ``f`` and ``F`` are keyed by coordinate tuples. Flags map as follows:
-    ``condition_i_ok`` is the contraction condition restricted to the
-    best-approximant set B, ``condition_ii_ok`` is f(B) = B, ``range_ok``
-    is the invariance inequality sup_{u in Fp} ||u - z|| <= ||fp - z||
-    for p in B (it forces F(B) into B), and ``start_exists`` records that
-    B is non-empty with F defined on it.  On an all-true report the
-    coincidence iteration may be run on B under complete-graph edges.
+    ``f`` and ``F`` are keyed by coordinate tuples and read on the
+    best-approximant set B only.  ``condition_ii_ok`` is f(B) = B.
+    ``range_ok`` is F(B) subset of B: once f(B) = B, every fp lies at
+    distance dist(z, Q) from z, so the invariance inequality
+    sup_{u in Fp} ||u - z|| <= ||fp - z|| holds for u in Q exactly when u
+    lies in B.  With both true, ``verify_coincidence_hypotheses`` on B with
+    complete edges gives ``condition_i_ok``, the (i) witnesses and the
+    admissible start, in coordinates (otherwise ``start_exists`` is
+    false); on an all-true report the coincidence iteration on B from that
+    start reaches a coincidence point.
     """
-    pts = [tuple(float(c) for c in np.atleast_1d(q)) for q in Q]
-    zv = np.atleast_1d(np.asarray(z, dtype=float))
-    B = best_approximant_set(pts, z, norm)
-    report = HypothesisReport(start_exists=bool(B))
-
-    def dist(p, q) -> float:
-        return norm_value(np.asarray(p) - np.asarray(q), norm)
-
-    def f_at(p):
-        if p not in f:
-            raise InputError(f"f is not defined at {p!r}")
-        return tuple(float(c) for c in np.atleast_1d(f[p]))
-
-    def F_at(p):
-        if p not in F:
-            raise InputError(f"F is not defined at {p!r}")
-        return [tuple(float(c) for c in np.atleast_1d(u)) for u in F[p]]
-
-    for v in B:
-        fv = f_at(v)
-        for w in pts:
-            fw = f_at(w)
-            if fw not in F_at(v):
-                continue
-            d = dist(fv, fw)
-            D = min(dist(fw, u) for u in F_at(w))
-            if D > gauge(d) * d + _SLACK:
-                report.condition_i_ok = False
-                report.witnesses.append(
-                    {"condition": "i", "v": v, "w": w, "d": d, "D": D,
-                     "bound": gauge(d) * d}
-                )
-
-    image = {f_at(p) for p in B}
-    if image != set(B):
+    B = best_approximant_set(Q, z, norm)
+    best = set(B)
+    report = HypothesisReport()
+    try:
+        fB = [_point(f[p]) for p in B]
+        FB = [[_point(u) for u in F[p]] for p in B]
+    except KeyError as exc:
+        raise InputError(f"f and F must be defined at {exc.args[0]!r}") from None
+    if set(fB) != best:
         report.condition_ii_ok = False
         report.witnesses.append(
             {
                 "condition": "ii",
                 "detail": "f does not map the best-approximant set onto itself",
-                "f_image": sorted(image),
-                "best_set": sorted(set(B)),
+                "f_image": sorted(set(fB)),
+                "best_set": sorted(B),
             }
         )
-
-    for p in B:
-        fp = f_at(p)
-        lhs = max(dist(u, tuple(zv)) for u in F_at(p))
-        rhs = dist(fp, tuple(zv))
-        if lhs > rhs + _SLACK:
+    for p, image in zip(B, FB):
+        outside = [u for u in image if u not in best]
+        if outside:
             report.range_ok = False
             report.witnesses.append(
-                {"condition": "invariance", "p": p, "sup": lhs, "bound": rhs}
+                {"condition": "invariance", "p": p, "outside": outside}
             )
+    if not (report.condition_ii_ok and report.range_ok):
+        report.witnesses.append(
+            {"condition": "start", "detail": "not checked: B is not invariant"}
+        )
+        return report
+
+    label = {p: str(i) for i, p in enumerate(B)}
+    space = FiniteMetricSpace.from_coords(list(label.values()), B, norm)
+    on_B = verify_coincidence_hypotheses(
+        space,
+        {label[p]: label[fp] for p, fp in zip(B, fB)},
+        {label[p]: [label[u] for u in image] for p, image in zip(B, FB)},
+        EdgeStructure(space, adjacency=np.ones((len(B), len(B)), dtype=bool)),
+        gauge,
+    )
+    # on complete edges with F(B) in B = f(B) only (i) can fail
+    report.condition_i_ok = on_B.condition_i_ok
+    report.start_exists = on_B.start_exists
+    report.admissible_start = tuple(B[int(s)] for s in on_B.admissible_start)
+    report.witnesses = [
+        {k: B[int(x)] if k in ("v", "w", "fv", "fw") else x for k, x in w.items()}
+        for w in on_B.witnesses
+    ]
     return report

@@ -25,7 +25,6 @@ from graphfix.metric import (
     EdgeStructure,
     FiniteMetricSpace,
     Gauge,
-    point_to_set_distance,
     validate_pair,
 )
 from graphfix.problems import (
@@ -35,6 +34,8 @@ from graphfix.problems import (
 )
 from graphfix.serialize import json_dumps
 from graphfix.verifier import enumerate_coincidence_points
+
+from set_distances import point_to_set_distance
 
 TOL = 1e-12
 

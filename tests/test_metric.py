@@ -15,11 +15,11 @@ from graphfix.metric import (
     Gauge,
     edges_from_dict,
     gauge_from_dict,
-    hausdorff_distance,
-    point_to_set_distance,
     space_from_dict,
     validate_pair,
 )
+
+from set_distances import hausdorff_distance, point_to_set_distance
 
 TOL = 1e-12
 
@@ -240,6 +240,19 @@ def test_space_rejects_bad_matrices():
         FiniteMetricSpace.from_matrix(
             ["a", "b", "c"], [[0, 1, 5], [1, 0, 1], [5, 1, 0]]
         )
+
+
+@pytest.mark.parametrize("bad", ["1", "x", None, [1.0]])
+def test_a_coordinate_or_distance_that_is_no_number_is_refused(bad):
+    with pytest.raises(InputError, match="number"):
+        FiniteMetricSpace.from_coords(["a", "b"], [[0.0], [bad]])
+    with pytest.raises(InputError, match="number"):
+        FiniteMetricSpace.from_matrix(["a", "b"], [[0.0, bad], [bad, 0.0]])
+
+
+def test_integer_coordinates_beyond_64_bits_build():
+    space = FiniteMetricSpace.from_coords(["a", "b"], [[0], [2**70]])
+    assert space.distance("a", "b") == 2.0**70
 
 
 @pytest.mark.parametrize("scale", [1e9, 1e12, 1e15])

@@ -1,16 +1,17 @@
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from graphfix.engine import run_coincidence_iteration
-from graphfix.errors import DomainError
+from graphfix.engine import CoincidenceProblem, run_coincidence_iteration
+from graphfix.errors import DomainError, InputError
 from graphfix.metric import (
     ClosedSet,
     EdgeStructure,
     FiniteMetricSpace,
     Gauge,
-    hausdorff_distance,
-    point_to_set_distance,
     validate_pair,
 )
 from graphfix.problems import (
@@ -28,6 +29,8 @@ from graphfix.verifier import (
     verify_invariant_approx_hypotheses,
     verify_kamran_inequality,
 )
+
+from set_distances import hausdorff_distance, point_to_set_distance
 
 TOL = 1e-12
 _SLACK = 1e-12
@@ -401,6 +404,27 @@ def test_best_approximant_empty():
         best_approximant_set([], (0.0,))
 
 
+def test_best_approximant_ragged_Q_is_input_error():
+    with pytest.raises(InputError):
+        best_approximant_set([(0.0, 0.0), (1.0,)], (1.0,))
+
+
+def test_best_approximant_z_of_lower_dimension_is_input_error():
+    # would broadcast (0.9,) against every 2-D point
+    with pytest.raises(InputError):
+        best_approximant_set([(0.0, 0.0), (1.0, 1.0)], (0.9,))
+
+
+def test_best_approximant_nan_in_z_is_input_error():
+    with pytest.raises(InputError):
+        best_approximant_set([(0.0,), (1.0,)], (float("nan"),))
+
+
+def test_best_approximant_z_of_higher_dimension_is_input_error():
+    with pytest.raises(InputError):
+        best_approximant_set([(0.0, 0.0), (1.0, 1.0)], (0.0, 0.0, 0.0))
+
+
 # --- verify_invariant_approx_hypotheses ------------------------------------------
 
 def test_invariant_approx_identity_case():
@@ -439,6 +463,109 @@ def test_invariant_approx_fixed_points_by_enumeration():
     best = best_approximant_set(Q, (0.4, 0.0))
     fixed = [q for q in best if f[q] == q and q in F[q]]
     assert fixed == [(0.0, 0.0)]
+
+
+def test_invariant_approx_checks_condition_i_on_B_only():
+    # B = {0} holds a common fixed point; w = 1 outside B must not count
+    Q = [(0.0,), (1.0,), (3.0,)]
+    f = {(0.0,): (0.0,), (1.0,): (0.0,), (3.0,): (3.0,)}
+    F = {(0.0,): [(0.0,)], (1.0,): [(3.0,)], (3.0,): [(3.0,)]}
+    rep = verify_invariant_approx_hypotheses(Q, (0.4,), f, F, Gauge.constant(0.5))
+    assert rep.all_ok
+    assert rep.witnesses == []
+    assert rep.admissible_start == ((0.0,), (0.0,))
+
+
+def test_invariant_approx_F_leaving_B_fails():
+    # F(0) = {0.5} meets the invariance inequality but leaves Q, so B has
+    # no coincidence point
+    Q = [(0.0,), (1.0,), (3.0,)]
+    f = {q: q for q in Q}
+    F = {(0.0,): [(0.5,)], (1.0,): [(1.0,)], (3.0,): [(3.0,)]}
+    rep = verify_invariant_approx_hypotheses(Q, (0.4,), f, F, Gauge.constant(0.5))
+    assert not rep.range_ok
+    assert not rep.all_ok
+    assert rep.admissible_start is None
+    assert {"condition": "invariance", "p": (0.0,), "outside": [(0.5,)]} in rep.witnesses
+
+
+def test_invariant_approx_condition_i_witness_in_coordinates():
+    # B = {-1, 1}; F swaps them, so D(fw, Fw) = 2 exceeds 0.5 * d(fv, fw)
+    Q = [(-1.0,), (1.0,), (4.0,)]
+    f = {q: q for q in Q}
+    F = {(-1.0,): [(1.0,)], (1.0,): [(-1.0,)]}
+    rep = verify_invariant_approx_hypotheses(Q, (0.0,), f, F, Gauge.constant(0.5))
+    assert rep.condition_ii_ok and rep.range_ok and rep.start_exists
+    assert not rep.condition_i_ok
+    assert rep.admissible_start == ((-1.0,), (1.0,))
+    assert rep.witnesses == [
+        {"condition": "i", "v": (-1.0,), "w": (1.0,), "fv": (-1.0,), "fw": (1.0,),
+         "d": 2.0, "D": 2.0, "bound": 1.0},
+        {"condition": "i", "v": (1.0,), "w": (-1.0,), "fv": (1.0,), "fw": (-1.0,),
+         "d": 2.0, "D": 2.0, "bound": 1.0},
+    ]
+
+
+_OFFSETS = [(float(x), float(y)) for x in range(-2, 3) for y in range(-2, 3)]
+_ORDS = {"euclidean": 2, "manhattan": 1, "chebyshev": np.inf}
+
+
+@st.composite
+def invariant_approx_instances(draw):
+    """(Q, z, f, F, gauge, norm) on a small integer grid around z.
+
+    Q holds some points of one ring around z, the best-approximant set B,
+    and some points farther out; integer offsets make the ties exact.
+    f permutes B and F maps B into B, except for near misses that send
+    one image of f or member of F out of B."""
+    norm = draw(st.sampled_from(sorted(_ORDS)))
+    radius = {p: np.linalg.norm(p, _ORDS[norm]) for p in _OFFSETS}
+    r = draw(st.sampled_from(sorted(set(radius.values()))))
+    ring = [p for p in _OFFSETS if radius[p] == r]
+    outer = [p for p in _OFFSETS if radius[p] > r]
+    picked = draw(st.lists(st.sampled_from(ring), min_size=min(2, len(ring)),
+                           max_size=4, unique=True))
+    if outer:
+        picked += draw(st.lists(st.sampled_from(outer), max_size=4, unique=True))
+    z = draw(st.sampled_from(_OFFSETS))
+    Q = [(x + z[0], y + z[1]) for x, y in draw(st.permutations(picked))]
+    B = best_approximant_set(Q, z, norm)
+    f = {q: q for q in Q}
+    f.update(zip(B, draw(st.permutations(B))))
+    F = {q: draw(st.lists(st.sampled_from(B), min_size=1, max_size=3, unique=True))
+         for q in Q}
+    miss = draw(st.sampled_from(["none", "none", "f", "F"]))
+    if miss == "f":
+        f[B[0]] = draw(st.sampled_from(Q + [(0.5, 0.5)]))
+    elif miss == "F":
+        F[B[-1]] = F[B[-1]] + [draw(st.sampled_from(Q + [(0.5, 0.5)]))]
+    gauge = Gauge.constant(draw(st.sampled_from([0.0, 0.3, 0.6, 0.9])))
+    return Q, z, f, F, gauge, norm
+
+
+@settings(max_examples=150, deadline=None)
+@given(invariant_approx_instances())
+def test_all_ok_invariant_report_walks_to_a_coincidence_on_B(instance):
+    Q, z, f, F, gauge, norm = instance
+    rep = verify_invariant_approx_hypotheses(Q, z, f, F, gauge, norm)
+    if not rep.all_ok:
+        return
+    B = best_approximant_set(Q, z, norm)
+    label = {p: f"b{i}" for i, p in enumerate(B)}
+    space = FiniteMetricSpace.from_coords(list(label.values()), B, norm)
+    w0, p0 = rep.admissible_start
+    problem = CoincidenceProblem(
+        space=space,
+        f={label[p]: label[f[p]] for p in B},
+        F={label[p]: [label[u] for u in F[p]] for p in B},
+        edges=EdgeStructure(space, adjacency=np.ones((len(B), len(B)), dtype=bool)),
+        gauge=gauge,
+        w0=label[w0],
+        p0=label[p0],
+    )
+    out = run_coincidence_iteration(problem)
+    assert out.converged
+    assert out.to_dict()["exact_coincidence"] is True
 
 
 # --- theorem-scale consistency: all-true report => engine agrees with oracle ----
