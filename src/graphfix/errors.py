@@ -34,7 +34,10 @@ def check_real(value, name: str) -> float:
     """``value`` as a float; InputError unless it is a real number (not a bool)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise InputError(f"{name} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond the float range
+        raise InputError(f"{name} is too large for a float") from None
 
 
 def check_integer(value, name: str) -> int:

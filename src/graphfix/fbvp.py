@@ -22,25 +22,24 @@ is a product minus a Toeplitz term,
 
     Gamma(beta) G(b_j, a_k) = s_j^p s_(m-k)^p - [k < j] s_(j-k)^p,
 
-so the m+1 powers s^p give the whole matrix: an outer product, less a
-strided (copy-free) view of the same vector.  The weights need no per-row
-work either.  An even row is plain composite Simpson on [0, 1].  An odd
-row is a Toeplitz pattern in j - k (Simpson parity on each side of b_j)
-corrected in a few entries: the Simpson starts at 0 and b_j, the 3/8
-closures ending at b_j and at 1, or the trapezoid rule for a single
-panel.  Since f enters only through the profile u = f(w), the Picard
-update is u <- K g(., u) with a precomputed (m+1)^2 matrix K, and the
-solver returns the coincidence profile u* = f(w*) directly.
+so the m+1 powers s^p give the whole kernel.  An even row's weights are plain
+composite Simpson on [0, 1]; an odd row's are a Toeplitz pattern in j - k
+(Simpson parity on each side of b_j) corrected in a few entries: the
+Simpson starts at 0 and b_j, the 3/8 closures ending at b_j and at 1, or
+the trapezoid rule for a single panel.  So K @ v is a dot product, three
+FFT convolutions and O(m) corrections, with no (m+1)^2 matrix.  Since f
+enters only through the profile u = f(w), the Picard update is
+u <- K g(., u), and the solver returns u* = f(w*) directly.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .engine import (
     IterationConfig,
@@ -79,11 +78,6 @@ def green_kernel(K: GreenKernel, b, a):
     return float(out) if np.isscalar(b) and np.isscalar(a) else out
 
 
-def _toeplitz(v: np.ndarray) -> np.ndarray:
-    """Read-only (m+1) x (m+1) view T[j, k] = v[m + j - k] of a 2m+1 vector."""
-    return sliding_window_view(v[::-1], (v.size + 1) // 2)[::-1]
-
-
 def _odd_row_corrections(m: int):
     """Entries (rows, cols, weight differences in units of h) where the rule
     on an odd row departs from its Toeplitz pattern.
@@ -111,34 +105,53 @@ def _odd_row_corrections(m: int):
     return rows, cols, weights
 
 
-def build_operator_matrix(beta: float, m: int) -> np.ndarray:
-    """Quadrature-weighted kernel matrix K: (K v)_j ~ int G(b_j, a) v(a) da.
-
-    Row j splits the integral at the grid node b_j, where the kernel's
-    second term loses smoothness.  K is built in place from the m+1
-    powers s^p (see the module docstring); rows 0 and m are exactly zero.
-    """
+def build_operator_matrix(beta: float, m: int) -> "KernelOperator":
+    """The quadrature-weighted kernel K, (K v)_j ~ int G(b_j, a) v(a) da, with
+    row j split at b_j, where the kernel's second term loses smoothness."""
     if m < 2 or m % 2 != 0:
         raise InputError("grid_m must be an even integer >= 2")
     scale = 1.0 / (m * GreenKernel(beta).gamma_beta)  # h / Gamma(beta)
     sp = np.linspace(0.0, 1.0, m + 1) ** (beta - 1.0)
-    K = np.outer(sp, sp[::-1])
-    K -= _toeplitz(np.concatenate((np.zeros(m), sp)))
-    rows, cols, weights = _odd_row_corrections(m)
-    corrections = K[rows, cols] * (weights * scale)
-    simpson = np.full(m + 1, 2 / 3)
-    simpson[1::2] = 4 / 3
-    simpson[[0, m]] = 1 / 3
-    K[0::2] *= simpson * scale
+    simpson = np.where(np.arange(m + 1) % 2, 4 / 3, 2 / 3) * scale
+    simpson[[0, m]] = scale / 3
     # Odd rows, in d = j - k: Simpson parity left of b_j (4/3 at even d),
     # the pattern shifted by one node right of it (4/3 at odd d), and the
     # two interior weights 4/3 + 2/3 meeting at d = 0.
     d = np.arange(-m, m + 1)
-    pattern = np.where((d % 2 == 0) == (d > 0), 4 / 3, 2 / 3)
-    pattern[m] = 2.0
-    K[1::2] *= _toeplitz(pattern * scale)[1::2]
-    np.add.at(K, (rows, cols), corrections)
-    return K
+    pattern = np.where((d % 2 == 0) == (d > 0), 4 / 3, 2 / 3) * scale
+    pattern[m] = 2.0 * scale
+    rows, cols, weights = _odd_row_corrections(m)
+    kernel = sp[rows] * sp[m - cols] - sp[np.maximum(rows - cols, 0)]  # sp[0] = 0
+    n = 1 << (3 * m).bit_length()  # a power of two >= 3m + 1: no wrap-around
+    filters = np.stack([np.fft.rfft(f, n) for f in (sp, pattern, pattern[m:] * sp)])
+    return KernelOperator(sp, simpson, filters, rows, cols, kernel * weights * scale)
+
+
+@dataclass(frozen=True, eq=False)
+class KernelOperator:
+    """K as O(m) vectors; ``K @ v`` costs O(m log m).  Row j is sp_j (sp_rev . w)
+    less sp convolved with w = simpson * v if j is even; if j is odd, sp_j times
+    the pattern convolved with sp_rev * v at lag m + j, less pattern * sp
+    convolved with v, plus its corrections.  Rows 0 and m are exactly 0."""
+
+    sp: np.ndarray
+    simpson: np.ndarray
+    filters: np.ndarray  # rfft of sp, pattern and pattern[m:] * sp, zero-padded
+    rows: np.ndarray  # the odd-row corrections, summed by bincount
+    cols: np.ndarray
+    corrections: np.ndarray
+
+    def __matmul__(self, v) -> np.ndarray:
+        v = np.asarray(v, dtype=float)
+        sp, m, n = self.sp, self.sp.size - 1, 2 * self.filters.shape[1] - 2
+        w = self.simpson * v
+        conv = np.fft.irfft(self.filters * np.fft.rfft(np.stack((w, sp[::-1] * v, v)), n), n)
+        out = np.empty(m + 1)
+        out[0::2] = sp[0::2] * (sp[::-1] @ w) - conv[0, 0 : m + 1 : 2]
+        out[1::2] = sp[1::2] * conv[1, m + 1 : 2 * m + 1 : 2] - conv[2, 1 : m + 1 : 2]
+        out += np.bincount(self.rows, self.corrections * v[self.cols], minlength=m + 1)
+        out[[0, m]] = 0.0
+        return out
 
 
 @dataclass
@@ -154,10 +167,6 @@ class GridFunction:
         if not np.all(np.isfinite(vals)):
             raise InputError("grid-function values must be finite")
         self.values = vals
-
-    @property
-    def m(self) -> int:
-        return self.values.size - 1
 
     @classmethod
     def from_callable(cls, fn: Callable[[float], float], m: int) -> "GridFunction":
@@ -179,7 +188,6 @@ class FbvpProblem:
     grid_m: int = 200
     tol: float = 1e-10
     max_iter: int = 10_000
-    _matrix: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         self.beta = check_real(self.beta, "beta")
@@ -193,11 +201,9 @@ class FbvpProblem:
         if self.tol <= 0:
             raise InputError("tol must be positive")
 
-    @property
-    def matrix(self) -> np.ndarray:
-        if self._matrix is None:
-            self._matrix = build_operator_matrix(self.beta, self.grid_m)
-        return self._matrix
+    @cached_property
+    def matrix(self) -> KernelOperator:
+        return build_operator_matrix(self.beta, self.grid_m)
 
     @property
     def grid(self) -> np.ndarray:
@@ -209,27 +215,14 @@ class FbvpProblem:
         )
 
 
-def apply_integral_operator(problem: FbvpProblem, w: GridFunction) -> GridFunction:
-    """Node-wise quadrature of int G(b, a) g(a, w(a)) da.
-
-    ``w`` is consumed as the profile the forcing sees (u = f(w) in the
-    general setting); the output vanishes at b = 0 and b = 1 exactly.
-    """
-    if w.m != problem.grid_m:
-        raise InputError("grid size mismatch")
-    return GridFunction(problem.matrix @ problem.forcing_vector(w.values))
-
-
 def quadrature_kappa(problem: FbvpProblem) -> float:
     """max over grid nodes b of the quadrature of int |G(b, a)| da.
 
     K has no negative entry: G >= 0 for every beta > 1, since
     b(1-a) >= b-a, and every quadrature weight is positive.  So the row
-    sums of |K| are K @ 1, one matrix-vector product with no (m+1)^2
-    temporary.
+    sums of |K| are K @ 1.
     """
-    K = problem.matrix
-    return float(np.max(K @ np.ones(K.shape[1])))
+    return float(np.max(problem.matrix @ np.ones(problem.grid_m + 1)))
 
 
 @dataclass(kw_only=True)

@@ -27,17 +27,21 @@ from .errors import DomainError, InputError, check_real
 TRIANGLE_TOL = 1e-9
 
 _NORM_ORDS = {"euclidean": 2, "manhattan": 1, "chebyshev": np.inf}
+_PLAIN_NUMBERS = {float, int, np.float64, np.int64}
 
 
 def _real_array(value, name: str) -> np.ndarray:
     """``value`` as a float array; InputError unless it reads as a
-    rectangular array of numbers (a string is not a number)."""
+    rectangular array of numbers (a string or a bool is not a number)."""
     try:
         arr = np.asarray(value)
     except (TypeError, ValueError):
         raise InputError(f"{name} must be a rectangular array of numbers") from None
-    if arr.dtype.kind == "O":  # integers beyond 64 bits, or entries that are no numbers
-        arr = np.array([check_real(x, name) for x in arr.flat]).reshape(arr.shape)
+    # numpy reads bools among numbers as 1 and 0, integers beyond 64 bits as objects
+    entries = arr if isinstance(value, np.ndarray) else np.asarray(value, dtype=object)
+    plain = entries.dtype.kind != "O" or _PLAIN_NUMBERS.issuperset(map(type, entries.flat))
+    if arr.dtype.kind == "O" or not plain:
+        arr = np.array([check_real(x, name) for x in entries.flat]).reshape(arr.shape)
     if arr.dtype.kind not in "iuf":
         raise InputError(f"{name} must be a rectangular array of numbers")
     return arr.astype(float, copy=False)

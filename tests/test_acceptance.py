@@ -164,7 +164,7 @@ def test_criterion_6_fbvp_classical_limit():
     )
     rep2 = picard_solve(lin_problem)
     assert rep2.converged
-    K = lin_problem.matrix
+    K = np.column_stack([lin_problem.matrix @ e for e in np.eye(lin_problem.grid_m + 1)])
     direct = np.linalg.solve(
         np.eye(lin_problem.grid_m + 1) - 0.5 * K, K @ np.ones(lin_problem.grid_m + 1)
     )

@@ -397,6 +397,10 @@ _MISTYPED_NUMBERS = {
         lambda data: data["gauge"].update(value="x"),
         "gauge value must be a number, got 'x'",
     ),
+    "huge-radius": (
+        lambda data: data["edges"].update(radius=10**400),
+        "ball radius is too large for a float",
+    ),
     "config-tol": (
         lambda data: data["config"].update(tol="x"),
         "tol must be a number, got 'x'",

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from graphfix.engine import HypothesisViolated, MaxIterExceeded
 from graphfix.errors import InputError
@@ -10,7 +12,7 @@ from graphfix.fbvp import (
     FbvpProblem,
     GreenKernel,
     GridFunction,
-    apply_integral_operator,
+    _odd_row_corrections,
     build_operator_matrix,
     green_kernel,
     picard_solve,
@@ -93,7 +95,8 @@ def test_kernel_input_validation():
 
 
 # --- quadrature weights -------------------------------------------------------------
-# The per-row construction build_operator_matrix replaced, kept as its oracle.
+# Two dense references for the operator: the per-row construction, and the
+# in-place (m+1)^2 build checked against it.
 
 def _panel_weights(npanels: int) -> np.ndarray:
     """Quadrature weights on npanels+1 equispaced nodes, unit spacing.
@@ -131,6 +134,33 @@ def _reference_operator_matrix(beta: float, m: int) -> np.ndarray:
     return K
 
 
+def _toeplitz(v: np.ndarray) -> np.ndarray:
+    """Read-only (m+1) x (m+1) view T[j, k] = v[m + j - k] of a 2m+1 vector."""
+    return sliding_window_view(v[::-1], (v.size + 1) // 2)[::-1]
+
+
+def _dense_operator_matrix(beta: float, m: int) -> np.ndarray:
+    """K in place from the m+1 powers s^p: an outer product less a Toeplitz
+    view, times the Simpson and parity-pattern weights, plus the odd-row
+    corrections."""
+    scale = 1.0 / (m * GreenKernel(beta).gamma_beta)
+    sp = np.linspace(0.0, 1.0, m + 1) ** (beta - 1.0)
+    K = np.outer(sp, sp[::-1])
+    K -= _toeplitz(np.concatenate((np.zeros(m), sp)))
+    rows, cols, weights = _odd_row_corrections(m)
+    corrections = K[rows, cols] * (weights * scale)
+    simpson = np.full(m + 1, 2 / 3)
+    simpson[1::2] = 4 / 3
+    simpson[[0, m]] = 1 / 3
+    K[0::2] *= simpson * scale
+    d = np.arange(-m, m + 1)
+    pattern = np.where((d % 2 == 0) == (d > 0), 4 / 3, 2 / 3)
+    pattern[m] = 2.0
+    K[1::2] *= _toeplitz(pattern * scale)[1::2]
+    np.add.at(K, (rows, cols), corrections)
+    return K
+
+
 def test_panel_weights_integrate_cubics():
     # Simpson (even) is exact on cubics; the 3/8 closure keeps that
     for npanels in (2, 4, 6, 3, 5, 7, 9):
@@ -149,7 +179,7 @@ def test_panel_weights_single_panel_trapezoid():
 @pytest.mark.parametrize("beta", [1.01, 1.25, 1.5, 1.9, 2.0, 3.7])
 def test_operator_matrix_matches_per_row_construction(beta):
     for m in [*range(2, 41, 2), 200]:
-        K = build_operator_matrix(beta, m)
+        K = _dense_operator_matrix(beta, m)
         ref = _reference_operator_matrix(beta, m)
         assert K.shape == ref.shape
         assert np.max(np.abs(K - ref)) <= 1e-13 * np.max(np.abs(ref)), m
@@ -157,13 +187,40 @@ def test_operator_matrix_matches_per_row_construction(beta):
         assert np.all(K >= 0.0), m  # quadrature_kappa relies on it
 
 
+@pytest.mark.parametrize("beta", [1.01, 1.25, 1.5, 1.9, 2.0, 3.7])
+def test_operator_matches_dense_reference(beta):
+    rng = np.random.default_rng(7)
+    for m in [*range(2, 41, 2), 200, 2000]:
+        K = _dense_operator_matrix(beta, m)
+        op = build_operator_matrix(beta, m)
+        bound = 1e-13 * np.max(np.sum(np.abs(K), axis=1))
+        for v in (np.ones(m + 1), rng.choice([-1.0, 1.0], m + 1), rng.random(m + 1)):
+            out = op @ v
+            assert np.max(np.abs(out - K @ v)) <= bound * np.max(np.abs(v)), m
+            assert out[0] == 0.0 and out[m] == 0.0, m
+
+
+def test_operator_memory_is_linear_in_m():
+    # the dense (m+1)^2 matrix alone would take 128 MB at m = 4000
+    prob = FbvpProblem(beta=1.5, g=lambda b, w: 0.5 * w + 1.0,
+                       gauge=Gauge.constant(0.5), grid_m=4000)
+    tracemalloc.start()
+    try:
+        rep = picard_solve(prob)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.converged
+    assert peak < 8 * 2**20
+
+
 # --- integral operator ----------------------------------------------------------------
 
 def test_operator_zero_forcing():
     prob = FbvpProblem(beta=1.5, g=lambda b, w: 0.0, gauge=Gauge.constant(0.0),
                        grid_m=40)
-    out = apply_integral_operator(prob, GridFunction(np.zeros(41)))
-    assert np.all(out.values == 0.0)
+    out = prob.matrix @ prob.forcing_vector(np.zeros(41))
+    assert np.all(out == 0.0)
 
 
 def test_operator_sin_forcing_classical():
@@ -171,18 +228,18 @@ def test_operator_sin_forcing_classical():
         beta=2.0, g=lambda b, w: math.pi**2 * math.sin(math.pi * b),
         gauge=Gauge.constant(0.0), grid_m=200,
     )
-    out = apply_integral_operator(prob, GridFunction(np.zeros(201)))
-    err = np.max(np.abs(out.values - np.sin(math.pi * prob.grid)))
+    out = prob.matrix @ prob.forcing_vector(np.zeros(201))
+    err = np.max(np.abs(out - np.sin(math.pi * prob.grid)))
     assert err <= 1e-5
-    assert out.values[0] == 0.0 and out.values[-1] == 0.0
+    assert out[0] == 0.0 and out[-1] == 0.0
 
 
 def test_operator_constant_forcing_quadratic():
     prob = FbvpProblem(beta=2.0, g=lambda b, w: 1.0, gauge=Gauge.constant(0.0),
                        grid_m=200)
-    out = apply_integral_operator(prob, GridFunction(np.zeros(201)))
+    out = prob.matrix @ prob.forcing_vector(np.zeros(201))
     exact = prob.grid * (1.0 - prob.grid) / 2.0
-    assert np.max(np.abs(out.values - exact)) <= 1e-6
+    assert np.max(np.abs(out - exact)) <= 1e-6
 
 
 def test_quadrature_order_at_least_two():
@@ -193,8 +250,8 @@ def test_quadrature_order_at_least_two():
             beta=2.0, g=lambda b, w: math.pi**2 * math.sin(math.pi * b),
             gauge=Gauge.constant(0.0), grid_m=m,
         )
-        out = apply_integral_operator(prob, GridFunction(np.zeros(m + 1)))
-        errs.append(np.max(np.abs(out.values - np.sin(math.pi * prob.grid))))
+        out = prob.matrix @ prob.forcing_vector(np.zeros(m + 1))
+        errs.append(np.max(np.abs(out - np.sin(math.pi * prob.grid))))
     assert errs[0] / errs[1] >= 3.5
     assert errs[1] / errs[2] >= 3.5
 
@@ -207,7 +264,7 @@ def test_kappa_matches_analytic_maximum():
     for beta in (1.01, 1.5, 3.7):
         prob = FbvpProblem(beta=beta, g=lambda b, w: 0.0, gauge=Gauge.constant(0.0),
                            grid_m=100)
-        row_sums = np.sum(np.abs(prob.matrix), axis=1)
+        row_sums = np.sum(np.abs(_dense_operator_matrix(beta, 100)), axis=1)
         assert abs(quadrature_kappa(prob) - np.max(row_sums)) <= 1e-14 * np.max(row_sums)
 
 
@@ -229,12 +286,12 @@ def test_picard_linear_matches_direct_elimination():
                        gauge=Gauge.constant(0.5), grid_m=200)
     rep = picard_solve(prob)
     assert rep.converged
-    K = prob.matrix
+    K = _dense_operator_matrix(2.0, 200)
     direct = np.linalg.solve(np.eye(prob.grid_m + 1) - 0.5 * K, K @ np.ones(201))
     assert np.max(np.abs(rep.solution.values - direct)) <= 1e-8
     assert rep.residual <= 1e-8
     u = rep.solution.values
-    assert rep.residual == float(np.max(np.abs(u - K @ prob.forcing_vector(u))))
+    assert rep.residual == float(np.max(np.abs(u - prob.matrix @ prob.forcing_vector(u))))
     assert rep.warning is None
     assert abs(rep.effective_factor - rep.kappa * 0.5) < TOL
 

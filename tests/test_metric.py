@@ -242,7 +242,7 @@ def test_space_rejects_bad_matrices():
         )
 
 
-@pytest.mark.parametrize("bad", ["1", "x", None, [1.0]])
+@pytest.mark.parametrize("bad", ["1", "x", None, [1.0], True, False])
 def test_a_coordinate_or_distance_that_is_no_number_is_refused(bad):
     with pytest.raises(InputError, match="number"):
         FiniteMetricSpace.from_coords(["a", "b"], [[0.0], [bad]])
@@ -253,6 +253,13 @@ def test_a_coordinate_or_distance_that_is_no_number_is_refused(bad):
 def test_integer_coordinates_beyond_64_bits_build():
     space = FiniteMetricSpace.from_coords(["a", "b"], [[0], [2**70]])
     assert space.distance("a", "b") == 2.0**70
+
+
+def test_a_number_too_large_for_a_float_is_refused():
+    with pytest.raises(InputError, match="gauge value is too large for a float"):
+        Gauge.constant(10**400)
+    with pytest.raises(InputError, match="coordinates is too large for a float"):
+        FiniteMetricSpace.from_coords(["a", "b"], [[0], [10**400]])
 
 
 @pytest.mark.parametrize("scale", [1e9, 1e12, 1e15])
