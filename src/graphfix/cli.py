@@ -175,13 +175,17 @@ _PHI_BUILTINS = {
 def _phi_from_file(path):
     data = load_json(path)
     try:
-        pts = sorted((float(a), float(v)) for a, v in data)
+        pts = sorted(
+            (check_real(a, "phi sample"), check_real(v, "phi sample")) for a, v in data
+        )
     except (TypeError, ValueError) as exc:
         raise InputError(f"{path} must hold [[a, value], ...] samples: {exc}") from None
     if not pts:
         raise InputError("phi sample file is empty")
-    xs = np.array([p[0] for p in pts])
-    ys = np.array([p[1] for p in pts])
+    samples = np.array(pts)
+    if not np.isfinite(samples).all():
+        raise InputError(f"{path} holds a phi sample that is not finite")
+    xs, ys = samples.T
     return lambda a: float(np.interp(a, xs, ys))
 
 
@@ -237,7 +241,7 @@ def _forcing_from_file(path):
         raise InputError("forcing file needs an 'expr' of b and w")
     try:
         code = compile(data["expr"], path, "eval")
-        gauge_sup = float(data.get("gauge_sup", 0.0))
+        gauge_sup = check_real(data.get("gauge_sup", 0.0), "gauge_sup")
     except (SyntaxError, TypeError, ValueError) as exc:
         raise InputError(f"malformed forcing file {path}: {exc}") from None
     for name in code.co_names:

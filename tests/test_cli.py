@@ -181,6 +181,30 @@ def test_bernstein_malformed_phi_file_is_input_error(runner, tmp_path):
     assert res.stderr.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "samples",
+    [
+        "[[0, 1], [1, " + "9" * 400 + "]]",
+        '[[0, "1"], [1, true], ["0.5", 2]]',
+        "[[0, 1], [0.5, NaN], [1, 0]]",
+        "[[0, 1], [Infinity, 0]]",
+    ],
+    ids=["huge", "string-and-bool", "nan", "infinity"],
+)
+def test_bernstein_phi_sample_that_is_no_finite_number_is_input_error(
+    runner, tmp_path, samples
+):
+    phi_path = tmp_path / "phi.json"
+    phi_path.write_text(samples)
+    res = runner.invoke(
+        main,
+        ["--out", str(tmp_path), "bernstein", "--n", "4", "--q", "1.0",
+         "--phi", "file", "--phi-file", str(phi_path)],
+    )
+    assert res.exit_code == 2, res.output
+    assert res.stderr.startswith("error:")
+
+
 def test_fbvp_sin_forcing(runner, tmp_path):
     res = runner.invoke(
         main, ["--out", str(tmp_path), "fbvp", "--beta", "2", "--forcing", "sin-pi"]
@@ -233,14 +257,17 @@ def test_fbvp_forcing_file_rejects_unknown_names(runner, tmp_path):
 
 def test_fbvp_malformed_forcing_file_is_input_error(runner, tmp_path):
     forcing = tmp_path / "forcing.json"
-    forcing.write_text(json.dumps({"expr": "1 +"}))
-    res = runner.invoke(
-        main,
-        ["--out", str(tmp_path), "fbvp", "--beta", "1.5", "--forcing", "file",
-         "--forcing-file", str(forcing)],
-    )
-    assert res.exit_code == 2
-    assert res.stderr.startswith("error:")
+    # a broken expression, and a gauge_sup too large for a float or given as a string
+    for data in ({"expr": "1 +"}, {"expr": "b", "gauge_sup": 10**400},
+                 {"expr": "b", "gauge_sup": "0.5"}):
+        forcing.write_text(json.dumps(data))
+        res = runner.invoke(
+            main,
+            ["--out", str(tmp_path), "fbvp", "--beta", "1.5", "--forcing", "file",
+             "--forcing-file", str(forcing)],
+        )
+        assert res.exit_code == 2, data
+        assert res.stderr.startswith("error:")
 
 
 def test_fbvp_report_says_why_it_stopped(runner, tmp_path):

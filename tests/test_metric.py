@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from graphfix.errors import DomainError, InputError
 from graphfix.metric import (
+    TRIANGLE_TOL,
     ClosedSet,
     EdgeStructure,
     FiniteMetricSpace,
@@ -16,6 +18,7 @@ from graphfix.metric import (
     edges_from_dict,
     gauge_from_dict,
     space_from_dict,
+    _check_triangle,
     validate_pair,
 )
 
@@ -279,17 +282,144 @@ def test_large_collinear_coordinates_build(scale, norm, dim):
                           space.matrix)
 
 
+def _reference_check_triangle(labels, m):
+    """The per-k scan over the whole matrix that the blocked check replaced:
+    the oracle for its verdict and its message."""
+    grown = m * (1.0 + TRIANGLE_TOL)
+    bound = np.empty_like(m)
+    over = np.empty(m.shape, dtype=bool)
+    for k in range(len(labels)):
+        np.add(grown[:, k : k + 1], grown[k : k + 1, :], out=bound)
+        if np.greater(m, bound, out=over).any():
+            i, j = np.unravel_index(np.argmax(m - bound), m.shape)
+            raise InputError(
+                f"triangle inequality fails: d({labels[i]},{labels[j]}) > "
+                f"d({labels[i]},{labels[k]}) + d({labels[k]},{labels[j]})"
+            )
+
+
+def _triangle_verdict(check, m):
+    """None if ``check`` accepts ``m``, else the text of its InputError."""
+    labels = tuple(f"p{i}" for i in range(len(m)))
+    try:
+        check(labels, m)
+    except InputError as exc:
+        return str(exc)
+    return None
+
+
+def _assert_triangle_check_matches_reference(m):
+    assert np.array_equal(m, m.T)
+    expected = _triangle_verdict(_reference_check_triangle, m)
+    assert _triangle_verdict(_check_triangle, m) == expected
+    return expected
+
+
+# sizes around the row block of 64, and at several blocks
+_TRIANGLE_SIZES = [1, 2, 3, 63, 64, 65, 129, 200]
+
+
+@st.composite
+def triangle_matrices(draw):
+    """Symmetric distance matrices with a zero diagonal: random metrics
+    (shortest paths over integer weights), collinear ladders scaled by a
+    power of two, and norm distances of random points; then up to three
+    pairs stretched or shrunk, some by less than the relative slack."""
+    n = draw(st.sampled_from(_TRIANGLE_SIZES))
+    kind = draw(st.sampled_from(["paths", "ladder", "coords"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "paths":
+        m = rng.integers(1, 20, (n, n)).astype(float)
+        m = np.minimum(m, m.T)
+        np.fill_diagonal(m, 0.0)
+        for k in range(n):
+            np.minimum(m, m[:, k : k + 1] + m[k : k + 1, :], out=m)
+    elif kind == "ladder":
+        t = np.cumsum(rng.integers(1, 4, n)) * 2.0 ** draw(st.integers(-40, 40))
+        m = np.abs(t[:, None] - t[None, :])
+    else:
+        pts = rng.normal(size=(n, draw(st.integers(1, 3))))
+        order = draw(st.sampled_from([1, 2, np.inf]))
+        m = np.linalg.norm(pts[:, None, :] - pts[None, :, :], ord=order, axis=2)
+    if n > 1:
+        for _ in range(draw(st.integers(0, 3))):
+            i = draw(st.integers(0, n - 1))
+            j = draw(st.integers(0, n - 1).filter(lambda j: j != i))
+            factor = draw(st.sampled_from([1 + 1e-10, 1 + 1e-7, 1.5, 0.5, 0.0]))
+            m[i, j] = m[j, i] = m[i, j] * factor
+    return m
+
+
+@settings(max_examples=150, deadline=None)
+@given(triangle_matrices())
+def test_triangle_check_matches_per_k_reference(m):
+    _assert_triangle_check_matches_reference(m)
+
+
+def _ladder_with_detours(n, detours):
+    """Distances of n points on a line, where each (i, k, j) of ``detours``
+    puts k alone between i and j, far from the rest, and d(i, j) is then
+    stretched so that k, and only k, breaks the triangle inequality for it."""
+    t = 100.0 + np.arange(n, dtype=float)
+    for s, (i, k, j) in enumerate(detours):
+        t[[i, k, j]] = 4.0 * s + np.array([0.0, 1.0, 2.0])
+    m = np.abs(t[:, None] - t[None, :])
+    for i, k, j in detours:
+        m[i, j] = m[j, i] = 2.5
+    return m
+
+
+@pytest.mark.parametrize(
+    "n, detours, named",
+    [
+        # i, k and j each in a different block of 64 rows
+        (200, [(10, 70, 130)], (10, 70, 130)),
+        (200, [(150, 3, 90)], (90, 3, 150)),
+        # the block scan meets the violation of rows 5 and 60 first, but the
+        # first k with a violation is 7, through which rows 100 and 170 break it
+        (200, [(5, 180, 60), (100, 7, 170)], (100, 7, 170)),
+        # both pairs inside the first block
+        (65, [(1, 2, 3), (60, 61, 62)], (1, 2, 3)),
+    ],
+)
+def test_triangle_check_names_the_first_k_and_its_worst_pair(n, detours, named):
+    i, k, j = named
+    message = _assert_triangle_check_matches_reference(_ladder_with_detours(n, detours))
+    assert message == f"triangle inequality fails: d(p{i},p{j}) > d(p{i},p{k}) + d(p{k},p{j})"
+
+
 def test_triangle_violation_beyond_relative_slack_is_refused():
     rng = np.random.default_rng(80)
     t = rng.uniform(-1.0, 1.0, 80) * 1e12
     labels = [f"x{i}" for i in range(80)]
     m = np.abs(t[:, None] - t[None, :])
     FiniteMetricSpace.from_matrix(labels, m)
-    # stretch the pair of extreme points past the points between them
+    # stretch the pair of extreme points past the points between them: by
+    # 1e-10 within the relative slack, by 1e-7 beyond it
     i, j = int(np.argmin(t)), int(np.argmax(t))
-    m[i, j] = m[j, i] = m[i, j] * (1 + 1e-7)
+    d = m[i, j]
+    m[i, j] = m[j, i] = d * (1 + 1e-10)
+    FiniteMetricSpace.from_matrix(labels, m)
+    assert _assert_triangle_check_matches_reference(m) is None
+    m[i, j] = m[j, i] = d * (1 + 1e-7)
     with pytest.raises(InputError, match="triangle inequality fails"):
         FiniteMetricSpace.from_matrix(labels, m)
+    assert _assert_triangle_check_matches_reference(m) is not None
+
+
+def test_triangle_check_memory_is_below_one_and_a_half_matrices():
+    # a scaled copy of the matrix and two 64 x n slabs fit; three n x n arrays do not
+    n = 1000
+    t = np.arange(n, dtype=float)
+    m = np.abs(t[:, None] - t[None, :])
+    labels = tuple(f"p{i}" for i in range(n))
+    tracemalloc.start()
+    try:
+        _check_triangle(labels, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * n * n * 8
 
 
 def test_coordinate_spaces_keep_the_other_checks():
