@@ -182,10 +182,7 @@ def _phi_from_file(path):
         raise InputError(f"{path} must hold [[a, value], ...] samples: {exc}") from None
     if not pts:
         raise InputError("phi sample file is empty")
-    samples = np.array(pts)
-    if not np.isfinite(samples).all():
-        raise InputError(f"{path} holds a phi sample that is not finite")
-    xs, ys = samples.T
+    xs, ys = np.array(pts).T
     return lambda a: float(np.interp(a, xs, ys))
 
 

@@ -1,6 +1,7 @@
 """Exception types shared across the package, and the numeric parameter
 checks that raise them."""
 
+import math
 import numbers
 
 
@@ -31,13 +32,17 @@ class HypothesisViolation(RuntimeError):
 
 
 def check_real(value, name: str) -> float:
-    """``value`` as a float; InputError unless it is a real number (not a bool)."""
+    """``value`` as a float; InputError unless it is a finite real number
+    (not a bool, NaN or an infinity)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise InputError(f"{name} must be a number, got {value!r}")
     try:
-        return float(value)
+        x = float(value)
     except OverflowError:  # an integer beyond the float range
         raise InputError(f"{name} is too large for a float") from None
+    if not math.isfinite(x):
+        raise InputError(f"{name} must be a finite number, got {value!r}")
+    return x
 
 
 def check_integer(value, name: str) -> int:

@@ -134,6 +134,11 @@ class FiniteMetricSpace:
         object.__setattr__(self, "labels", labels)
         if len(set(labels)) != len(labels):
             raise InputError("point labels must be distinct")
+        for label in labels:
+            try:
+                label.encode("utf-8")
+            except UnicodeEncodeError:  # a lone surrogate, as a "\ud800" escape gives
+                raise InputError(f"point label {label!r} is not valid Unicode text") from None
         if not labels:
             raise InputError("a metric space needs at least one point")
         m = _real_array(self.matrix, "distances")

@@ -2,67 +2,86 @@
 reader of JSON input files.
 
 Every float is written with 17 significant decimal digits, which is
-always enough to round-trip an IEEE double exactly.  The JSON emitter is
-hand-rolled because the stdlib encoder offers no hook for float
-formatting; NaN/inf (legal nowhere in JSON) become null.
+always enough to round-trip an IEEE double exactly; NaN and inf, legal
+nowhere in JSON, become null.  The stdlib encoder cannot format floats
+this way, so both writers are our own, and each makes one pass: it
+appends string pieces to one list and joins them once.  A value's exact
+type (float, str, int, None) is tested before numpy scalars and
+containers, so the common cases cost one comparison.  JSON strings are
+escaped by the stdlib's ``encode_basestring`` (every control character
+U+0000-U+001F among them), and a CSV cell that holds a comma, a double
+quote or a line break is quoted as RFC 4180 says.
 """
 
 from __future__ import annotations
 
 import json
-import math
+import re
+from json.encoder import encode_basestring as _json_string
 from typing import Any
 
 import numpy as np
 
 from .errors import InputError
 
+_CSV_SPECIAL = re.compile(r'[",\r\n]')
+
 
 def format_float(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def _atom(obj: Any) -> str | None:
-    if obj is None:
-        return "null"
-    if isinstance(obj, (bool, np.bool_)):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        x = float(obj)
-        if math.isnan(x) or math.isinf(x):
-            return "null"
-        return format_float(x)
-    if isinstance(obj, str):
-        out = obj.replace("\\", "\\\\").replace('"', '\\"')
-        out = out.replace("\n", "\\n").replace("\r", "\\r").replace("\t", "\\t")
-        return f'"{out}"'
-    return None
-
-
-def json_dumps(obj: Any, indent: int = 2, _level: int = 0) -> str:
-    """JSON text with 17-significant-digit floats."""
-    atom = _atom(obj)
-    if atom is not None:
-        return atom
-    pad = " " * (indent * (_level + 1))
-    close_pad = " " * (indent * _level)
-    if isinstance(obj, dict):
+def _encode(obj: Any, out: list[str], indent: int, level: int) -> None:
+    """Append the JSON text of ``obj``, nested ``level`` deep, to ``out``."""
+    kind = type(obj)
+    if kind is float:
+        out.append(f"{obj:.17g}" if obj - obj == 0.0 else "null")  # x - x is NaN for NaN, inf
+    elif kind is str:
+        out.append(_json_string(obj))
+    elif kind is int:
+        out.append(str(obj))
+    elif obj is None:
+        out.append("null")
+    elif isinstance(obj, (bool, np.bool_)):
+        out.append("true" if obj else "false")
+    elif isinstance(obj, (int, np.integer)):
+        out.append(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        _encode(float(obj), out, indent, level)
+    elif isinstance(obj, str):
+        out.append(_json_string(obj))
+    elif isinstance(obj, dict):
         if not obj:
-            return "{}"
-        items = [
-            f"{pad}{_atom(str(k))}: {json_dumps(v, indent, _level + 1)}"
-            for k, v in obj.items()
-        ]
-        return "{\n" + ",\n".join(items) + f"\n{close_pad}}}"
-    if isinstance(obj, (list, tuple, np.ndarray)):
+            out.append("{}")
+            return
+        pad = "\n" + " " * (indent * (level + 1))
+        sep = "{" + pad
+        for key, value in obj.items():
+            out.append(sep + _json_string(str(key)) + ": ")
+            _encode(value, out, indent, level + 1)
+            sep = "," + pad
+        out.append("\n" + " " * (indent * level) + "}")
+    elif isinstance(obj, (list, tuple, np.ndarray)):
         seq = list(obj)
         if not seq:
-            return "[]"
-        items = [f"{pad}{json_dumps(v, indent, _level + 1)}" for v in seq]
-        return "[\n" + ",\n".join(items) + f"\n{close_pad}]"
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+            out.append("[]")
+            return
+        pad = "\n" + " " * (indent * (level + 1))
+        sep = "[" + pad
+        for value in seq:
+            out.append(sep)
+            _encode(value, out, indent, level + 1)
+            sep = "," + pad
+        out.append("\n" + " " * (indent * level) + "]")
+    else:
+        raise TypeError(f"cannot serialize {kind.__name__}")
+
+
+def json_dumps(obj: Any, indent: int = 2) -> str:
+    """JSON text with 17-significant-digit floats."""
+    out: list[str] = []
+    _encode(obj, out, indent, 0)
+    return "".join(out)
 
 
 def load_json(path) -> Any:
@@ -78,8 +97,15 @@ def load_json(path) -> Any:
 
 def json_dump(obj: Any, path) -> None:
     with open(path, "w") as fh:
-        fh.write(json_dumps(obj))
-        fh.write("\n")
+        fh.write(json_dumps(obj) + "\n")
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as one CSV field: quoted, with its quotes doubled, when it
+    holds a comma, a double quote or a line break (RFC 4180)."""
+    if _CSV_SPECIAL.search(text) is None:
+        return text
+    return '"' + text.replace('"', '""') + '"'
 
 
 def csv_cell(value: Any) -> str:
@@ -89,16 +115,46 @@ def csv_cell(value: Any) -> str:
         return "true" if value else "false"
     if value is None:
         return ""
-    return str(value)
+    return _csv_field(str(value))
+
+
+def _csv_table(header: list[str], rows: list[list]) -> str:
+    lines = [",".join(map(_csv_field, header))]
+    for row in rows:
+        lines.append(",".join([f"{v:.17g}" if type(v) is float else csv_cell(v) for v in row]))
+    lines.append("")
+    return "\n".join(lines)
+
+
+def _json_table(header: list[str], rows: list[list]) -> str:
+    """The JSON array of the records ``dict(zip(header, row))``, as
+    ``json_dump`` writes it."""
+    if not header or len(set(header)) < len(header):
+        # a repeated name keeps its first place and its last value, as in a dict
+        return json_dumps([dict(zip(header, row)) for row in rows]) + "\n"
+    keys = [_json_string(str(name)) + ": " for name in header]
+    prefixes = ["\n    " + keys[0]] + [",\n    " + key for key in keys[1:]]
+    out: list[str] = []
+    sep = "[\n  {"
+    for row in rows:
+        out.append(sep)
+        sep = ",\n  {"
+        start = len(out)
+        for prefix, value in zip(prefixes, row):
+            if type(value) is float and value - value == 0.0:
+                out.append(f"{prefix}{value:.17g}")
+            else:
+                out.append(prefix)
+                _encode(value, out, 2, 2)
+        out.append("}" if len(out) == start else "\n  }")  # an empty record is {}
+    if not out:
+        return "[]\n"
+    out.append("\n]\n")
+    return "".join(out)
 
 
 def write_table(path, header: list[str], rows: list[list], fmt: str = "csv") -> None:
     """Write tabular output as CSV or as a JSON array of records."""
-    if fmt == "json":
-        records = [dict(zip(header, row)) for row in rows]
-        json_dump(records, path)
-        return
+    text = _json_table(header, rows) if fmt == "json" else _csv_table(header, rows)
     with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(csv_cell(v) for v in row) + "\n")
+        fh.write(text)

@@ -432,6 +432,15 @@ _MISTYPED_NUMBERS = {
         lambda data: data["config"].update(tol="x"),
         "tol must be a number, got 'x'",
     ),
+    # json.dumps writes these as the NaN that Python's JSON reader accepts
+    "nan-radius": (
+        lambda data: data["edges"].update(radius=math.nan),
+        "ball radius must be a finite number, got nan",
+    ),
+    "nan-tol": (
+        lambda data: data["config"].update(tol=math.nan),
+        "tol must be a finite number, got nan",
+    ),
     "ragged-coordinates": (
         _ragged_coordinates,
         "coordinates must be a rectangular array of numbers",
@@ -452,6 +461,43 @@ def test_verify_problem_file_with_a_mistyped_number_is_input_error(
     assert res.exit_code == 2
     assert res.stderr == f"error: {message}\n"
 
+
+
+def _relabelled_example(tmp_path, infix: str):
+    """example-3-3 as a problem file whose labels "1/3^n" read "1<infix>/3^n"."""
+    text = json.dumps(problem_to_dict(builtin_problem("example-3-3")))
+    path = tmp_path / "problem.json"
+    path.write_text(text.replace('"1/', '"1' + json.dumps(infix)[1:-1] + "/"))
+    return path
+
+
+def test_iterate_escapes_control_characters_in_json(runner, tmp_path):
+    path = _relabelled_example(tmp_path, "\x0c\x01")
+    res = runner.invoke(
+        main, ["--out", str(tmp_path), "--format", "json", "iterate", str(path)]
+    )
+    assert res.exit_code == 0, res.output
+    outcome = json.loads((tmp_path / "outcome.json").read_text())
+    trace = json.loads((tmp_path / "trace.json").read_text())
+    assert outcome["w_star"] == "0"
+    assert trace[0]["w_label"] == "1\x0c\x01/3"
+
+
+def test_iterate_quotes_csv_cells(runner, tmp_path):
+    path = _relabelled_example(tmp_path, ',"\n')
+    res = runner.invoke(main, ["--out", str(tmp_path), "iterate", str(path)])
+    assert res.exit_code == 0, res.output
+    with open(tmp_path / "trace.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert all(len(row) == 7 for row in rows)
+    assert rows[1][1:3] == ['1,"\n/3', '1,"\n/9']
+
+
+def test_problem_file_with_a_lone_surrogate_label_is_input_error(runner, tmp_path):
+    path = _relabelled_example(tmp_path, "\ud800")
+    res = runner.invoke(main, ["--out", str(tmp_path), "iterate", str(path)])
+    assert res.exit_code == 2
+    assert res.stderr == "error: point label '1\\ud800/3' is not valid Unicode text\n"
 
 
 @pytest.mark.parametrize("truncated", [5, "ab"])
