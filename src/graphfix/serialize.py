@@ -3,14 +3,16 @@ reader of JSON input files.
 
 Every float is written with 17 significant decimal digits, which is
 always enough to round-trip an IEEE double exactly; NaN and inf, legal
-nowhere in JSON, become null.  The stdlib encoder cannot format floats
-this way, so both writers are our own, and each makes one pass: it
-appends string pieces to one list and joins them once.  A value's exact
-type (float, str, int, None) is tested before numpy scalars and
-containers, so the common cases cost one comparison.  JSON strings are
-escaped by the stdlib's ``encode_basestring`` (every control character
-U+0000-U+001F among them), and a CSV cell that holds a comma, a double
-quote or a line break is quoted as RFC 4180 says.
+nowhere in JSON, become null there (CSV writes nan and inf).  The stdlib
+encoder cannot format floats this way, so both writers are our own, and
+each makes one pass: it appends string pieces to one list and joins them
+once.  ``_encode`` tests a value's exact type (float, str, int, None,
+dict, list) before subclasses and numpy scalars, so the common cases
+cost one or two comparisons; a JSON table is the array of its records,
+written by the same encoder.  JSON strings are escaped by the stdlib's
+``encode_basestring`` (every control character U+0000-U+001F among
+them), and a CSV cell that holds a comma, a double quote or a line
+break is quoted as RFC 4180 says.
 """
 
 from __future__ import annotations
@@ -27,12 +29,9 @@ from .errors import InputError
 _CSV_SPECIAL = re.compile(r'[",\r\n]')
 
 
-def format_float(x: float) -> str:
-    return f"{float(x):.17g}"
-
-
-def _encode(obj: Any, out: list[str], indent: int, level: int) -> None:
-    """Append the JSON text of ``obj``, nested ``level`` deep, to ``out``."""
+def _encode(obj: Any, out: list[str], pad: str, step: str) -> None:
+    """Append the JSON text of ``obj`` to ``out``; ``pad`` is the newline
+    and indent of its own line, ``step`` one more level of indent."""
     kind = type(obj)
     if kind is float:
         out.append(f"{obj:.17g}" if obj - obj == 0.0 else "null")  # x - x is NaN for NaN, inf
@@ -42,37 +41,37 @@ def _encode(obj: Any, out: list[str], indent: int, level: int) -> None:
         out.append(str(obj))
     elif obj is None:
         out.append("null")
+    elif kind is dict or isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = pad + step
+        sep = "{" + inner
+        for key, value in obj.items():
+            out.append(sep + _json_string(str(key)) + ": ")
+            _encode(value, out, inner, step)
+            sep = "," + inner
+        out.append(pad + "}")
+    elif kind is list or isinstance(obj, (list, tuple, np.ndarray)):
+        seq = list(obj)
+        if not seq:
+            out.append("[]")
+            return
+        inner = pad + step
+        sep = "[" + inner
+        for value in seq:
+            out.append(sep)
+            _encode(value, out, inner, step)
+            sep = "," + inner
+        out.append(pad + "]")
     elif isinstance(obj, (bool, np.bool_)):
         out.append("true" if obj else "false")
     elif isinstance(obj, (int, np.integer)):
         out.append(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
-        _encode(float(obj), out, indent, level)
+        _encode(float(obj), out, pad, step)
     elif isinstance(obj, str):
         out.append(_json_string(obj))
-    elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        pad = "\n" + " " * (indent * (level + 1))
-        sep = "{" + pad
-        for key, value in obj.items():
-            out.append(sep + _json_string(str(key)) + ": ")
-            _encode(value, out, indent, level + 1)
-            sep = "," + pad
-        out.append("\n" + " " * (indent * level) + "}")
-    elif isinstance(obj, (list, tuple, np.ndarray)):
-        seq = list(obj)
-        if not seq:
-            out.append("[]")
-            return
-        pad = "\n" + " " * (indent * (level + 1))
-        sep = "[" + pad
-        for value in seq:
-            out.append(sep)
-            _encode(value, out, indent, level + 1)
-            sep = "," + pad
-        out.append("\n" + " " * (indent * level) + "]")
     else:
         raise TypeError(f"cannot serialize {kind.__name__}")
 
@@ -80,7 +79,7 @@ def _encode(obj: Any, out: list[str], indent: int, level: int) -> None:
 def json_dumps(obj: Any, indent: int = 2) -> str:
     """JSON text with 17-significant-digit floats."""
     out: list[str] = []
-    _encode(obj, out, indent, 0)
+    _encode(obj, out, "\n", " " * indent)
     return "".join(out)
 
 
@@ -109,8 +108,8 @@ def _csv_field(text: str) -> str:
 
 
 def csv_cell(value: Any) -> str:
-    if isinstance(value, (float, np.floating)):
-        return format_float(value)
+    if type(value) is float or isinstance(value, np.floating):
+        return f"{value:.17g}"
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if value is None:
@@ -118,43 +117,13 @@ def csv_cell(value: Any) -> str:
     return _csv_field(str(value))
 
 
-def _csv_table(header: list[str], rows: list[list]) -> str:
-    lines = [",".join(map(_csv_field, header))]
-    for row in rows:
-        lines.append(",".join([f"{v:.17g}" if type(v) is float else csv_cell(v) for v in row]))
-    lines.append("")
-    return "\n".join(lines)
-
-
-def _json_table(header: list[str], rows: list[list]) -> str:
-    """The JSON array of the records ``dict(zip(header, row))``, as
-    ``json_dump`` writes it."""
-    if not header or len(set(header)) < len(header):
-        # a repeated name keeps its first place and its last value, as in a dict
-        return json_dumps([dict(zip(header, row)) for row in rows]) + "\n"
-    keys = [_json_string(str(name)) + ": " for name in header]
-    prefixes = ["\n    " + keys[0]] + [",\n    " + key for key in keys[1:]]
-    out: list[str] = []
-    sep = "[\n  {"
-    for row in rows:
-        out.append(sep)
-        sep = ",\n  {"
-        start = len(out)
-        for prefix, value in zip(prefixes, row):
-            if type(value) is float and value - value == 0.0:
-                out.append(f"{prefix}{value:.17g}")
-            else:
-                out.append(prefix)
-                _encode(value, out, 2, 2)
-        out.append("}" if len(out) == start else "\n  }")  # an empty record is {}
-    if not out:
-        return "[]\n"
-    out.append("\n]\n")
-    return "".join(out)
-
-
 def write_table(path, header: list[str], rows: list[list], fmt: str = "csv") -> None:
     """Write tabular output as CSV or as a JSON array of records."""
-    text = _json_table(header, rows) if fmt == "json" else _csv_table(header, rows)
+    if fmt == "json":
+        text = json_dumps([dict(zip(header, row)) for row in rows]) + "\n"
+    else:
+        lines = [",".join(map(_csv_field, header))]
+        lines.extend(",".join(map(csv_cell, row)) for row in rows)
+        text = "\n".join(lines) + "\n"
     with open(path, "w") as fh:
         fh.write(text)

@@ -15,7 +15,7 @@ from graphfix.problems import (
     random_ladder_problem,
     ternary_orbit_problem,
 )
-from graphfix.serialize import format_float, json_dumps
+from graphfix.serialize import csv_cell, json_dumps
 from graphfix.verifier import enumerate_coincidence_points
 
 
@@ -317,8 +317,8 @@ def test_json_format_for_tables(runner, tmp_path):
 
 
 def test_full_precision_serialization(runner, tmp_path):
-    assert format_float(1.0 / 3.0) == "0.33333333333333331"
-    assert float(format_float(0.1)) == 0.1
+    assert csv_cell(1.0 / 3.0) == "0.33333333333333331"
+    assert float(csv_cell(0.1)) == 0.1
     text = json_dumps({"x": 2.0 / 27.0, "flag": True, "none": float("nan")})
     assert "0.07407407407407407" in text
     assert float("0.07407407407407407") == 2.0 / 27.0
