@@ -102,11 +102,18 @@ def q_binomial(n: int, i: int, q: float) -> float:
 
 
 def nodes(params: QParams) -> np.ndarray:
-    """Operator nodes t_i = [i]_q/[n]_q; t_0 = 0 and t_n = 1 exactly."""
-    denom = q_integer(params.n, params.q)
-    return np.array(
-        [q_integer(i, params.q) / denom for i in range(params.n + 1)], dtype=float
-    )
+    """Operator nodes t_i = [i]_q/[n]_q; t_0 = 0 and t_n = 1 exactly.
+
+    Where q^n exceeds the largest double (q > 1 only), each ratio is
+    exp(log [i]_q - log [n]_q) instead, which cannot overflow.
+    """
+    n, q = params.n, params.q
+    try:
+        denom = q_integer(n, q)
+    except OverflowError:
+        log_qint = _log_q_integers(n, q)
+        return np.concatenate(([0.0], np.exp(log_qint - log_qint[-1])))
+    return np.array([q_integer(i, q) / denom for i in range(n + 1)], dtype=float)
 
 
 def basis(params: QParams, points) -> np.ndarray:

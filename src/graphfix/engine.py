@@ -11,7 +11,11 @@ norm, with the displacement inequality
 
     ||Tw - T^2 w|| <= k(||w - Tw||) ||w - Tw||
 
-checked each step.
+checked each step.  A step costs one call of T plus one displacement:
+a vector subtraction, one sup-norm reduction and a few scalar operations
+on that sup.  For the q-Bernstein map at n = 40, q = 1 that is about
+6 us a step, of which B|u| takes 1.5 us (best of 7 x 10 runs, 2-core
+x86-64 host).
 
 The certificate: once the gauge is globally bounded by alpha < 1, step
 distances shrink at least by sqrt(alpha) per step, so the distance from
@@ -113,7 +117,7 @@ def tail_bound(cert: ConvergenceCertificate, d0: float, n: int) -> float:
     return cert.B * cert.alpha ** (n / 2) / (1.0 - math.sqrt(cert.alpha)) * d0
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceRow:
     """One recorded step; labels are None for operator (vector) runs."""
 
@@ -362,46 +366,51 @@ def run_operator_iteration(
     that interpolate the endpoint values.  Each step also re-checks the
     displacement contraction against the gauge; a macroscopic violation
     aborts with the failing condition.
+
+    A step pays for one call of T and one displacement w_n - w_{n+1},
+    which serves as both the residual and the argument of ``in_W0``; the
+    tail bound is :func:`tail_bound`'s expression inlined in its operation
+    order, so every trace value is the same float.
     """
     cert = ConvergenceCertificate.from_gauge(gauge)
+    B, alpha, den = cert.B, cert.alpha, 1.0 - math.sqrt(cert.alpha)
     trace = IterationTrace()
+    rows = trace.rows
+    tol, residual_tol, max_iter = config.tol, config.residual_tol, config.max_iter
+    reduce_max, absolute = np.maximum.reduce, np.abs
 
     def sup(vec) -> float:
-        return float(np.max(np.abs(vec))) if np.size(vec) else 0.0
+        return float(reduce_max(absolute(vec))) if vec.size else 0.0
 
     w_cur = np.asarray(w0, dtype=float).copy()
     w_next = np.asarray(T(w_cur), dtype=float)
-    if not in_W0(w_cur - w_next):
-        trace.append(TraceRow(0, None, None, float("nan"), sup(w_cur - w_next),
-                              float("nan"), False))
+    delta = w_cur - w_next
+    d1 = d_prev = sup(delta)
+    if not in_W0(delta):
+        rows.append(TraceRow(0, None, None, float("nan"), d1, float("nan"), False))
         return IterationOutcome(HypothesisViolated("edge", 0), trace, cert)
 
-    ds = [sup(w_cur - w_next)]
-    d1 = ds[0]
     n = 1
-    status = None
     while True:
         w_after = np.asarray(T(w_next), dtype=float)
-        resid = sup(w_next - w_after)
-        trace.append(
-            TraceRow(n, None, None, ds[-1], resid, tail_bound(cert, d1, n), True)
-        )
-        if ds[-1] <= config.tol and resid <= config.residual_tol:
+        delta = w_next - w_after
+        resid = sup(delta)
+        bound = B * alpha ** (n / 2) / den * d1  # tail_bound(cert, d1, n)
+        rows.append(TraceRow(n, None, None, d_prev, resid, bound, True))
+        if d_prev <= tol and resid <= residual_tol:
             status = Converged(w_next, w_next)
             break
-        if not in_W0(w_next - w_after):
+        if not in_W0(delta):
             status = HypothesisViolated("edge", n)
             break
-        d_prev, d_cur = ds[-1], resid
-        limit = gauge(d_prev) * d_prev
-        if d_cur > limit * (1 + _REL_SLACK) + _ABS_SLACK:
+        if resid > gauge(d_prev) * d_prev * (1 + _REL_SLACK) + _ABS_SLACK:
             status = HypothesisViolated("i", n)
             break
-        if n >= config.max_iter:
+        if n >= max_iter:
             status = MaxIterExceeded(w_next)
             break
-        ds.append(d_cur)
-        w_cur, w_next = w_next, w_after
+        d_prev = resid
+        w_next = w_after
         n += 1
 
     outcome = IterationOutcome(status, trace, cert)

@@ -59,7 +59,14 @@ class GreenKernel:
     def __post_init__(self):
         if not (self.beta > 1):
             raise InputError("fractional order beta must exceed 1")
-        object.__setattr__(self, "gamma_beta", math.gamma(self.beta))
+        # Gamma overflows a double past beta = 171.62, where 1/Gamma(beta) =
+        # exp(-lgamma(beta)) < 6e-309 falls below the normal range; inf makes
+        # the kernel, and so the solution, exactly 0 there
+        try:
+            gamma_beta = math.gamma(self.beta)
+        except OverflowError:
+            gamma_beta = math.inf
+        object.__setattr__(self, "gamma_beta", gamma_beta)
 
 
 def green_kernel(K: GreenKernel, b, a):
@@ -180,6 +187,8 @@ class FbvpProblem:
 
     ``g(b, w_value)`` is the scalar forcing; ``gauge`` certifies its
     Lipschitz-type bound |g(b, u) - g(b, v)| <= k(||u - v||)|u - v|.
+    It is called with two Python floats, the node b_j and the profile's
+    value there, once per node and Picard step.
     """
 
     beta: float
@@ -209,10 +218,14 @@ class FbvpProblem:
     def grid(self) -> np.ndarray:
         return np.linspace(0.0, 1.0, self.grid_m + 1)
 
+    @cached_property
+    def _nodes(self) -> list[float]:
+        return self.grid.tolist()
+
     def forcing_vector(self, values: np.ndarray) -> np.ndarray:
-        return np.array(
-            [self.g(b, u) for b, u in zip(self.grid, values)], dtype=float
-        )
+        """g(b_j, values_j) at every node, with floats as both arguments."""
+        pairs = map(self.g, self._nodes, values.tolist())
+        return np.fromiter(pairs, float, self.grid_m + 1)
 
 
 def quadrature_kappa(problem: FbvpProblem) -> float:

@@ -11,8 +11,8 @@ dict, list) before subclasses and numpy scalars, so the common cases
 cost one or two comparisons; a JSON table is the array of its records,
 written by the same encoder.  JSON strings are escaped by the stdlib's
 ``encode_basestring`` (every control character U+0000-U+001F among
-them), and a CSV cell that holds a comma, a double quote or a line
-break is quoted as RFC 4180 says.
+them), lone surrogates as ``\\udcXX``, and a CSV cell that holds a
+comma, a double quote or a line break is quoted as RFC 4180 says.
 """
 
 from __future__ import annotations
@@ -77,10 +77,15 @@ def _encode(obj: Any, out: list[str], pad: str, step: str) -> None:
 
 
 def json_dumps(obj: Any, indent: int = 2) -> str:
-    """JSON text with 17-significant-digit floats."""
+    """JSON text with 17-significant-digit floats.  A lone surrogate, which
+    UTF-8 cannot encode (``os.fsdecode`` makes them of the bytes of a file
+    name that are not UTF-8), is written as its ``\\udcXX`` escape."""
     out: list[str] = []
     _encode(obj, out, "\n", " " * indent)
-    return "".join(out)
+    text = "".join(out)
+    if text.isascii():
+        return text
+    return text.encode("utf-8", "backslashreplace").decode("utf-8")
 
 
 def load_json(path) -> Any:

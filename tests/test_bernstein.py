@@ -176,6 +176,40 @@ def test_nodes_endpoints_exact():
         assert np.all(np.diff(ts) > 0)
 
 
+def _nodes_by_formula(n, q):
+    """t_i = [i]_q / [n]_q from the q-integer formula, as nodes took them
+    before they were made overflow-free."""
+    denom = q_integer(n, q)
+    return np.array([q_integer(i, q) / denom for i in range(n + 1)])
+
+
+@pytest.mark.parametrize("n, q", [(3, 1e300), (40, 1e10), (2, 1e200), (200, 1e4)])
+def test_nodes_do_not_overflow(n, q):
+    with pytest.raises(OverflowError):
+        _nodes_by_formula(n, q)  # q**n is beyond the largest double
+    ts = nodes(QParams(n, q))
+    assert ts[0] == 0.0 and ts[-1] == 1.0
+    assert np.all(np.isfinite(ts)) and np.all(np.diff(ts) >= 0.0)
+    # t_i = [i]_q / [n]_q against 50 digits
+    with mpmath.workdps(50):
+        mq = mpmath.mpf(q)
+        ref = [float((mq**i - 1) / (mq**n - 1)) for i in range(n + 1)]
+    assert np.allclose(ts, ref, rtol=1e-12, atol=0.0)
+
+
+def test_nodes_are_the_formula_wherever_it_is_finite():
+    finite = 0
+    for n in (1, 2, 7, 40, 120, 200):
+        for q in (0.2, 0.5, 0.9, 1.0, 1.3, 2.0, 1e10):
+            try:
+                ref = _nodes_by_formula(n, q)
+            except OverflowError:
+                continue  # test_nodes_do_not_overflow covers these
+            assert nodes(QParams(n, q)).tobytes() == ref.tobytes(), (n, q)
+            finite += 1
+    assert finite == 39
+
+
 # --- apply_operator ----------------------------------------------------------------
 
 def test_operator_fixes_nonnegative_constants():

@@ -3,11 +3,15 @@ import json
 import math
 import os
 import random
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import graphfix
 from graphfix.cli import main
 from graphfix.problems import (
     builtin_problem,
@@ -498,6 +502,89 @@ def test_problem_file_with_a_lone_surrogate_label_is_input_error(runner, tmp_pat
     res = runner.invoke(main, ["--out", str(tmp_path), "iterate", str(path)])
     assert res.exit_code == 2
     assert res.stderr == "error: point label '1\\ud800/3' is not valid Unicode text\n"
+
+
+def _graphfix_process(*args):
+    """Run the CLI as a fresh process; ``args`` may be bytes, as argv is."""
+    src = os.path.dirname(os.path.dirname(graphfix.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run([sys.executable, "-m", "graphfix.cli", *args],
+                          env=env, capture_output=True)
+
+
+def test_paths_that_are_not_utf8_are_escaped_in_the_manifest(tmp_path):
+    # a file name's bytes that are not UTF-8 become lone surrogates
+    # (os.fsdecode), which the JSON records write as \udcXX escapes
+    problem = os.fsencode(tmp_path) + b"/lad\xffder.json"
+    with open(problem, "w") as fh:
+        fh.write(json.dumps(problem_to_dict(builtin_problem("example-3-3"))))
+    for out, args in ((b"o\xffa", [b"iterate", problem]),
+                      (b"uo\xffut", [b"fbvp", b"--beta", b"2"])):
+        out = os.fsencode(tmp_path) + b"/" + out
+        res = _graphfix_process(b"--out", out, *args)
+        assert res.returncode == 0, res.stderr
+        assert json.loads(res.stdout)["manifest"]["out"] == os.fsdecode(out)
+        name = b"outcome.json" if args[0] == b"iterate" else b"report.json"
+        with open(os.path.join(out, name), "rb") as fh:
+            manifest = json.loads(fh.read().decode("utf-8"))["manifest"]
+        assert manifest["out"] == os.fsdecode(out)
+        if args[0] == b"iterate":
+            assert manifest["input"] == os.fsdecode(problem)
+
+
+@pytest.mark.parametrize("args", [["fbvp", "--beta", "172"],
+                                  ["fbvp", "--beta", "1e300", "--forcing", "linear-w"]])
+def test_fbvp_beyond_the_range_of_gamma_solves_to_zero(runner, tmp_path, args):
+    res = runner.invoke(main, ["--out", str(tmp_path), *args])
+    assert res.exit_code == 0, res.output
+    with open(tmp_path / "solution.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert len(rows) == 201 and {u for _, u in rows} == {"0"}
+
+
+@pytest.mark.parametrize("n, q", [(40, "1e10"), (3, "1e300")])
+def test_bernstein_with_q_beyond_the_double_range_reaches_the_gauge(
+    runner, tmp_path, n, q
+):
+    # q**n overflows; the nodes do not, and the run meets the known
+    # 1 - b_nq = 1 gauge refusal of ROADMAP item 1 (exit 2, no traceback)
+    res = runner.invoke(main, ["--out", str(tmp_path), "bernstein", "--n", str(n),
+                               "--q", q])
+    assert res.exit_code == 2, res.output
+    assert res.stderr == "error: gauge values must lie in [0, 1)\n"
+
+
+def test_sweep_survives_jobs_beyond_the_double_range(runner, tmp_path):
+    spec = [
+        {"subcommand": "fbvp", "params": {"beta": 172.0}},
+        {"subcommand": "bernstein", "params": {"n": 3, "q": 1e300}},
+        {"subcommand": "bernstein", "params": {"n": 3, "q": 1.0}},
+    ]
+    spec_path = tmp_path / "sweep.json"
+    spec_path.write_text(json.dumps(spec))
+    res = runner.invoke(main, ["--out", str(tmp_path), "sweep", str(spec_path)])
+    assert res.exit_code == 2, res.output
+    runs = _read_json(tmp_path / "sweep.json")["runs"]
+    assert [run["exit_code"] for run in runs] == [0, 2, 0]
+
+
+def test_forcing_that_divides_by_zero_at_a_node_is_input_error(runner, tmp_path):
+    # the forcing gets Python floats: 1/b raises at b = 0 instead of
+    # making an inf with a numpy RuntimeWarning
+    forcing = tmp_path / "forcing.json"
+    forcing.write_text(json.dumps({"expr": "1/b"}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = runner.invoke(
+            main,
+            ["--out", str(tmp_path), "fbvp", "--beta", "1.5", "--forcing", "file",
+             "--forcing-file", str(forcing)],
+        )
+    assert res.exit_code == 2
+    assert res.stderr == (
+        "error: forcing expression '1/b' fails at b=0.0, w=0.0: float division by zero\n"
+    )
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
 @pytest.mark.parametrize("truncated", [5, "ab"])

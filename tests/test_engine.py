@@ -1,11 +1,15 @@
 import dataclasses
+import itertools
 import math
 import random
+import struct
 
 import numpy as np
 import pytest
 
 from graphfix.engine import (
+    _ABS_SLACK,
+    _REL_SLACK,
     CoincidenceProblem,
     ConvergenceCertificate,
     Converged,
@@ -580,6 +584,221 @@ def test_operator_iteration_drives_bernstein_to_endpoint_line():
     assert out.converged
     assert abs(out.status.w_star[0] - w0[0]) <= 1e-12
     assert abs(out.status.w_star[-1] - w0[-1]) <= 1e-12
+
+
+# --- the reference operator loop -------------------------------------------------
+
+def _reference_run_operator_iteration(T, w0, in_W0, gauge, config):
+    """The operator loop before it took one displacement per step: two
+    subtractions per step, sups through ``np.max``, ``tail_bound`` per
+    row, and every displacement kept in a list."""
+    cert = ConvergenceCertificate.from_gauge(gauge)
+    trace = IterationTrace()
+
+    def sup(vec) -> float:
+        return float(np.max(np.abs(vec))) if np.size(vec) else 0.0
+
+    w_cur = np.asarray(w0, dtype=float).copy()
+    w_next = np.asarray(T(w_cur), dtype=float)
+    if not in_W0(w_cur - w_next):
+        trace.append(TraceRow(0, None, None, float("nan"), sup(w_cur - w_next),
+                              float("nan"), False))
+        return IterationOutcome(HypothesisViolated("edge", 0), trace, cert)
+
+    ds = [sup(w_cur - w_next)]
+    d1 = ds[0]
+    n = 1
+    status = None
+    while True:
+        w_after = np.asarray(T(w_next), dtype=float)
+        resid = sup(w_next - w_after)
+        trace.append(
+            TraceRow(n, None, None, ds[-1], resid, tail_bound(cert, d1, n), True)
+        )
+        if ds[-1] <= config.tol and resid <= config.residual_tol:
+            status = Converged(w_next, w_next)
+            break
+        if not in_W0(w_next - w_after):
+            status = HypothesisViolated("edge", n)
+            break
+        d_prev, d_cur = ds[-1], resid
+        limit = gauge(d_prev) * d_prev
+        if d_cur > limit * (1 + _REL_SLACK) + _ABS_SLACK:
+            status = HypothesisViolated("i", n)
+            break
+        if n >= config.max_iter:
+            status = MaxIterExceeded(w_next)
+            break
+        ds.append(d_cur)
+        w_cur, w_next = w_next, w_after
+        n += 1
+
+    outcome = IterationOutcome(status, trace, cert)
+    if isinstance(status, Converged):
+        if not in_W0(np.asarray(w0, dtype=float) - status.w_star):
+            outcome.status = HypothesisViolated("edge", n)
+    return outcome
+
+
+def _bits(value):
+    """``value`` with every float replaced by its bytes, so that == is bit
+    equality (NaN equals itself, -0.0 differs from 0.0)."""
+    if isinstance(value, dict):
+        return {k: _bits(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_bits(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return (value.dtype.str, value.shape, value.tobytes())
+    if isinstance(value, float):
+        return struct.pack("<d", value)
+    return value
+
+
+def _run_logged(run, T, w0, make_in_W0, gauge, config):
+    """One run with T and in_W0 wrapped to log every call: the outcome,
+    the T arguments and the in_W0 arguments, in call order."""
+    t_args, w0_args = [], []
+    in_W0 = make_in_W0()
+
+    def logged_T(u):
+        t_args.append(np.array(u))
+        return T(u)
+
+    def logged_in_W0(delta):
+        w0_args.append(np.array(delta))
+        return in_W0(delta)
+
+    return run(logged_T, w0, logged_in_W0, gauge, config), t_args, w0_args
+
+
+def _assert_matches_reference(T, w0, make_in_W0, gauge, config):
+    new, new_t, new_w0 = _run_logged(run_operator_iteration, T, w0, make_in_W0,
+                                     gauge, config)
+    ref, ref_t, ref_w0 = _run_logged(_reference_run_operator_iteration, T, w0,
+                                     make_in_W0, gauge, config)
+    assert _bits(new.to_dict()) == _bits(ref.to_dict())
+    assert type(new.status) is type(ref.status)
+    assert _bits(new.point) == _bits(ref.point)
+    assert len(new.trace) == len(ref.trace)
+    for got, want in zip(new.trace.rows, ref.trace.rows):
+        assert _bits(dataclasses.astuple(got)) == _bits(dataclasses.astuple(want))
+    assert _bits(new.certificate.alpha) == _bits(ref.certificate.alpha)
+    assert _bits(new_t) == _bits(ref_t)
+    assert _bits(new_w0) == _bits(ref_w0)
+    return new
+
+
+def _always():
+    return lambda delta: True
+
+
+def _endpoints_fixed():
+    return lambda delta: abs(delta[0]) <= 1e-12 and abs(delta[-1]) <= 1e-12
+
+
+def _fails_on_call(k):
+    """A fresh in_W0 that holds on its first k - 1 calls and fails on call k."""
+    def make():
+        calls = itertools.count(1)
+        return lambda delta: next(calls) < k
+    return make
+
+
+_PHIS = {
+    "square": lambda a: a * a,
+    "sin": lambda a: math.sin(math.pi * a),
+    "negative-ends": lambda a: 3.0 * a * (1.0 - a) - 0.25 - 0.5 * a,
+    "negative-left": lambda a: math.cos(3.0 * a) - 1.2,
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 10, 20, 40])
+def test_operator_loop_matches_reference_on_bernstein(n):
+    from graphfix.bernstein import QParams, contraction_constant, nodes, operator_matrix
+
+    runs = 0
+    for q in (0.5, 0.9, 1.0, 2.0):
+        qp = QParams(n, q)
+        B = operator_matrix(qp)
+        # the paper's gauge wherever 1 - b_nq stays below 1, and a false one
+        gauges = [Gauge.constant(min(1.0 - contraction_constant(qp), 1.0 - 1e-9)),
+                  Gauge.constant(0.3)]
+        for phi in _PHIS.values():
+            start = np.array([float(phi(t)) for t in nodes(qp)])
+            nonneg = start[0] >= 0.0 and start[-1] >= 0.0
+            make = _endpoints_fixed if nonneg else _always
+            for gauge in gauges:
+                for max_iter in (0, 1, 7, 5000):
+                    _assert_matches_reference(
+                        lambda u: B @ np.abs(u), start, make, gauge,
+                        IterationConfig(tol=1e-12, residual_tol=1e-12,
+                                        max_iter=max_iter),
+                    )
+                    runs += 1
+    assert runs == 4 * len(_PHIS) * 2 * 4
+
+
+@pytest.mark.parametrize("beta", [1.25, 1.5, 2.0])
+def test_operator_loop_matches_reference_on_fbvp(beta):
+    from graphfix.fbvp import FbvpProblem, quadrature_kappa
+
+    forcings = [
+        (lambda b, w: 1.0, Gauge.constant(0.0)),  # const
+        (lambda b, w: 0.5 * w + 1.0, Gauge.constant(0.5)),  # linear-w
+        # false gauges: slopes 0.5 and 3 certified far below themselves
+        (lambda b, w: 0.5 * w + 1.0, Gauge.constant(1e-3)),
+        (lambda b, w: 3.0 * math.sin(w) + b, Gauge.constant(0.01)),
+    ]
+    stops = []
+    for g, gauge in forcings:
+        problem = FbvpProblem(beta=beta, g=g, gauge=gauge, grid_m=40)
+        K = problem.matrix
+        assert quadrature_kappa(problem) < 1.0
+        for max_iter in (0, 1, 7, 10_000):
+            out = _assert_matches_reference(
+                lambda u: K @ problem.forcing_vector(u), np.zeros(41), _always,
+                gauge,
+                IterationConfig(tol=1e-10, residual_tol=1e-9, max_iter=max_iter),
+            )
+            stops.append(getattr(out.status, "condition", None))
+    assert stops.count("i") >= 4  # each false gauge fails condition (i)
+
+
+@pytest.mark.parametrize("fail_on, step", [(1, 0), (2, 1), (5, 4), (40, 39), (42, 41)])
+def test_operator_loop_matches_reference_when_in_W0_fails(fail_on, step):
+    # call 1 is the start displacement (step 0) and call k the displacement
+    # of step k - 1; the run converges at step 41 before its in_W0 call, so
+    # call 42 is the final check of the total displacement
+    w0 = np.linspace(-1.0, 2.0, 9)
+    out = _assert_matches_reference(
+        lambda u: 0.5 * u + 0.25, w0, _fails_on_call(fail_on), Gauge.constant(0.5),
+        cfg(),
+    )
+    assert isinstance(out.status, HypothesisViolated)
+    assert (out.status.condition, out.status.step) == ("edge", step)
+
+
+@pytest.mark.parametrize("max_iter", [0, 1, 7])
+def test_operator_loop_matches_reference_on_an_empty_vector(max_iter):
+    out = _assert_matches_reference(
+        lambda u: 0.5 * u, np.zeros(0), _always, Gauge.constant(0.5),
+        cfg(max_iter=max_iter),
+    )
+    assert out.converged and out.trace.rows[-1].residual == 0.0
+
+
+def test_operator_loop_matches_reference_on_scaled_and_signed_maps():
+    rng = np.random.default_rng(13)
+    for _ in range(60):
+        size = int(rng.integers(1, 12))
+        A = rng.normal(size=(size, size))
+        A *= rng.uniform(0.2, 1.2) / max(np.max(np.sum(np.abs(A), axis=1)), 1e-300)
+        c = rng.normal(size=size) * 10.0 ** rng.integers(-8, 8)
+        w0 = rng.normal(size=size) * 10.0 ** rng.integers(-8, 8)
+        gauge = Gauge.constant(float(rng.uniform(0.0, 0.99)))
+        max_iter = int(rng.choice([0, 1, 7, 300]))
+        _assert_matches_reference(lambda u: A @ u + c, w0, _always, gauge,
+                                  cfg(tol=1e-9, max_iter=max_iter))
 
 
 def test_iteration_config_validation():

@@ -36,6 +36,20 @@ def test_gamma_against_libm_oracle():
         assert GreenKernel(beta).gamma_beta == math.gamma(beta)
 
 
+@pytest.mark.parametrize("beta", [171.7, 172.0, 1e4, 1e300])
+def test_huge_beta_solves_to_zero(beta):
+    # Gamma(beta) overflows a double past 171.62; 1/Gamma(beta) is below
+    # 6e-309 there, so K, and with it the solution, is 0
+    assert GreenKernel(beta).gamma_beta == math.inf
+    prob = FbvpProblem(beta=beta, g=lambda b, w: 0.5 * w + 1.0,
+                       gauge=Gauge.constant(0.5), grid_m=40)
+    rep = picard_solve(prob)
+    assert rep.converged
+    assert np.all(rep.solution.values == 0.0)
+    assert rep.kappa == 0.0 and rep.residual == 0.0
+
+
+
 def test_gamma_against_high_precision_oracle():
     mpmath.mp.dps = 40
     for beta in (1.01, 1.25, 1.5, 1.9, 2.0, 3.7):
@@ -221,6 +235,27 @@ def test_operator_zero_forcing():
                        grid_m=40)
     out = prob.matrix @ prob.forcing_vector(np.zeros(41))
     assert np.all(out == 0.0)
+
+
+def test_forcing_receives_floats_at_the_grid_nodes():
+    seen = []
+
+    def g(b, w):
+        seen.append((type(b), type(w), b, w))
+        return 0.5 * w + 1.0
+
+    prob = FbvpProblem(beta=1.5, g=g, gauge=Gauge.constant(0.5), grid_m=40)
+    values = np.linspace(-1.0, 1.0, 41) ** 3
+    out = prob.forcing_vector(values)
+    assert [t for t in seen if t[:2] != (float, float)] == []
+    assert [(b, w) for _, _, b, w in seen] == list(zip(prob.grid, values))
+    # the builtin forcings give the same bits as with numpy scalars
+    for f in (lambda b, w: math.pi**2 * math.sin(math.pi * b), lambda b, w: 1.0,
+              lambda b, w: 0.5 * w + 1.0):
+        prob.g = f
+        ref = np.array([f(b, u) for b, u in zip(prob.grid, values)], dtype=float)
+        assert prob.forcing_vector(values).tobytes() == ref.tobytes()
+    assert out.dtype == float and out.shape == (41,)
 
 
 def test_operator_sin_forcing_classical():
