@@ -58,11 +58,27 @@ class QParams:
 
 
 def q_integer(i: int, q: float) -> float:
-    """[i]_q = 1 + q + ... + q^(i-1), with [0]_q = 0."""
+    """[i]_q = 1 + q + ... + q^(i-1), with [0]_q = 0.
+
+    Where q^i exceeds the largest double (q > 1 only), q^i - 1 rounds to
+    q^i, and [i]_q is q^(i-1) * (q / (q - 1)) instead.  OverflowError is
+    raised only where [i]_q itself exceeds the double range.
+    """
     if i < 0:
         raise InputError("q-integer index must be nonnegative")
     if q <= 0:
         raise InputError("q must be positive")
+    try:
+        value = _q_integer_formula(i, q)
+    except OverflowError:
+        value = q ** (i - 1) * (q / (q - 1.0))
+    if value == math.inf:
+        raise OverflowError(f"[{i}]_q exceeds the double range at q = {q}")
+    return value
+
+
+def _q_integer_formula(i: int, q: float) -> float:
+    """(q^i - 1) / (q - 1); raises OverflowError where q^i overflows."""
     if i == 0:
         return 0.0
     if q == 1.0:
@@ -109,11 +125,11 @@ def nodes(params: QParams) -> np.ndarray:
     """
     n, q = params.n, params.q
     try:
-        denom = q_integer(n, q)
+        denom = _q_integer_formula(n, q)
     except OverflowError:
         log_qint = _log_q_integers(n, q)
         return np.concatenate(([0.0], np.exp(log_qint - log_qint[-1])))
-    return np.array([q_integer(i, q) / denom for i in range(n + 1)], dtype=float)
+    return np.array([_q_integer_formula(i, q) / denom for i in range(n + 1)], dtype=float)
 
 
 def basis(params: QParams, points) -> np.ndarray:

@@ -10,7 +10,6 @@ can be re-executed exactly.
 
 from __future__ import annotations
 
-import concurrent.futures
 import dataclasses
 import math
 import os
@@ -339,6 +338,8 @@ def run_sweep(manifest: RunManifest) -> tuple[int, dict]:
         )
         code, _, error = _guarded(_RUNNERS[sub], sub_manifest)
         return {"index": idx, "exit_code": code, "error": error}
+
+    import concurrent.futures  # only sweeps use it; it imports logging
 
     workers = max(1, int(manifest.params.get("jobs", 1)))
     with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:

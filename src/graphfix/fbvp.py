@@ -27,7 +27,10 @@ composite Simpson on [0, 1]; an odd row's are a Toeplitz pattern in j - k
 (Simpson parity on each side of b_j) corrected in a few entries: the
 Simpson starts at 0 and b_j, the 3/8 closures ending at b_j and at 1, or
 the trapezoid rule for a single panel.  So K @ v is a dot product, three
-FFT convolutions and O(m) corrections, with no (m+1)^2 matrix.  Since f
+FFT convolutions and O(m) corrections, with no (m+1)^2 matrix.  The
+transforms are n points long, the smallest power of two >= 2m + 1: two of
+the convolutions are 2m + 1 long and do not wrap, and the third wraps only
+onto lags that K @ v does not read (see ``KernelOperator``).  Since f
 enters only through the profile u = f(w), the Picard update is
 u <- K g(., u), and the solver returns u* = f(w*) directly.
 """
@@ -129,7 +132,7 @@ def build_operator_matrix(beta: float, m: int) -> "KernelOperator":
     pattern[m] = 2.0 * scale
     rows, cols, weights = _odd_row_corrections(m)
     kernel = sp[rows] * sp[m - cols] - sp[np.maximum(rows - cols, 0)]  # sp[0] = 0
-    n = 1 << (3 * m).bit_length()  # a power of two >= 3m + 1: no wrap-around
+    n = 1 << (2 * m).bit_length()  # a power of two >= 2m + 1; see KernelOperator
     filters = np.stack([np.fft.rfft(f, n) for f in (sp, pattern, pattern[m:] * sp)])
     return KernelOperator(sp, simpson, filters, rows, cols, kernel * weights * scale)
 
@@ -139,7 +142,13 @@ class KernelOperator:
     """K as O(m) vectors; ``K @ v`` costs O(m log m).  Row j is sp_j (sp_rev . w)
     less sp convolved with w = simpson * v if j is even; if j is odd, sp_j times
     the pattern convolved with sp_rev * v at lag m + j, less pattern * sp
-    convolved with v, plus its corrections.  Rows 0 and m are exactly 0."""
+    convolved with v, plus its corrections.  Rows 0 and m are exactly 0.
+
+    The transforms are n >= 2m + 1 points long, so they are circular
+    convolutions.  Those with sp and with pattern[m:] * sp are 2m + 1 long
+    and do not wrap.  The pattern (2m + 1 long) convolved with sp_rev * v
+    (m + 1 long) is 3m + 1 long; its lags n..3m wrap onto lags 0..3m - n,
+    which lie below m, and only lags m + 1..2m - 1 are read."""
 
     sp: np.ndarray
     simpson: np.ndarray

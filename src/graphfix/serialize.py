@@ -13,12 +13,21 @@ written by the same encoder.  JSON strings are escaped by the stdlib's
 ``encode_basestring`` (every control character U+0000-U+001F among
 them), lone surrogates as ``\\udcXX``, and a CSV cell that holds a
 comma, a double quote or a line break is quoted as RFC 4180 says.
+
+``write_table`` has a second path for the common table of floats (the
+FBVP solution, the q-Bernstein limit).  When every row is a list as long
+as the header and every cell has type exactly ``float`` (and, for JSON,
+the header keys are distinct, so no record merges two of them, and every
+cell is finite, so none is written as null), the whole table is one
+``%`` format: a per-row template, repeated once per row, over all its
+cells.  It writes the bytes the per-cell path would.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from itertools import chain
 from json.encoder import encode_basestring as _json_string
 from typing import Any
 
@@ -82,7 +91,10 @@ def json_dumps(obj: Any, indent: int = 2) -> str:
     name that are not UTF-8), is written as its ``\\udcXX`` escape."""
     out: list[str] = []
     _encode(obj, out, "\n", " " * indent)
-    text = "".join(out)
+    return _escape_surrogates("".join(out))
+
+
+def _escape_surrogates(text: str) -> str:
     if text.isascii():
         return text
     return text.encode("utf-8", "backslashreplace").decode("utf-8")
@@ -122,13 +134,39 @@ def csv_cell(value: Any) -> str:
     return _csv_field(str(value))
 
 
+def _float_cells(header: list, rows: list) -> list[float] | None:
+    """The cells of a non-empty table of float cells in row order, or None.
+
+    Each row must be a list as long as the header, and each cell exactly a
+    float (a subclass, a numpy scalar or an int takes the per-cell path).
+    """
+    if type(rows) is not list or not rows or not header:
+        return None
+    if set(map(type, rows)) != {list} or set(map(len, rows)) != {len(header)}:
+        return None
+    cells = list(chain.from_iterable(rows))
+    return cells if set(map(type, cells)) == {float} else None
+
+
 def write_table(path, header: list[str], rows: list[list], fmt: str = "csv") -> None:
     """Write tabular output as CSV or as a JSON array of records."""
+    if fmt not in ("csv", "json"):
+        raise InputError(f"unknown table format {fmt!r}; use csv or json")
+    cells = _float_cells(header, rows)
     if fmt == "json":
-        text = json_dumps([dict(zip(header, row)) for row in rows]) + "\n"
+        # distinct keys, and all cells finite (a sum that overflows falls back)
+        if cells is not None and len(set(header)) == len(header) and (s := sum(cells)) - s == 0.0:
+            keys = [_escape_surrogates(_json_string(str(k))).replace("%", "%%") for k in header]
+            record = "{\n    " + ",\n    ".join(key + ": %.17g" for key in keys) + "\n  }"
+            text = "[\n  " + ",\n  ".join([record] * len(rows)) % tuple(cells) + "\n]\n"
+        else:
+            text = json_dumps([dict(zip(header, row)) for row in rows]) + "\n"
     else:
         lines = [",".join(map(_csv_field, header))]
-        lines.extend(",".join(map(csv_cell, row)) for row in rows)
+        if cells is None:
+            lines.extend(",".join(map(csv_cell, row)) for row in rows)
+        else:
+            lines.append("\n".join([",".join(["%.17g"] * len(header))] * len(rows)) % tuple(cells))
         text = "\n".join(lines) + "\n"
     with open(path, "w") as fh:
         fh.write(text)

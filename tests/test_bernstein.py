@@ -1,4 +1,5 @@
 import math
+import sys
 from math import comb
 
 import mpmath
@@ -43,6 +44,27 @@ def test_q_integer_matches_direct_sum():
         for i in range(12):
             direct = sum(q**k for k in range(i))
             assert abs(q_integer(i, q) - direct) <= 1e-12 * max(1.0, direct)
+
+
+@pytest.mark.parametrize("i, q", [(2, 1.5e154), (2, 1e200), (2, 1e300), (3, 1e150),
+                                  (4, 1e100), (11, 1e30), (31, 1e10), (365, 7.0)])
+def test_q_integer_where_q_to_the_i_overflows(i, q):
+    with pytest.raises(OverflowError):
+        q**i
+    with mpmath.workdps(50):
+        mq = mpmath.mpf(q)
+        ref = float((mq**i - 1) / (mq - 1))
+    assert abs(q_integer(i, q) - ref) <= 2 * math.ulp(ref)
+
+
+@pytest.mark.parametrize("i, q", [(3, 1e155), (32, 1e10), (366, 7.0), (1024, 2.0),
+                                  (1025, 2.0), (709_000, 1.001)])
+def test_q_integer_beyond_the_double_range_raises(i, q):
+    with mpmath.workdps(50):
+        mq = mpmath.mpf(q)
+        assert (mq**i - 1) / (mq - 1) > sys.float_info.max
+    with pytest.raises(OverflowError):
+        q_integer(i, q)
 
 
 def test_q_integer_errors():
@@ -176,11 +198,21 @@ def test_nodes_endpoints_exact():
         assert np.all(np.diff(ts) > 0)
 
 
+def _q_integer_by_formula(i, q):
+    """[i]_q = (q**i - 1) / (q - 1), as q_integer took it before it was made
+    overflow-free: it raises OverflowError wherever q**i does."""
+    if i == 0:
+        return 0.0
+    if q == 1.0:
+        return float(i)
+    return (q**i - 1.0) / (q - 1.0)
+
+
 def _nodes_by_formula(n, q):
     """t_i = [i]_q / [n]_q from the q-integer formula, as nodes took them
     before they were made overflow-free."""
-    denom = q_integer(n, q)
-    return np.array([q_integer(i, q) / denom for i in range(n + 1)])
+    denom = _q_integer_by_formula(n, q)
+    return np.array([_q_integer_by_formula(i, q) / denom for i in range(n + 1)])
 
 
 @pytest.mark.parametrize("n, q", [(3, 1e300), (40, 1e10), (2, 1e200), (200, 1e4)])

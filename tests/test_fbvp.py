@@ -214,6 +214,28 @@ def test_operator_matches_dense_reference(beta):
             assert out[0] == 0.0 and out[m] == 0.0, m
 
 
+@pytest.mark.parametrize("beta", [1.01, 1.5, 2.0, 3.7])
+@pytest.mark.parametrize("m", [1022, 1024])
+def test_operator_matches_dense_reference_at_the_tightest_pads(beta, m):
+    # at m = 1022 the 2048-point transforms hold 2m + 1 = 2045 points with
+    # three to spare, and the third convolution wraps onto lags up to m - 4;
+    # at m = 1024, 2m + 1 = 2049 is one past 2048, so n doubles to 4096
+    K = _dense_operator_matrix(beta, m)
+    op = build_operator_matrix(beta, m)
+    bound = 1e-13 * np.max(np.sum(np.abs(K), axis=1))
+    rng = np.random.default_rng(11)
+    for v in (np.ones(m + 1), rng.choice([-1.0, 1.0], m + 1), rng.random(m + 1)):
+        assert np.max(np.abs(op @ v - K @ v)) <= bound * np.max(np.abs(v))
+
+
+def test_transform_length_is_the_smallest_power_of_two_covering_2m_plus_1():
+    for m, n in ((2, 8), (4, 16), (6, 16), (200, 512), (600, 2048), (1022, 2048),
+                 (1024, 4096), (1200, 4096), (2000, 4096), (4000, 8192)):
+        filters = build_operator_matrix(1.5, m).filters
+        assert 2 * filters.shape[1] - 2 == n, m
+        assert n >= 2 * m + 1 > n // 2, m
+
+
 def test_operator_memory_is_linear_in_m():
     # the dense (m+1)^2 matrix alone would take 128 MB at m = 4000
     prob = FbvpProblem(beta=1.5, g=lambda b, w: 0.5 * w + 1.0,

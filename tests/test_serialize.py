@@ -5,7 +5,10 @@ Where no string holds a character the old writers mishandled (a control
 character U+0000-U+001F in JSON; a comma, a double quote or a line break
 in a CSV cell), the output bytes must be equal.  Where one does, the new
 output must read back, through ``json.loads`` and ``csv.reader``, to the
-values the old output meant.
+values the old output meant.  Tables whose cells are all floats take
+``write_table``'s whole-table path; they must also match the reference,
+and be byte for byte what the per-cell path (``json_dumps`` of the
+records, ``csv_cell`` of each cell) writes.
 """
 
 import csv
@@ -19,7 +22,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from graphfix.serialize import json_dumps, write_table
+from graphfix.errors import InputError
+from graphfix.serialize import csv_cell, json_dumps, write_table
 
 
 # --- the old writers ---------------------------------------------------------
@@ -197,3 +201,75 @@ def test_writers_refuse_what_the_old_ones_refused():
             _reference_json_dumps(bad)
         with pytest.raises(TypeError):
             json_dumps(bad)
+
+
+# --- tables of floats -----------------------------------------------------------
+
+_FLOAT_CELLS = [0.0, -0.0, 5e-324, -5e-324, 0.1, 1e308, -1e308, 1.7976931348623157e308]
+_NONFINITE = [math.nan, -math.nan, math.inf, -math.inf]
+_NOT_FLOATS = [[v] for v in (1, True, 2**64 + 1, None, "x", np.float64(0.1), np.float32(0.1))]
+# equal keys (1 == 1.0 == True), keys a CSV header must quote or JSON must
+# escape, "%" for the row template, and lone surrogates
+_KEYS = [1, 1.0, True, "1", "b", "u_star", "a,b", 'say "x"', "x\x0cy", "100%", "%s", "\udcff", "a\ud800b"]
+
+
+@st.composite
+def _float_tables(draw):
+    width = draw(st.integers(1, 5))
+    header = draw(st.lists(st.sampled_from(_KEYS) | _texts, min_size=width, max_size=width))
+    cells = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(_FLOAT_CELLS)
+    if draw(st.integers(0, 3)) == 0:
+        cells |= st.sampled_from(_NONFINITE)
+    rows = draw(st.lists(st.lists(cells, min_size=width, max_size=width), max_size=50))
+    if rows and draw(st.integers(0, 3)) == 0:
+        # one cell that is not exactly a float, or one row of another width
+        i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, width - 1))
+        rows[i][j:j + 1] = draw(st.sampled_from(_NOT_FLOATS + [[], [0.5, 0.5]]))
+    return header, rows
+
+
+def _reference_table_text(path, header, rows, fmt):
+    """What the reference writes, or, for a JSON key with a lone surrogate
+    (which it cannot encode), its text with the escape ``json_dumps`` writes."""
+    try:
+        _reference_write_table(path, header, rows, fmt)
+    except UnicodeEncodeError:
+        if fmt == "csv":
+            raise
+        text = _reference_json_dumps([dict(zip(header, row)) for row in rows]) + "\n"
+        return text.encode("utf-8", "backslashreplace").decode("utf-8")
+    return path.read_text()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_float_tables())
+def test_float_tables_match_reference(table_dir, table):
+    header, rows = table
+    new, old = table_dir / "new.json", table_dir / "old.json"
+    write_table(new, header, rows, "json")
+    _assert_same_json(new.read_text(), _reference_table_text(old, header, rows, "json"))
+    records = [dict(zip(header, row)) for row in rows]
+    assert new.read_bytes() == (json_dumps(records) + "\n").encode()
+
+    new, old = table_dir / "new.csv", table_dir / "old.csv"
+    try:
+        _reference_write_table(old, header, rows, "csv")
+    except (TypeError, UnicodeEncodeError) as exc:  # a key that is no str, a lone surrogate
+        with pytest.raises(type(exc)):
+            write_table(new, header, rows, "csv")
+        return
+    write_table(new, header, rows, "csv")
+    text = "".join(line + "\n" for line in [",".join(map(csv_cell, header))] +
+                   [",".join(map(csv_cell, row)) for row in rows])
+    assert new.read_bytes() == text.encode()
+    if not any(_CSV_SPECIAL.search(key) for key in header):
+        assert new.read_bytes() == old.read_bytes()
+    with open(new, newline="") as fh:
+        assert next(csv.reader(fh)) == (header if header != [""] else [])
+
+
+def test_write_table_refuses_an_unknown_format(tmp_path):
+    for fmt in ("JSON", "xml", ""):
+        with pytest.raises(InputError, match="csv or json"):
+            write_table(tmp_path / "t.json", ["a"], [[1.0]], fmt)
+    assert not (tmp_path / "t.json").exists()
