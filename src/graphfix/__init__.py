@@ -22,7 +22,7 @@ from .engine import (
     run_operator_iteration,
     tail_bound,
 )
-from .errors import DomainError, HypothesisViolation, InputError
+from .errors import DomainError, InputError
 from .metric import (
     ClosedSet,
     EdgeStructure,
@@ -54,7 +54,6 @@ __all__ = [
     "Gauge",
     "HypothesisReport",
     "HypothesisViolated",
-    "HypothesisViolation",
     "InputError",
     "IterationConfig",
     "IterationOutcome",

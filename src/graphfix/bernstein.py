@@ -108,28 +108,21 @@ def _log_q_binomials(n: int, q: float) -> np.ndarray:
     return row
 
 
-def q_binomial(n: int, i: int, q: float) -> float:
-    """Gaussian binomial [n choose i]_q = [n]_q! / ([n-i]_q! [i]_q!)."""
-    if not (0 <= i <= n):
-        raise InputError("q-binomial needs 0 <= i <= n")
-    if q <= 0:
-        raise InputError("q must be positive")
-    return math.exp(_log_q_binomials(n, q)[i])
-
-
 def nodes(params: QParams) -> np.ndarray:
     """Operator nodes t_i = [i]_q/[n]_q; t_0 = 0 and t_n = 1 exactly.
 
-    Where q^n exceeds the largest double (q > 1 only), each ratio is
-    exp(log [i]_q - log [n]_q) instead, which cannot overflow.
+    Where q^n or [n]_q exceeds the largest double (q > 1 only), each ratio
+    is exp(log [i]_q - log [n]_q) instead, which cannot overflow.
     """
     n, q = params.n, params.q
     try:
-        denom = _q_integer_formula(n, q)
+        # q_integer raises where [n]_q is inf, which q^n - 1 can reach with q^n
+        # finite; where it is finite but q^n is not, the numerator i = n raises
+        denom = q_integer(n, q)
+        return np.array([_q_integer_formula(i, q) / denom for i in range(n + 1)], dtype=float)
     except OverflowError:
         log_qint = _log_q_integers(n, q)
         return np.concatenate(([0.0], np.exp(log_qint - log_qint[-1])))
-    return np.array([_q_integer_formula(i, q) / denom for i in range(n + 1)], dtype=float)
 
 
 def basis(params: QParams, points) -> np.ndarray:
@@ -161,15 +154,6 @@ def basis(params: QParams, points) -> np.ndarray:
 def basis_vector(params: QParams, a: float) -> np.ndarray:
     """All n+1 basis values at the single point a."""
     return basis(params, [a])[0]
-
-
-def apply_operator(params: QParams, node_values, a: float) -> float:
-    """(L phi)(a) = sum_i |values_i| b_{n,i}(q, a); the modulus is what
-    makes the operator nonlinear."""
-    vals = np.asarray(node_values, dtype=float)
-    if vals.shape != (params.n + 1,):
-        raise InputError(f"expected {params.n + 1} node values")
-    return float(basis_vector(params, a) @ np.abs(vals))
 
 
 def operator_matrix(params: QParams) -> np.ndarray:

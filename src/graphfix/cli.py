@@ -28,7 +28,6 @@ from .engine import (
 )
 from .errors import (
     DomainError,
-    HypothesisViolation,
     InputError,
     check_integer,
     check_real,
@@ -307,8 +306,6 @@ def _guarded(runner, manifest: RunManifest) -> tuple[int, dict | None, str | Non
         code, payload = runner(manifest)
     except (InputError, DomainError) as exc:
         return EXIT_INPUT, None, f"error: {exc}"
-    except HypothesisViolation as exc:
-        return EXIT_HYPOTHESIS, None, f"hypothesis violated: {exc}"
     return code, payload, None
 
 

@@ -13,24 +13,6 @@ class DomainError(ValueError):
     """Operation applied outside its mathematical domain (empty sets, alpha >= 1, ...)."""
 
 
-class HypothesisViolation(RuntimeError):
-    """A contraction/graph hypothesis failed at runtime.
-
-    ``condition`` names the failed hypothesis: ``"i"`` (contraction
-    inequality), ``"ii"`` (edge propagation), or ``"edge"`` (graph
-    membership along the orbit).
-    """
-
-    def __init__(self, condition: str, step: int = -1, detail: str = ""):
-        self.condition = condition
-        self.step = step
-        self.detail = detail
-        msg = f"hypothesis ({condition}) violated at step {step}"
-        if detail:
-            msg += f": {detail}"
-        super().__init__(msg)
-
-
 def check_real(value, name: str) -> float:
     """``value`` as a float; InputError unless it is a finite real number
     (not a bool, NaN or an infinity)."""

@@ -184,11 +184,6 @@ class GridFunction:
             raise InputError("grid-function values must be finite")
         self.values = vals
 
-    @classmethod
-    def from_callable(cls, fn: Callable[[float], float], m: int) -> "GridFunction":
-        grid = np.linspace(0.0, 1.0, m + 1)
-        return cls(np.array([float(fn(b)) for b in grid]))
-
 
 @dataclass
 class FbvpProblem:
@@ -277,8 +272,8 @@ def picard_solve(problem: FbvpProblem) -> PicardReport:
     constant kappa = max_b int |G(b, a)| da, and the effective contraction
     factor kappa * sup k (with a warning when it reaches 1, in which case
     the contraction argument gives no guarantee).  A macroscopic
-    violation of the certified gauge raises through the engine as a
-    hypothesis-violated outcome.
+    violation of the certified gauge is not raised: the report comes back
+    with a ``HypothesisViolated`` status naming the step.
     """
     K = problem.matrix
     kappa = quadrature_kappa(problem)
@@ -318,54 +313,4 @@ def picard_solve(problem: FbvpProblem) -> PicardReport:
         kappa=kappa,
         effective_factor=effective,
         warning=warning,
-    )
-
-
-@dataclass
-class ConditionReport:
-    """Sampled check of the forcing's Lipschitz-type gauge bound."""
-
-    holds: bool
-    max_ratio: float
-    pairs_checked: int
-    violations: list
-
-    def to_dict(self) -> dict:
-        return {
-            "holds": self.holds,
-            "max_ratio": self.max_ratio,
-            "pairs_checked": self.pairs_checked,
-            "violations": self.violations,
-        }
-
-
-def verify_condition_i(problem: FbvpProblem, samples) -> ConditionReport:
-    """Check |g(b, u(b)) - g(b, v(b))| <= k(||u - v||) |u(b) - v(b)| at all
-    nodes for each supplied profile pair; a violation is a valid result."""
-    if not samples:
-        raise InputError("verify_condition_i needs at least one sample pair")
-    grid = problem.grid
-    max_ratio = 0.0
-    violations = []
-    for idx, (u, v) in enumerate(samples):
-        uv = u.values if isinstance(u, GridFunction) else np.asarray(u, dtype=float)
-        vv = v.values if isinstance(v, GridFunction) else np.asarray(v, dtype=float)
-        if uv.shape != grid.shape or vv.shape != grid.shape:
-            raise InputError("sample profiles must match the problem grid")
-        k_val = problem.gauge(float(np.max(np.abs(uv - vv))))
-        for b, x, y in zip(grid, uv, vv):
-            dg = abs(problem.g(b, x) - problem.g(b, y))
-            du = abs(x - y)
-            if du > 0:
-                max_ratio = max(max_ratio, dg / du)
-            if dg > k_val * du + 1e-12:
-                violations.append(
-                    {"pair": idx, "b": float(b), "u": float(x), "v": float(y),
-                     "lhs": dg, "rhs": k_val * du}
-                )
-    return ConditionReport(
-        holds=not violations,
-        max_ratio=max_ratio,
-        pairs_checked=len(samples),
-        violations=violations,
     )

@@ -430,71 +430,3 @@ class Gauge:
     @property
     def form(self) -> str:
         return "constant" if len(self.values) == 1 else "piecewise-constant"
-
-
-# ---------------------------------------------------------------------------
-# Problem-file ingestion (JSON)
-# ---------------------------------------------------------------------------
-
-def space_from_dict(data: Mapping) -> FiniteMetricSpace:
-    """Build a space from the ``points`` (+ ``distances``/coords) file section."""
-    try:
-        points = data["points"]
-    except KeyError:
-        raise InputError("problem file needs a 'points' array") from None
-    if not isinstance(points, list) or not points:
-        raise InputError("'points' must be a non-empty array")
-    labels = []
-    coords = []
-    for entry in points:
-        if not isinstance(entry, Mapping) or "label" not in entry:
-            raise InputError("every point needs a 'label'")
-        labels.append(str(entry["label"]))
-        coords.append(entry.get("coord"))
-    have_coords = all(c is not None for c in coords)
-    have_matrix = "distances" in data and data["distances"] is not None
-    if have_matrix and have_coords:
-        raise InputError("give either 'distances' or per-point 'coord', not both")
-    if have_matrix:
-        return FiniteMetricSpace.from_matrix(labels, data["distances"])
-    if have_coords:
-        return FiniteMetricSpace.from_coords(
-            labels, coords, norm=data.get("norm", "euclidean")
-        )
-    raise InputError("points need 'coord' entries or a 'distances' matrix")
-
-
-def edges_from_dict(data: Mapping, space: FiniteMetricSpace) -> EdgeStructure:
-    if not isinstance(data, Mapping) or "mode" not in data:
-        raise InputError("'edges' must be an object with a 'mode'")
-    mode = data["mode"]
-    if mode == "ball":
-        if "radius" not in data:
-            raise InputError("ball edges need a 'radius'")
-        return EdgeStructure.ball(space, data["radius"])
-    if mode == "list":
-        pairs = data.get("pairs")
-        if not isinstance(pairs, list):
-            raise InputError("list edges need a 'pairs' array")
-        return EdgeStructure.from_pairs(space, pairs)
-    raise InputError(f"unknown edge mode {mode!r}")
-
-
-def gauge_from_dict(data: Mapping) -> Gauge:
-    if not isinstance(data, Mapping) or "form" not in data:
-        raise InputError("'gauge' must be an object with a 'form'")
-    form = data["form"]
-    if form == "constant":
-        if "value" not in data:
-            raise InputError("constant gauge needs a 'value'")
-        return Gauge.constant(data["value"], data.get("sup"))
-    if form == "piecewise":
-        try:
-            breakpoints, values = data["breakpoints"], data["values"]
-            sup = data["sup"]
-        except KeyError as exc:
-            raise InputError(f"piecewise gauge needs {exc}") from None
-        if not isinstance(breakpoints, list) or not isinstance(values, list):
-            raise InputError("piecewise gauge breakpoints and values must be arrays")
-        return Gauge.piecewise(breakpoints, values, sup)
-    raise InputError(f"unknown gauge form {form!r}")

@@ -9,13 +9,13 @@ import pytest
 from graphfix.bernstein import (
     IterateResult,
     QParams,
-    apply_operator,
+    _log_q_binomials,
+    basis,
     basis_vector,
     contraction_constant,
     iterate_to_limit,
     nodes,
     operator_matrix,
-    q_binomial,
     q_integer,
 )
 from graphfix.errors import InputError
@@ -76,30 +76,26 @@ def test_q_integer_errors():
 
 # --- q-binomials ------------------------------------------------------------------
 
+def _q_binomials(n, q):
+    """[n choose i]_q for i = 0..n, as basis takes them."""
+    return np.exp(_log_q_binomials(n, q))
+
+
 def test_q_binomial_edge_and_classical():
-    assert q_binomial(4, 0, 2.3) == 1.0
-    assert abs(q_binomial(4, 2, 1.0) - 6.0) < TOL
+    assert _q_binomials(4, 2.3)[0] == 1.0
+    assert abs(_q_binomials(4, 1.0)[2] - 6.0) < TOL
 
 
 def test_q_binomial_three_one_two():
     # [3]_2!/([2]_2! [1]_2!) = 21/3 = [3]_2 = 7
-    assert abs(q_binomial(3, 1, 2.0) - 7.0) < TOL
+    assert abs(_q_binomials(3, 2.0)[1] - 7.0) < TOL
 
 
 def test_q_binomial_symmetry():
     for q in (0.5, 1.0, 2.0):
         for n in range(1, 9):
-            for i in range(n + 1):
-                assert abs(q_binomial(n, i, q) - q_binomial(n, n - i, q)) <= 1e-10 * (
-                    1 + q_binomial(n, i, q)
-                )
-
-
-def test_q_binomial_out_of_range():
-    with pytest.raises(InputError):
-        q_binomial(3, 4, 1.0)
-    with pytest.raises(InputError):
-        q_binomial(3, -1, 1.0)
+            row = _q_binomials(n, q)
+            assert np.all(np.abs(row - row[::-1]) <= 1e-10 * (1 + row))
 
 
 def test_qparams_rejects_non_numeric_parameters():
@@ -219,6 +215,17 @@ def _nodes_by_formula(n, q):
 def test_nodes_do_not_overflow(n, q):
     with pytest.raises(OverflowError):
         _nodes_by_formula(n, q)  # q**n is beyond the largest double
+    _assert_nodes_match_mpmath(n, q)
+
+
+@pytest.mark.parametrize("n, q", [(1750, 1.5), (7424, 1.1)])
+def test_nodes_where_the_formula_gives_an_infinite_q_integer(n, q):
+    # q**n is finite, but (q**n - 1) / (q - 1) is inf without an OverflowError
+    assert _q_integer_by_formula(n, q) == math.inf
+    _assert_nodes_match_mpmath(n, q)
+
+
+def _assert_nodes_match_mpmath(n, q):
     ts = nodes(QParams(n, q))
     assert ts[0] == 0.0 and ts[-1] == 1.0
     assert np.all(np.isfinite(ts)) and np.all(np.diff(ts) >= 0.0)
@@ -242,32 +249,28 @@ def test_nodes_are_the_formula_wherever_it_is_finite():
     assert finite == 39
 
 
-# --- apply_operator ----------------------------------------------------------------
+# --- the operator at a grid of points ---------------------------------------------
 
 def test_operator_fixes_nonnegative_constants():
     qp = QParams(4, 0.8)
     vals = np.full(5, 2.5)
-    for a in np.linspace(0.0, 1.0, 9):
-        assert abs(apply_operator(qp, vals, a) - 2.5) <= 1e-12
+    out = basis(qp, np.linspace(0.0, 1.0, 9)) @ np.abs(vals)
+    assert np.all(np.abs(out - 2.5) <= 1e-12)
 
 
 def test_operator_modulus_flips_negative_constants():
     qp = QParams(4, 0.8)
     vals = np.full(5, -1.25)
-    for a in np.linspace(0.0, 1.0, 9):
-        assert abs(apply_operator(qp, vals, a) - 1.25) <= 1e-12
+    out = basis(qp, np.linspace(0.0, 1.0, 9)) @ np.abs(vals)
+    assert np.all(np.abs(out - 1.25) <= 1e-12)
 
-
-
-def test_apply_operator_rejects_wrong_node_count():
-    with pytest.raises(InputError):
-        apply_operator(QParams(3, 1.0), np.zeros(3), 0.5)  # needs n+1 = 4 values
 
 def test_operator_degree_one_two_terms():
     qp = QParams(1, 1.7)
     vals = np.array([-2.0, 3.0])
-    for a in np.linspace(0.0, 1.0, 9):
-        assert abs(apply_operator(qp, vals, a) - (2.0 * (1 - a) + 3.0 * a)) <= 1e-12
+    grid = np.linspace(0.0, 1.0, 9)
+    out = basis(qp, grid) @ np.abs(vals)
+    assert np.all(np.abs(out - (2.0 * (1 - grid) + 3.0 * grid)) <= 1e-12)
 
 
 # --- contraction constant -------------------------------------------------------------
@@ -318,7 +321,7 @@ def test_evaluate_grid_matches_pointwise_operator():
         res = iterate_to_limit(QParams(n, q), lambda a: math.sin(math.pi * a) + a,
                                max_iter=50)
         grid = np.linspace(0.0, 1.0, 101)
-        pointwise = [apply_operator(res.params, res.values, a) for a in grid]
+        pointwise = [basis_vector(res.params, a) @ np.abs(res.values) for a in grid]
         assert np.max(np.abs(res.evaluate_grid(grid) - pointwise)) <= 1e-14
 
 

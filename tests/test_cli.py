@@ -79,6 +79,14 @@ def test_verify_unknown_name(runner, tmp_path):
     assert res.exit_code == 2
 
 
+@pytest.mark.parametrize("name", ["example-3-3", "kamran-counterexample"])
+def test_verify_truncate_zero_is_input_error(runner, tmp_path, name):
+    # depth 0 is refused like depth 2, not taken as a request for the default
+    res = runner.invoke(main, ["--out", str(tmp_path), "verify", name, "--truncate", "0"])
+    assert res.exit_code == 2
+    assert res.stderr == "error: ternary orbit problem needs depth >= 3\n"
+
+
 def test_iterate_ternary_orbit(runner, tmp_path):
     res = runner.invoke(main, ["--out", str(tmp_path), "iterate", "example-3-3"])
     assert res.exit_code == 0, res.output

@@ -11,13 +11,11 @@ from graphfix.errors import InputError
 from graphfix.fbvp import (
     FbvpProblem,
     GreenKernel,
-    GridFunction,
     _odd_row_corrections,
     build_operator_matrix,
     green_kernel,
     picard_solve,
     quadrature_kappa,
-    verify_condition_i,
 )
 from graphfix.metric import Gauge
 
@@ -396,54 +394,6 @@ def test_problem_validation():
                     grid_m=41)
     with pytest.raises(InputError):
         build_operator_matrix(1.5, 3)
-
-
-# --- condition (i) sampling -------------------------------------------------------------
-
-def _grid_pair(m, f1, f2):
-    return (GridFunction.from_callable(f1, m), GridFunction.from_callable(f2, m))
-
-
-def test_condition_i_linear_ratio_exactly_half():
-    prob = FbvpProblem(beta=2.0, g=lambda b, w: 0.5 * w, gauge=Gauge.constant(0.5),
-                       grid_m=40)
-    samples = [
-        _grid_pair(40, lambda b: math.sin(3 * b), lambda b: b * b - 0.3),
-        _grid_pair(40, lambda b: 2.0, lambda b: -1.0),
-    ]
-    rep = verify_condition_i(prob, samples)
-    assert rep.holds
-    assert abs(rep.max_ratio - 0.5) <= 1e-15
-
-
-def test_condition_i_detects_unbounded_slope():
-    prob = FbvpProblem(beta=2.0, g=lambda b, w: w * w, gauge=Gauge.constant(0.99),
-                       grid_m=20)
-    samples = [_grid_pair(20, lambda b: 2.0, lambda b: 3.0)]
-    rep = verify_condition_i(prob, samples)
-    assert not rep.holds
-    assert rep.max_ratio >= 5.0  # |4 - 9| / |2 - 3|
-
-
-def test_condition_i_sine_within_near_unit_gauge():
-    prob = FbvpProblem(
-        beta=2.0, g=lambda b, w: math.sin(w), gauge=Gauge.constant(1.0 - 1e-6),
-        grid_m=40,
-    )
-    samples = [
-        _grid_pair(40, lambda b: 0.5 + b, lambda b: 1.5 - b),
-        _grid_pair(40, lambda b: 0.3, lambda b: 0.9),
-    ]
-    rep = verify_condition_i(prob, samples)
-    assert rep.holds
-    assert rep.max_ratio <= 1.0
-
-
-def test_condition_i_needs_samples():
-    prob = FbvpProblem(beta=2.0, g=lambda b, w: 0.0, gauge=Gauge.constant(0.0),
-                       grid_m=20)
-    with pytest.raises(InputError):
-        verify_condition_i(prob, [])
 
 
 def test_problem_rejects_non_numeric_parameters():

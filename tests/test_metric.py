@@ -15,12 +15,10 @@ from graphfix.metric import (
     EdgeStructure,
     FiniteMetricSpace,
     Gauge,
-    edges_from_dict,
-    gauge_from_dict,
-    space_from_dict,
     _check_triangle,
     validate_pair,
 )
+from graphfix.problems import edges_from_dict, gauge_from_dict, space_from_dict
 
 from set_distances import hausdorff_distance, point_to_set_distance
 
