@@ -37,7 +37,7 @@ import numpy as np
 
 from .engine import IterationConfig, IterationOutcome, run_operator_iteration
 from .errors import InputError, check_integer, check_real
-from .metric import Gauge
+from .metric import Gauge, within
 
 @dataclass(frozen=True)
 class QParams:
@@ -223,7 +223,10 @@ def iterate_to_limit(
     phi(0)(1-a) + phi(1)a; otherwise only the empirical limit is
     returned (the displacement-in-subspace check is dropped because the
     first application folds the values into the nonnegative cone, after
-    which the endpoint values are no longer those of phi).
+    which the endpoint values are no longer those of phi).  That check
+    is ``metric.within``: each endpoint displacement is 0 up to
+    EPS ||u_0||, since B is stochastic and so ||u_0|| bounds every
+    iterate.
     """
     start = np.array([float(phi(t)) for t in nodes(params)])
     B = operator_matrix(params)
@@ -232,8 +235,11 @@ def iterate_to_limit(
     endpoint_nonneg = bool(start[0] >= 0.0 and start[-1] >= 0.0)
 
     if endpoint_nonneg:
+        size = float(np.max(np.abs(start)))
+
         def in_w0(delta) -> bool:
-            return abs(delta[0]) <= 1e-12 and abs(delta[-1]) <= 1e-12
+            return (within(abs(delta[0]), 0.0, size)
+                    and within(abs(delta[-1]), 0.0, size))
     else:
         def in_w0(delta) -> bool:
             return True

@@ -64,6 +64,10 @@ def _load(problem_ref: str | None, depth: int | None):
             depth = check_integer(depth, "truncate")
         return builtin_problem(problem_ref, depth=depth)
     if os.path.exists(problem_ref):
+        if depth is not None:
+            raise InputError(
+                "truncate applies to the ternary orbit builtins, not to a problem file"
+            )
         return load_problem(problem_ref)
     raise InputError(
         f"{problem_ref!r} is neither a builtin ({', '.join(BUILTIN_NAMES)}) "

@@ -3,9 +3,10 @@
 These are the primitives every solver in the package shares: a labeled
 point set with a validated distance matrix, a directed reflexive graph
 over it (explicit pairs or a metric ball), a gauge function
-k : [0, inf) -> [0, 1) with a certified supremum strictly below 1, and
-non-void finite closed sets, and the one validation path for a pair
-(f, F) on a finite space.
+k : [0, inf) -> [0, 1) with a certified supremum strictly below 1,
+non-void finite closed sets, the one validation path for a pair (f, F)
+on a finite space, and :func:`within`, the one slack rule of every
+inequality the package checks on floats.
 
 All types are immutable after construction and every operation is a pure
 function, so instances can be shared freely across threads.
@@ -23,8 +24,8 @@ import numpy as np
 
 from .errors import DomainError, InputError, check_real
 
-# Relative triangle-inequality slack accepted when validating a distance matrix.
-TRIANGLE_TOL = 1e-9
+# The relative slack of :func:`within`; its docstring says why it suffices.
+EPS = 1e-9
 # Rows per block of the triangle check.  A block's slab and its sum buffer,
 # 2 x 64 x n doubles, take 1 MB at n = 1000 and so stay in a 2 MB L2 cache,
 # while each numpy call still adds 64 x n pairs: on a 2-core Xeon, 128 rows
@@ -52,6 +53,26 @@ def _real_array(value, name: str) -> np.ndarray:
     return arr.astype(float, copy=False)
 
 
+def within(lhs, rhs, scale):
+    """Whether lhs <= rhs + EPS * scale, elementwise on arrays: the one
+    slack rule of every inequality the package checks on floats.
+
+    ``scale`` is the size of the numbers compared, so the slack scales
+    with their rounding error and multiplying every distance by a power
+    of two changes no verdict.  On a finite space each compared number is
+    a distance-matrix entry, or one product, sum or square root of
+    entries, and the caller passes ``scale = rhs``.  Such a number is off
+    from its exact value by a few units of 2^-53 (1.1e-16) of its size;
+    EPS = 1e-9 exceeds that by a factor of about 10^7, which also covers
+    data rounded once more on its way in (a decimal in a file, the
+    difference of two coordinates), while a relative excess beyond 1e-9
+    is reported.  Where the numbers are computed from an iterate, as in
+    an operator step, their rounding scales with the iterate's size too,
+    and the caller adds a bound on that size to ``scale``.
+    """
+    return lhs <= rhs + EPS * scale
+
+
 def _norm_ord(norm: str):
     """The ``numpy.linalg.norm`` order of a named norm."""
     if norm not in _NORM_ORDS:
@@ -59,12 +80,33 @@ def _norm_ord(norm: str):
     return _NORM_ORDS[norm]
 
 
-def _check_triangle(labels: tuple[str, ...], m: np.ndarray) -> None:
-    """Raise InputError unless d(i, j) <= (d(i, k) + d(k, j)) (1 + TRIANGLE_TOL).
+def _norms(diffs: np.ndarray, norm: str) -> np.ndarray:
+    """The named norm of every vector along the last axis of ``diffs``.
 
-    The slack is relative, so it scales with the rounding of the distances
-    it compares.  The factor is folded into one scaled copy g of the
-    matrix.  The scan takes the rows of g in blocks of ``_TRIANGLE_BLOCK``
+    No square underflows or overflows: a 1-D vector's norm is its
+    modulus, and a euclidean norm is taken of the vector scaled by the
+    power of two that brings its largest component into [0.5, 1), then
+    scaled back.  Scaling by a power of two is exact, so every norm whose
+    squares stay in the normal range has the bits of ``numpy.linalg.norm``
+    (sqrt(fl(x^2)) = |x| in 1-D); the others are no longer 0 or inf.
+    """
+    ordv = _norm_ord(norm)
+    if diffs.shape[-1] == 1:
+        return np.abs(diffs[..., 0])
+    if ordv != 2:
+        return np.linalg.norm(diffs, ord=ordv, axis=-1)
+    _, e = np.frexp(np.maximum.reduce(np.abs(diffs), axis=-1, initial=0.0))
+    scaled = np.ldexp(diffs, -e[..., None])
+    return np.ldexp(np.sqrt(np.add.reduce(scaled * scaled, axis=-1)), e)
+
+
+def _check_triangle(labels: tuple[str, ...], m: np.ndarray) -> None:
+    """Raise InputError unless d(i, j) <= (d(i, k) + d(k, j)) (1 + EPS).
+
+    That is :func:`within` with scale = rhs, the factor 1 + EPS
+    distributed over the two summands and folded into one scaled copy g
+    of the matrix, so that the O(n^3) scan is additions and minima only.
+    The scan takes the rows of g in blocks of ``_TRIANGLE_BLOCK``
     and, for each block starting at row i0, only the columns j >= i0: for
     each such j, one addition of row j to the block's slab gives
     g[i, k] + g[k, j] for every i in the block and every k, and a minimum
@@ -78,7 +120,7 @@ def _check_triangle(labels: tuple[str, ...], m: np.ndarray) -> None:
     run the full per-k scan, which names the first k and its worst pair.
     """
     n = len(labels)
-    grown = m * (1.0 + TRIANGLE_TOL)
+    grown = m * (1.0 + EPS)
     sums = np.empty((min(n, _TRIANGLE_BLOCK), n))
     least = np.empty((n, len(sums)))
     for i0 in range(0, n, _TRIANGLE_BLOCK):
@@ -113,9 +155,10 @@ class FiniteMetricSpace:
     """Labeled finite point set with a validated distance matrix.
 
     The matrix must be symmetric, nonnegative, zero on the diagonal and
-    satisfy the triangle inequality within a relative ``TRIANGLE_TOL``
-    (taken as given for spaces built by :meth:`from_coords`); violations raise
-    :class:`InputError` at construction time.  A :meth:`from_coords`
+    satisfy the triangle inequality within the relative slack of
+    :func:`within` (taken as given for spaces built by
+    :meth:`from_coords`); violations raise :class:`InputError` at
+    construction time.  A :meth:`from_coords`
     space keeps its read-only ``coords`` (one row per label) and its
     ``norm``; both are None for a space given by its matrix.
     """
@@ -169,20 +212,21 @@ class FiniteMetricSpace:
         """Derive the distance matrix from per-label coordinates.
 
         A norm-induced distance satisfies the triangle inequality, so the
-        O(n^3) check is skipped.  Every other check still runs.
+        O(n^3) check is skipped.  Every other check still runs.  The
+        distances neither underflow nor overflow where the exact distance
+        is a normal double (see :func:`_norms`).
         """
         pts = _real_array(coords, "coordinates")
         if pts.ndim == 1:
             pts = pts[:, None]
         if len(pts) != len(labels):
             raise InputError("one coordinate vector per label required")
-        diffs = pts[:, None, :] - pts[None, :, :]
-        ordv = _norm_ord(norm)
+        matrix = _norms(pts[:, None, :] - pts[None, :, :], norm)
         pts = pts.copy()
         pts.flags.writeable = False
         space = cls.__new__(cls)
         object.__setattr__(space, "labels", tuple(labels))
-        object.__setattr__(space, "matrix", np.linalg.norm(diffs, ord=ordv, axis=2))
+        object.__setattr__(space, "matrix", matrix)
         object.__setattr__(space, "coords", pts)
         object.__setattr__(space, "norm", norm)
         space._validate(triangle=False)

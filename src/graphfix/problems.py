@@ -1,5 +1,5 @@
-"""Built-in problems, a random conforming-problem generator, and the
-problem-file format: its one reader and one writer.
+"""Built-in problems and the problem-file format: its one reader and one
+writer.
 
 The ternary orbit problem is the package's reference instance: the space
 {0, 1} cup {1/3^n}, f dividing by 3, and F hopping two rungs down with a
@@ -18,7 +18,6 @@ exactly on 0.
 
 from __future__ import annotations
 
-import random
 from typing import Mapping
 
 from .engine import CoincidenceProblem, IterationConfig
@@ -86,7 +85,8 @@ def identity_problem(config: IterationConfig | None = None) -> CoincidenceProble
 def builtin_problem(
     name: str, depth: int | None = None, config: IterationConfig | None = None
 ) -> CoincidenceProblem:
-    """Look up an embedded problem by its public name."""
+    """Look up an embedded problem by its public name.  ``depth`` cuts the
+    ternary orbit; the identity problem has none and refuses one."""
     if name == "example-3-3" or name == "example-3-5":
         # same truncated dataset; the second name flags the comparison use
         return ternary_orbit_problem(12 if depth is None else depth, config)
@@ -94,76 +94,10 @@ def builtin_problem(
         # a small cut suffices: the violating pair (0, 1) survives any depth
         return ternary_orbit_problem(4 if depth is None else depth, config)
     if name == "identity":
+        if depth is not None:
+            raise InputError("the identity problem takes no truncation depth")
         return identity_problem(config)
     raise InputError(f"unknown builtin problem {name!r}; known: {BUILTIN_NAMES}")
-
-
-def random_ladder_problem(
-    rng: random.Random,
-    max_points: int = 12,
-    gauge_value: float | None = None,
-) -> CoincidenceProblem:
-    """Draw a conforming problem: a geometric ladder seen through a random
-    relabeling f, with optional decoy members and either complete or
-    metric-ball edges.
-
-    The construction keeps D(f(w), F(w)) <= (r/(1-r)) d(f(v), f(w)) with a
-    fixed margin, so every draw passes the hypothesis verifier; tests
-    still run the verifier as the gate rather than trusting this.
-    """
-    L = rng.randint(3, max(3, max_points - 1))
-    if gauge_value is not None:
-        if not (0.1 < gauge_value < 1.0):
-            raise InputError("gauge_value must lie in (0.1, 1)")
-        k0 = gauge_value
-    else:
-        k0 = rng.uniform(0.25, 0.85)
-    r_hi = (k0 - 0.02) / (1.0 + (k0 - 0.02))
-    r = rng.uniform(min(0.1, r_hi / 2), r_hi)
-    scale = 10.0 ** rng.uniform(-1.0, 1.0)
-
-    rungs = [f"p{i}" for i in range(L)]
-    labels = rungs + ["zero"]
-    values = [scale * r**i for i in range(L)] + [0.0]
-    space = FiniteMetricSpace.from_coords(labels, values)
-
-    succ = {rungs[i]: rungs[i + 1] for i in range(L - 1)}
-    succ[rungs[L - 1]] = "zero"
-    succ["zero"] = "zero"
-
-    shuffled = labels[:]
-    rng.shuffle(shuffled)
-    f = dict(zip(labels, shuffled))  # random bijection
-
-    F = {}
-    for w in labels:
-        members = [succ[f[w]]]
-        if rng.random() < 0.4 and "zero" not in members:
-            members.append("zero")
-        F[w] = ClosedSet.finite(members)
-
-    gap0 = values[0] - values[1]
-    if rng.random() < 0.5:
-        edges = EdgeStructure.from_pairs(
-            space, [(u, v) for u in labels for v in labels]
-        )
-    else:
-        radius = rng.uniform(1.05 * gap0, 2.0 * values[0] + gap0)
-        edges = EdgeStructure.ball(space, radius)
-
-    inv_f = {v: k for k, v in f.items()}
-    w0 = inv_f[rungs[0]]
-    p0 = succ[rungs[0]]
-    return CoincidenceProblem(
-        space=space,
-        f=f,
-        F=F,
-        edges=edges,
-        gauge=Gauge.constant(k0),
-        w0=w0,
-        p0=p0,
-        config=IterationConfig(tol=1e-12, residual_tol=1e-11, max_iter=10_000),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -15,11 +15,15 @@ matrix, the edge adjacency matrix and the arrays of the validated pair
 (``metric.ValidatedPair``): f as the vector ``fi`` of image indices, F
 as the n x k array ``members`` of member indices (shorter rows padded
 with repeats of their first member, which min and max ignore), and
-D(f(w), F(w)) as its ``gap`` table.  An n-point check is a few n x n
-array expressions, with O(n^2) temporaries; witnesses are built for
-failing pairs only, in the order of the label loops that define the
-reports (v, then w, then p).
-The loop forms are kept in the test suite as oracles.
+D(f(w), F(w)) as its ``gap`` table.  The hypothesis check builds one
+n x n boolean table, of the pairs with f(w) in F(v), and evaluates its
+conditions on those pairs only, at most n k of them; the Kamran check is
+a few n x n array expressions.  Witnesses are built for failing pairs
+only, in the order of the label loops that define the reports (v, then
+w, then p).  Every comparison goes through ``metric.within`` with the
+right-hand side as its scale, so a verdict does not change when every
+distance is multiplied by a power of two.  The loop forms are kept in
+the test suite as oracles.
 ``verify_invariant_approx_hypotheses`` runs ``verify_coincidence_hypotheses``
 on the best-approximant set, so it has no pair loop of its own.
 """
@@ -36,13 +40,11 @@ from .metric import (
     EdgeStructure,
     FiniteMetricSpace,
     Gauge,
-    _norm_ord,
+    _norms,
     _real_array,
     validate_pair,
+    within,
 )
-
-# Slack for comparing float inequalities built from exact example data.
-_SLACK = 1e-12
 
 
 def _gauge_at(gauge: Gauge, t: np.ndarray) -> np.ndarray:
@@ -118,32 +120,37 @@ def verify_coincidence_hypotheses(
     for u, y in pair.misses:
         report.witnesses.append({"condition": "range", "u": u, "member": y})
 
-    # Row-major (v, w) tables: f(w) in F(v), the edge (f(v), f(w)), d(f(v), f(w)).
+    # The pairs (v, w) with f(w) in F(v), in row-major order, with the edge
+    # (f(v), f(w)) and d(f(v), f(w)) of each: every check reads only these.
     in_image = np.zeros((n, n), dtype=bool)
     in_image[np.arange(n)[:, None], members] = True
-    owns = in_image[:, fi]
-    edge = edges.adjacency[np.ix_(fi, fi)]
-    d = dist[np.ix_(fi, fi)]
+    vs, ws = np.nonzero(in_image[:, fi])
+    edge = edges.adjacency[fi[vs], fi[ws]]
+    d = dist[fi[vs], fi[ws]]
     cut = frozenset(truncated)
     skip = np.array([w in cut for w in labels])
-    active = owns & edge & ~skip
+    active = edge & ~skip[ws]
 
     bound = _gauge_at(gauge, d) * d
-    D = pair.gap  # D(f(w), F(w)), one per w
-    fail_i = active & (D > bound + _SLACK)
+    D = pair.gap[ws]  # D(f(w), F(w))
+    fail_i = active & ~within(D, bound, bound)
     # (ii) fails for (v, w) iff some p with f(p) in F(w) and no edge
-    # (f(w), f(p)) lies within d(f(v), f(w)) + slack of f(w): compare
-    # with the nearest such p, one number per w.
-    broken = owns & ~edge
-    nearest = np.where(broken, d, np.inf).min(axis=1)
-    fail_ii = active & (nearest[None, :] <= d + _SLACK)
+    # (f(w), f(p)) lies within d(f(v), f(w)) of f(w), up to the slack:
+    # compare with the nearest such p, one number per w.  The pairs
+    # (w, p) are the same list, read with w first.
+    broken = ~edge
+    nearest = np.full(n, np.inf)
+    np.minimum.at(nearest, vs[broken], d[broken])
+    fail_ii = active & within(nearest[ws], d, d)
     report.condition_i_ok = not fail_i.any()
     report.condition_ii_ok = not fail_ii.any()
 
-    for v, w in zip(*np.nonzero(fail_i | fail_ii)):
-        dvw = float(d[v, w])
+    row = np.searchsorted(vs, np.arange(n + 1))  # pairs row[w]:row[w + 1] have v = w
+    for j in np.flatnonzero(fail_i | fail_ii):
+        v, w = vs[j], ws[j]
+        dvw = float(d[j])
         fv, fw = fmap[labels[v]], fmap[labels[w]]
-        if fail_i[v, w]:
+        if fail_i[j]:
             report.witnesses.append(
                 {
                     "condition": "i",
@@ -152,12 +159,14 @@ def verify_coincidence_hypotheses(
                     "fv": fv,
                     "fw": fw,
                     "d": dvw,
-                    "D": float(D[w]),
-                    "bound": float(bound[v, w]),
+                    "D": float(D[j]),
+                    "bound": float(bound[j]),
                 }
             )
-        if fail_ii[v, w]:
-            for p in np.nonzero(broken[w] & (d[w] <= d[v, w] + _SLACK))[0]:
+        if fail_ii[j]:
+            own = slice(row[w], row[w + 1])
+            near = broken[own] & within(d[own], d[j], d[j])
+            for p, dwp in zip(ws[own][near], d[own][near]):
                 report.witnesses.append(
                     {
                         "condition": "ii",
@@ -166,7 +175,7 @@ def verify_coincidence_hypotheses(
                         "p": labels[p],
                         "fw": fw,
                         "fp": fmap[labels[p]],
-                        "d_fw_fp": float(d[w, p]),
+                        "d_fw_fp": float(dwp),
                         "d": dvw,
                     }
                 )
@@ -223,7 +232,7 @@ def verify_kamran_inequality(
     d = dist[np.ix_(fi, fi)]
     D = P[fi]  # D(f(v), F(w))
     rhs = _gauge_at(gauge, d) * d + M * D
-    fail = H > rhs + _SLACK
+    fail = ~within(H, rhs, rhs)
     report = KamranReport(holds=not fail.any(), M=M)
     for v, w in zip(*np.nonzero(fail)):
         report.witnesses.append(
@@ -262,9 +271,10 @@ def enumerate_coincidence_points(
 
 
 def best_approximant_set(Q: Sequence, z, norm: str = "euclidean") -> list[tuple]:
-    """All minimizers of ||q - z|| over Q (ties within ``_SLACK``), in the
-    order of Q without repeats.  The points of Q and z share one dimension
-    (numbers are 1-D points), and every coordinate must be finite."""
+    """All minimizers of ||q - z|| over Q (ties up to ``metric.within``'s
+    relative slack), in the order of Q without repeats.  The points of Q
+    and z share one dimension (numbers are 1-D points), and every
+    coordinate must be finite."""
     pts = _real_array(Q, "Q")
     if not len(pts):
         raise DomainError("Q must be non-empty")
@@ -275,8 +285,9 @@ def best_approximant_set(Q: Sequence, z, norm: str = "euclidean") -> list[tuple]
         raise InputError("z and the points of Q must be vectors of one dimension")
     if not (np.isfinite(pts).all() and np.isfinite(zv).all()):
         raise InputError("the coordinates of Q and z must be finite")
-    dists = np.linalg.norm(pts - zv, ord=_norm_ord(norm), axis=1)
-    best = pts[dists <= dists.min() + _SLACK]
+    dists = _norms(pts - zv, norm)
+    least = dists.min()
+    best = pts[within(dists, least, least)]
     return list(dict.fromkeys(map(tuple, best.tolist())))
 
 

@@ -17,15 +17,17 @@ from graphfix.bernstein import (
     contraction_constant,
     iterate_to_limit,
 )
-from graphfix.engine import Converged, run_coincidence_iteration, tail_bound
+from graphfix.engine import Converged, run_coincidence_iteration
 from graphfix.fbvp import FbvpProblem, GreenKernel, green_kernel, picard_solve
 from graphfix.metric import Gauge
-from graphfix.problems import random_ladder_problem, ternary_orbit_problem
+from graphfix.problems import ternary_orbit_problem
 from graphfix.verifier import (
     enumerate_coincidence_points,
     verify_coincidence_hypotheses,
     verify_kamran_inequality,
 )
+
+from ladders import random_ladder_problem
 
 
 def test_criterion_1_ternary_orbit_reproduction():

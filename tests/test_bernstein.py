@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from graphfix.bernstein import (
-    IterateResult,
     QParams,
     _log_q_binomials,
     basis,
@@ -370,6 +369,14 @@ def test_iterate_outside_nonneg_endpoints_reports_empirical_limit():
     grid = np.linspace(0.0, 1.0, 21)
     expected = 0.5 * (1 - grid) + 0.5 * grid
     assert np.max(np.abs(res.evaluate_grid(grid) - expected)) <= 1e-9
+
+
+def test_iterate_rounding_at_the_iterate_size_is_no_contraction_failure():
+    # the exact rate is 1/2 = k, and late displacements exceed k d by a
+    # rounding of u, about 1e-16, which is far above EPS k d: the check's
+    # scale must include the iterate's size
+    res = iterate_to_limit(QParams(2, 1.0), lambda a: math.cos(3.0 * a) - 1.2)
+    assert res.converged, res.to_dict()
 
 
 def test_iterate_budget_report():

@@ -16,11 +16,12 @@ from graphfix.cli import main
 from graphfix.problems import (
     builtin_problem,
     problem_to_dict,
-    random_ladder_problem,
     ternary_orbit_problem,
 )
 from graphfix.serialize import csv_cell, json_dumps
 from graphfix.verifier import enumerate_coincidence_points
+
+from ladders import random_ladder_problem
 
 
 @pytest.fixture()
@@ -85,6 +86,48 @@ def test_verify_truncate_zero_is_input_error(runner, tmp_path, name):
     res = runner.invoke(main, ["--out", str(tmp_path), "verify", name, "--truncate", "0"])
     assert res.exit_code == 2
     assert res.stderr == "error: ternary orbit problem needs depth >= 3\n"
+
+
+_NO_DEPTH = {
+    "identity": "the identity problem takes no truncation depth",
+    "FILE": "truncate applies to the ternary orbit builtins, not to a problem file",
+}
+
+
+def _problem_file(tmp_path):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(problem_to_dict(builtin_problem("example-3-3"))))
+    return str(path)
+
+
+@pytest.mark.parametrize("subcommand", ["verify", "iterate"])
+@pytest.mark.parametrize("ref", sorted(_NO_DEPTH))
+def test_truncate_that_changes_nothing_is_input_error(runner, tmp_path, subcommand, ref):
+    problem = _problem_file(tmp_path) if ref == "FILE" else ref
+    res = runner.invoke(
+        main, ["--out", str(tmp_path / "out"), subcommand, problem, "--truncate", "1"]
+    )
+    assert res.exit_code == 2
+    assert res.stderr == f"error: {_NO_DEPTH[ref]}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_job_truncate_that_changes_nothing_is_input_error(runner, tmp_path):
+    path = _problem_file(tmp_path)
+    spec = [
+        {"subcommand": "verify", "input": "identity", "params": {"truncate": 5}},
+        {"subcommand": "iterate", "input": path, "params": {"truncate": 5}},
+        {"subcommand": "verify", "input": "example-3-3", "params": {"truncate": 5}},
+    ]
+    spec_path = tmp_path / "sweep.json"
+    spec_path.write_text(json.dumps(spec))
+    res = runner.invoke(main, ["--out", str(tmp_path), "sweep", str(spec_path)])
+    assert res.exit_code == 2
+    runs = _read_json(tmp_path / "sweep.json")["runs"]
+    assert [r["exit_code"] for r in runs] == [2, 2, 0]
+    assert [r["error"] for r in runs] == [
+        f"error: {_NO_DEPTH['identity']}", f"error: {_NO_DEPTH['FILE']}", None
+    ]
 
 
 def test_iterate_ternary_orbit(runner, tmp_path):

@@ -8,8 +8,6 @@ import numpy as np
 import pytest
 
 from graphfix.engine import (
-    _ABS_SLACK,
-    _REL_SLACK,
     CoincidenceProblem,
     ConvergenceCertificate,
     Converged,
@@ -30,15 +28,13 @@ from graphfix.metric import (
     FiniteMetricSpace,
     Gauge,
     validate_pair,
+    within,
 )
-from graphfix.problems import (
-    identity_problem,
-    random_ladder_problem,
-    ternary_orbit_problem,
-)
+from graphfix.problems import identity_problem, ternary_orbit_problem
 from graphfix.serialize import json_dumps
 from graphfix.verifier import enumerate_coincidence_points
 
+from ladders import random_ladder_problem
 from set_distances import point_to_set_distance
 
 TOL = 1e-12
@@ -90,7 +86,7 @@ def _reference_walk(problem):
             return outcome(HypothesisViolated("edge", n))
         if d_prev is not None:
             limit = math.sqrt(gauge(d_prev)) * d_prev
-            if d_n > limit * (1 + 1e-10) + 1e-14:
+            if not within(d_n, limit, limit):
                 return outcome(HypothesisViolated("i", n))
         if residual <= cfg.residual_tol and (d_n <= cfg.tol or bound <= cfg.tol):
             common = fw if f[fw] == fw and fw in F[fw] else None
@@ -591,7 +587,8 @@ def test_operator_iteration_drives_bernstein_to_endpoint_line():
 def _reference_run_operator_iteration(T, w0, in_W0, gauge, config):
     """The operator loop before it took one displacement per step: two
     subtractions per step, sups through ``np.max``, ``tail_bound`` per
-    row, and every displacement kept in a list."""
+    row, and every displacement kept in a list.  The contraction check's
+    scale adds ||w0|| and every displacement to the bound."""
     cert = ConvergenceCertificate.from_gauge(gauge)
     trace = IterationTrace()
 
@@ -623,7 +620,8 @@ def _reference_run_operator_iteration(T, w0, in_W0, gauge, config):
             break
         d_prev, d_cur = ds[-1], resid
         limit = gauge(d_prev) * d_prev
-        if d_cur > limit * (1 + _REL_SLACK) + _ABS_SLACK:
+        reach = sum(ds, sup(w0)) + d_cur
+        if not within(d_cur, limit, limit + reach):
             status = HypothesisViolated("i", n)
             break
         if n >= config.max_iter:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from graphfix.errors import DomainError, InputError
 from graphfix.metric import (
-    TRIANGLE_TOL,
+    EPS,
     ClosedSet,
     EdgeStructure,
     FiniteMetricSpace,
@@ -18,7 +18,14 @@ from graphfix.metric import (
     _check_triangle,
     validate_pair,
 )
-from graphfix.problems import edges_from_dict, gauge_from_dict, space_from_dict
+from graphfix.problems import (
+    edges_from_dict,
+    gauge_from_dict,
+    problem_from_dict,
+    problem_to_dict,
+    space_from_dict,
+    ternary_orbit_problem,
+)
 
 from set_distances import hausdorff_distance, point_to_set_distance
 
@@ -263,6 +270,40 @@ def test_a_number_too_large_for_a_float_is_refused():
         FiniteMetricSpace.from_coords(["a", "b"], [[0], [10**400]])
 
 
+def test_coordinate_distances_neither_underflow_nor_overflow():
+    # squaring 1e200 overflows and squaring 2^-600 underflows
+    assert FiniteMetricSpace.from_coords(["a", "b"], [0.0, 1e200]).distance("a", "b") == 1e200
+    tiny = FiniteMetricSpace.from_coords(["a", "b", "c"], [0.0, 2.0**-600, 2.0**-599])
+    assert tiny.matrix.tolist() == [[0.0, 2.0**-600, 2.0**-599],
+                                    [2.0**-600, 0.0, 2.0**-600],
+                                    [2.0**-599, 2.0**-600, 0.0]]
+    for c in (2.0**-600, 1e200):
+        plane = FiniteMetricSpace.from_coords(["o", "p"], [[0.0, 0.0], [3.0 * c, 4.0 * c]])
+        assert plane.distance("o", "p") == 5.0 * c
+
+
+def test_ternary_orbit_file_distances_are_exact_differences():
+    # coordinates 3^-n down to n = 498: the squares of most differences underflow
+    problem = problem_from_dict(problem_to_dict(ternary_orbit_problem(498)))
+    x = problem.space.coords[:, 0]
+    m = problem.space.matrix
+    assert np.array_equal(m, np.abs(x[:, None] - x[None, :]))
+    assert np.count_nonzero(m) == len(m) * (len(m) - 1)
+
+
+@pytest.mark.parametrize("norm", ["euclidean", "manhattan", "chebyshev"])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_coordinate_distances_keep_the_bits_of_numpy_norm(norm, dim):
+    # wherever no square underflows or overflows
+    rng = np.random.default_rng(dim)
+    pts = rng.normal(size=(60, dim)) * 10.0 ** rng.integers(-100, 100, size=(60, 1))
+    labels = [f"x{i}" for i in range(60)]
+    space = FiniteMetricSpace.from_coords(labels, pts, norm=norm)
+    order = {"euclidean": 2, "manhattan": 1, "chebyshev": np.inf}[norm]
+    want = np.linalg.norm(pts[:, None, :] - pts[None, :, :], ord=order, axis=2)
+    assert np.array_equal(space.matrix, want)
+
+
 @pytest.mark.parametrize("scale", [1e9, 1e12, 1e15])
 @pytest.mark.parametrize("norm", ["euclidean", "manhattan"])
 @pytest.mark.parametrize("dim", [1, 3])
@@ -283,7 +324,7 @@ def test_large_collinear_coordinates_build(scale, norm, dim):
 def _reference_check_triangle(labels, m):
     """The per-k scan over the whole matrix that the blocked check replaced:
     the oracle for its verdict and its message."""
-    grown = m * (1.0 + TRIANGLE_TOL)
+    grown = m * (1.0 + EPS)
     bound = np.empty_like(m)
     over = np.empty(m.shape, dtype=bool)
     for k in range(len(labels)):

@@ -1,24 +1,22 @@
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphfix.engine import CoincidenceProblem, run_coincidence_iteration
+from graphfix.engine import CoincidenceProblem, IterationConfig, run_coincidence_iteration
 from graphfix.errors import DomainError, InputError
 from graphfix.metric import (
-    ClosedSet,
+    EPS,
     EdgeStructure,
     FiniteMetricSpace,
     Gauge,
     validate_pair,
+    within,
 )
-from graphfix.problems import (
-    identity_problem,
-    random_ladder_problem,
-    ternary_orbit_problem,
-)
+from graphfix.problems import identity_problem, ternary_orbit_problem
 from graphfix.serialize import json_dumps
 from graphfix.verifier import (
     HypothesisReport,
@@ -30,15 +28,17 @@ from graphfix.verifier import (
     verify_kamran_inequality,
 )
 
+from ladders import random_ladder_problem
 from set_distances import hausdorff_distance, point_to_set_distance
 
 TOL = 1e-12
-_SLACK = 1e-12
 
 
 # --- loop oracles: the checks as label loops, the form that defines them -------
+# ``holds(lhs, rhs, scale)`` decides each inequality: the package's slack
+# rule by default, an exact comparison for the Fraction oracle below.
 
-def _reference_hypotheses(space, f, F, edges, gauge, truncated=frozenset()):
+def _reference_hypotheses(space, f, F, edges, gauge, truncated=frozenset(), holds=within):
     pair = validate_pair(space, f, F)
     fmap, sets = pair.f, pair.F
     images = {w: Z.members for w, Z in sets.items()}
@@ -60,7 +60,7 @@ def _reference_hypotheses(space, f, F, edges, gauge, truncated=frozenset()):
             d = space.distance(fv, fw)
             D = point_to_set_distance(fw, sets[w], space)
             bound = gauge(d) * d
-            if D > bound + _SLACK:
+            if not holds(D, bound, bound):
                 report.condition_i_ok = False
                 report.witnesses.append(
                     {"condition": "i", "v": v, "w": w, "fv": fv, "fw": fw,
@@ -70,7 +70,7 @@ def _reference_hypotheses(space, f, F, edges, gauge, truncated=frozenset()):
                 fp = fmap[p]
                 if fp not in images[w]:
                     continue
-                if space.distance(fw, fp) > d + _SLACK:
+                if not holds(space.distance(fw, fp), d, d):
                     continue
                 if not edges.contains(fw, fp):
                     report.condition_ii_ok = False
@@ -94,7 +94,7 @@ def _reference_hypotheses(space, f, F, edges, gauge, truncated=frozenset()):
     return report
 
 
-def _reference_kamran(space, f, F, gauge, M=0.0):
+def _reference_kamran(space, f, F, gauge, M=0.0, holds=within):
     pair = validate_pair(space, f, F)
     fmap, images = pair.f, pair.F
     report = KamranReport(holds=True, M=float(M))
@@ -104,7 +104,7 @@ def _reference_kamran(space, f, F, gauge, M=0.0):
             d = space.distance(fmap[v], fmap[w])
             D = point_to_set_distance(fmap[v], images[w], space)
             rhs = gauge(d) * d + M * D
-            if H > rhs + _SLACK:
+            if not holds(H, rhs, rhs):
                 report.holds = False
                 report.witnesses.append(
                     {"v": v, "w": w, "H": H, "d": d, "D": D, "lhs": H, "rhs": rhs}
@@ -254,24 +254,31 @@ def test_verifiers_match_oracles_when_an_image_holds_every_label():
     _assert_matches_oracles(space, f, F, edges, gauge, frozenset(labels[:3]))
 
 
+def _unstructured_problem(rng):
+    """(space, f, F, edges, gauge, truncated): arbitrary f and F, list or
+    ball edges and a constant or piecewise gauge on up to 9 points."""
+    n = rng.randint(1, 9)
+    labels = [f"q{i}" for i in range(n)]
+    # tenths make near-ties that only the comparison slack resolves
+    space = FiniteMetricSpace.from_coords(labels, [rng.randint(0, 8) / 10.0
+                                                    for _ in range(n)])
+    f = {s: rng.choice(labels) for s in labels}
+    F = {s: rng.sample(labels, rng.randint(1, n)) for s in labels}
+    pairs = [(u, v) for u in labels for v in labels if rng.random() < 0.5]
+    edges = (EdgeStructure.from_pairs(space, pairs) if rng.random() < 0.7
+             else EdgeStructure.ball(space, rng.uniform(0.0, 2.0)))
+    gauge = rng.choice([Gauge.constant(rng.uniform(0, 0.99)),
+                        Gauge.piecewise([0.0, 1.0 / 3.0], [0.9, 0.1], sup=0.9)])
+    truncated = frozenset(rng.sample(labels, rng.randint(0, 1)))
+    return space, f, F, edges, gauge, truncated
+
+
 def test_verifiers_match_oracles_on_unstructured_problems():
     # arbitrary f, F, list edges and gauges: every flag and witness kind shows up
     rng = random.Random(17)
     kinds = set()
     for _ in range(40):
-        n = rng.randint(1, 9)
-        labels = [f"q{i}" for i in range(n)]
-        # tenths make near-ties that only the comparison slack resolves
-        space = FiniteMetricSpace.from_coords(labels, [rng.randint(0, 8) / 10.0
-                                                        for _ in range(n)])
-        f = {s: rng.choice(labels) for s in labels}
-        F = {s: rng.sample(labels, rng.randint(1, n)) for s in labels}
-        pairs = [(u, v) for u in labels for v in labels if rng.random() < 0.5]
-        edges = (EdgeStructure.from_pairs(space, pairs) if rng.random() < 0.7
-                 else EdgeStructure.ball(space, rng.uniform(0.0, 2.0)))
-        gauge = rng.choice([Gauge.constant(rng.uniform(0, 0.99)),
-                            Gauge.piecewise([0.0, 1.0 / 3.0], [0.9, 0.1], sup=0.9)])
-        truncated = frozenset(rng.sample(labels, rng.randint(0, 1)))
+        space, f, F, edges, gauge, truncated = _unstructured_problem(rng)
         _assert_matches_oracles(space, f, F, edges, gauge, truncated)
         rep = verify_coincidence_hypotheses(space, f, F, edges, gauge, truncated)
         kinds.update(w["condition"] for w in rep.witnesses)
@@ -391,6 +398,13 @@ def test_best_approximant_member_of_Q():
 def test_best_approximant_symmetric_tie():
     out = best_approximant_set([(0.0,), (1.0,)], (0.5,))
     assert set(out) == {(0.0,), (1.0,)}
+
+
+def test_best_approximant_tiny_distances_do_not_tie():
+    # squared, both distances underflow to 0
+    assert best_approximant_set([(0.0,), (2.0**-600,)], (2.0**-599,)) == [(2.0**-600,)]
+    Q = [(0.0, 0.0), (2.0**-600, 2.0**-600)]
+    assert best_approximant_set(Q, (2.0**-599, 2.0**-599)) == [Q[1]]
 
 
 def test_best_approximant_euclidean_bruteforce():
@@ -582,3 +596,197 @@ def test_all_true_hypotheses_imply_engine_reaches_coincidence_set():
         assert out.converged
         cs = enumerate_coincidence_points(p.space, p.f, p.F)
         assert out.status.w_star in cs.coincidence
+
+
+# --- one scale-free slack rule ----------------------------------------------------
+
+def _walk_records(space, f, F, edges, gauge, config):
+    """The walk's record from every admissible start, or [] when F leaves
+    the range of f (a CoincidenceProblem refuses that)."""
+    pair = validate_pair(space, f, F)
+    if pair.misses:
+        return []
+    starts = [(w0, p0) for w0 in space.labels for p0 in pair.F[w0].members
+              if edges.contains(pair.f[w0], p0)]
+    return [
+        run_coincidence_iteration(
+            CoincidenceProblem(space, pair.f, pair.F, edges, gauge, w0, p0, config,
+                               pair=pair)
+        ).to_dict()
+        for w0, p0 in starts
+    ]
+
+
+def _verdicts(space, f, F, edges, gauge, truncated, config, M=0.0):
+    """The verifier report, the Kamran report and the walk records."""
+    return (
+        verify_coincidence_hypotheses(space, f, F, edges, gauge, truncated).to_dict(),
+        verify_kamran_inequality(space, f, F, gauge, M=M).to_dict(),
+        _walk_records(space, f, F, edges, gauge, config),
+    )
+
+
+def _four_point_line(s):
+    """Four points at spacing s, f = id and F(x_i) = {x_(i+1)} with x_3
+    fixed: every step has length s, so a gauge of 0.01 breaks condition
+    (i) at every scale.  Ball edges of radius 4s; tol 1e-300."""
+    labels = ["x0", "x1", "x2", "x3"]
+    space = FiniteMetricSpace.from_coords(labels, [i * s for i in range(4)])
+    F = {"x0": ["x1"], "x1": ["x2"], "x2": ["x3"], "x3": ["x3"]}
+    return (space, {x: x for x in labels}, F, EdgeStructure.ball(space, 4 * s),
+            Gauge.constant(0.01), frozenset(), IterationConfig(1e-300, 1e-300))
+
+
+def test_four_point_line_fails_condition_i_at_every_scale():
+    seen = set()
+    for e in range(61):
+        hyp, kam, walks = _verdicts(*_four_point_line(2.0**-e))
+        walk = walks[0]
+        seen.add((hyp["condition_i_ok"], hyp["all_ok"], kam["holds"],
+                  walk["status"], walk.get("condition"), walk.get("step")))
+    assert seen == {(False, False, False, "hypothesis-violated", "i", 2)}
+
+
+def _unscaled(value, c):
+    """``value`` with every float divided by c."""
+    if isinstance(value, dict):
+        return {k: _unscaled(v, c) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_unscaled(v, c) for v in value]
+    return value / c if isinstance(value, float) else value
+
+
+def _scaled(space, f, F, edges, gauge, truncated, config, c):
+    """The instance with every distance, the ball radius, the gauge's
+    breakpoints, tol and residual_tol multiplied by c."""
+    big = FiniteMetricSpace.from_matrix(space.labels, space.matrix * c)
+    big_edges = (EdgeStructure.ball(big, edges.radius * c) if edges.radius is not None
+                 else EdgeStructure(big, adjacency=edges.adjacency))
+    big_gauge = Gauge(tuple(b * c for b in gauge.breakpoints), gauge.values,
+                      gauge.certified_sup)
+    big_config = IterationConfig(config.tol * c, config.residual_tol * c, config.max_iter)
+    return big, f, F, big_edges, big_gauge, truncated, big_config
+
+
+_TERNARY_GAUGES = [Gauge.constant(k) for k in (0.01, 1.0 / 3.0, 0.999)] + [
+    Gauge.piecewise([0.0, 0.01, 1.0 / 9.0, 0.3], [0.05, 0.4, 0.2, 0.9], sup=0.9)
+]
+
+
+def _scaling_instance(kind, seed):
+    rng = random.Random(seed)
+    if kind == "ladder":
+        p = random_ladder_problem(rng)
+        return p.space, p.f, p.F, p.edges, p.gauge, p.truncated, p.config
+    if kind == "ternary":
+        p = ternary_orbit_problem(rng.randint(3, 12))
+        return (p.space, p.f, p.F, p.edges, rng.choice(_TERNARY_GAUGES),
+                p.truncated, p.config)
+    return (*_unstructured_problem(rng), IterationConfig())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["ladder", "ternary", "unstructured"]),
+       st.integers(0, 2**32 - 1), st.integers(-60, 60), st.sampled_from([0.0, 0.7]))
+def test_verdicts_do_not_change_when_every_distance_is_scaled_by_two_to_the_k(
+    kind, seed, k, M
+):
+    # multiplying by 2^k is exact in binary floating point, so a scale-free
+    # rule gives the same reports, with every distance in them times 2^k
+    instance = _scaling_instance(kind, seed)
+    c = 2.0**k
+    hyp, kam, walks = _verdicts(*instance, M=M)
+    big_hyp, big_kam, big_walks = _verdicts(*_scaled(*instance, c), M=M)
+    assert _unscaled(big_hyp, c) == hyp
+    assert {**_unscaled(big_kam, c), "M": big_kam["M"]} == kam
+    assert len(big_walks) == len(walks)
+    for big, walk in zip(big_walks, walks):
+        assert big["final_residual"] == walk["final_residual"] * c
+        assert {**big, "final_residual": None} == {**walk, "final_residual": None}
+
+
+class _ExactSpace:
+    """A float space whose distances are read as exact fractions."""
+
+    def __init__(self, space, exact):
+        self._space, self._exact = space, exact
+
+    def __getattr__(self, name):
+        return getattr(self._space, name)
+
+    def distance(self, u, v):
+        return self._exact[self._space.index(u)][self._space.index(v)]
+
+
+class _ExactGauge:
+    """A gauge whose values are read as exact fractions."""
+
+    def __init__(self, gauge):
+        self._gauge = gauge
+
+    def __call__(self, t):
+        return Fraction(self._gauge(t))
+
+
+def _rational_instance(rng):
+    """Points p/q on a line, as floats and with their exact distances;
+    arbitrary f and F, list or ball edges, and a gauge at, just off or far
+    off a ratio D(f(w), F(w)) / d(f(v), f(w)) of the instance, so that
+    some checks are ties or lie within EPS of one."""
+    n = rng.randint(2, 7)
+    labels = [f"r{i}" for i in range(n)]
+    xs = [Fraction(rng.randint(-20, 20), rng.randint(1, 9)) for _ in labels]
+    exact = [[abs(a - b) for b in xs] for a in xs]
+    # coordinates rounded to floats, so equal exact distances may differ in floats
+    space = FiniteMetricSpace.from_coords(labels, [float(x) for x in xs])
+    f = {s: rng.choice(labels) for s in labels}
+    F = {s: rng.sample(labels, rng.randint(1, min(3, n))) for s in labels}
+    pairs = [(u, v) for u in labels for v in labels if rng.random() < 0.6]
+    edges = (EdgeStructure.from_pairs(space, pairs) if rng.random() < 0.7
+             else EdgeStructure.ball(space, rng.randint(1, 40) / 4.0))
+    d = {(u, v): exact[i][j] for i, u in enumerate(labels) for j, v in enumerate(labels)}
+    ratios = [min(d[f[w], y] for y in F[w]) / d[f[v], f[w]]
+              for v in labels for w in labels if d[f[v], f[w]]]
+    ratios = [r for r in ratios if 0 < r < Fraction(9, 10)] or [Fraction(1, 2)]
+    k = float(rng.choice(ratios)) * (1 + rng.choice([0.0, 1e-12, -1e-12, 1e-8, -1e-8]))
+    return space, exact, f, F, edges, Gauge.constant(k)
+
+
+def test_float_verdicts_match_exact_fraction_oracle_beyond_the_slack():
+    # the loop oracles in exact rational arithmetic decide every check with
+    # no slack; the float verifiers must agree wherever no check exceeds
+    # its bound by a relative 2 EPS or less (EPS plus the data's rounding)
+    rng = random.Random(5)
+    decided = undecided = 0
+    verdicts = set()
+    for _ in range(150):
+        space, exact, f, F, edges, gauge = _rational_instance(rng)
+        close = []
+
+        def exactly(lhs, rhs, scale):
+            if rhs < lhs <= rhs * (1 + 2 * Fraction(EPS)):
+                close.append((lhs, rhs))
+            return lhs <= rhs
+
+        exact_space, exact_gauge = _ExactSpace(space, exact), _ExactGauge(gauge)
+        want = _reference_hypotheses(exact_space, f, F, edges, exact_gauge, holds=exactly)
+        want_kamran = _reference_kamran(exact_space, f, F, exact_gauge, M=Fraction(0),
+                                        holds=exactly)
+        got = verify_coincidence_hypotheses(space, f, F, edges, gauge)
+        got_kamran = verify_kamran_inequality(space, f, F, gauge)
+        if close:
+            undecided += 1
+            continue
+        decided += 1
+        for rep in (want, got):
+            rep.witnesses = [(w["condition"], w.get("v"), w.get("w"), w.get("p"))
+                             for w in rep.witnesses]
+        assert got == want
+        assert got_kamran.holds == want_kamran.holds
+        assert ([(w["v"], w["w"]) for w in got_kamran.witnesses]
+                == [(w["v"], w["w"]) for w in want_kamran.witnesses])
+        verdicts.add((got.condition_i_ok, got.condition_ii_ok, got_kamran.holds))
+    # both kinds of instance occur, and every verdict of (i), (ii) and Kamran
+    assert decided >= 100 and undecided >= 5
+    assert {v[0] for v in verdicts} == {v[1] for v in verdicts} == {True, False}
+    assert {v[2] for v in verdicts} == {True, False}
