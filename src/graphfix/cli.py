@@ -1,11 +1,14 @@
 """Command-line front end.
 
 Subcommands: verify, iterate, bernstein, fbvp, sweep.  Global flags pick
-the output directory, the seed recorded in reports, and the table format
-(csv or json).  Exit codes partition outcomes: 0 success, 1 hypothesis or
-validation failure, 2 input error, 3 budget exhausted.  Every report
-embeds the run manifest (subcommand, input, parameters, seed) so a run
-can be re-executed exactly.
+the output directory and the table format (csv or json).  Exit codes
+partition outcomes: 0 success, 1 hypothesis or validation failure, 2 input
+error, 3 budget exhausted.  Every report embeds the run manifest
+(subcommand, input, parameters) so a run can be re-executed exactly.
+
+A run's parameters are declared once, as its command's click options: a
+sweep job's params are resolved against them by ``_manifest``, and the
+runners hold no defaults of their own.
 """
 
 from __future__ import annotations
@@ -46,13 +49,12 @@ EXIT_BUDGET = 3
 
 @dataclass
 class RunManifest:
-    """What was run: subcommand, input, parameters, output home, seed."""
+    """What was run: subcommand, input, parameters, output home, format."""
 
     subcommand: str
     input: str | None
     params: dict = field(default_factory=dict)
     out: str = "."
-    seed: int = 0
     format: str = "csv"
 
 
@@ -89,11 +91,37 @@ def _table(manifest: RunManifest, stem: str, header: list[str], rows: list) -> N
     write_table(path, header, rows, manifest.format)
 
 
-def _require(params: dict, *keys: str) -> None:
-    """A run without one of its required parameters is an input error."""
-    missing = [key for key in keys if params.get(key) is None]
+def _manifest(command: click.Command, input_ref, params: dict, out: str, fmt: str) -> RunManifest:
+    """The manifest of a run of ``command``: ``params`` resolved against its
+    declared options, defaults filled in, in declaration order.  Click has
+    resolved a command line's already; a sweep job's are resolved here.
+    Refused: an unknown key, a missing required option, a value outside a
+    choice, a flag that is not a bool, a string option or input that is not
+    a string, and an input for a command without an argument.  Numbers are
+    checked where they are used, by the library."""
+    options = [p for p in command.params if isinstance(p, click.Option)]
+    names = {p.name for p in options}
+    unknown = [key for key in params if key not in names]
+    if unknown:
+        raise InputError(f"unknown parameter(s) for {command.name}: {', '.join(unknown)}")
+    if input_ref is not None and len(options) == len(command.params):
+        raise InputError(f"{command.name} takes no input, got {input_ref!r}")
+    if not isinstance(input_ref, (str, type(None))):
+        raise InputError(f"input must be a string, got {input_ref!r}")
+    missing = [p.name for p in options if p.required and params.get(p.name) is None]
     if missing:
         raise InputError(f"missing required parameter(s): {', '.join(missing)}")
+    resolved = {p.name: params.get(p.name, p.default) for p in options}
+    for p in options:
+        value = resolved[p.name]
+        if isinstance(p.type, click.Choice) and value not in p.type.choices:
+            raise InputError(f"{p.name} must be one of {', '.join(p.type.choices)}, got {value!r}")
+        if p.is_flag and type(value) is not bool:
+            raise InputError(f"{p.name} must be true or false, got {value!r}")
+        is_text = isinstance(p.type, click.types.StringParamType)
+        if is_text and not isinstance(value, (str, type(None))):
+            raise InputError(f"{p.name} must be a string, got {value!r}")
+    return RunManifest(command.name, input_ref, resolved, out, fmt)
 
 
 def _exit_code(outcome: IterationOutcome) -> int:
@@ -107,12 +135,13 @@ def _exit_code(outcome: IterationOutcome) -> int:
 
 # ---------------------------------------------------------------------------
 # Runners (shared by the click commands and the sweep executor).  Each one
-# writes its files and returns (exit code, report payload).
+# reads its resolved ``params[key]``, writes its files and returns
+# (exit code, report payload).
 # ---------------------------------------------------------------------------
 
 def run_verify(manifest: RunManifest) -> tuple[int, dict]:
     params = manifest.params
-    problem = _load(manifest.input, params.get("truncate"))
+    problem = _load(manifest.input, params["truncate"])
     report = verify_coincidence_hypotheses(
         problem.space,
         problem.f,
@@ -123,13 +152,13 @@ def run_verify(manifest: RunManifest) -> tuple[int, dict]:
     )
     payload = {"hypotheses": report.to_dict()}
     ok = report.all_ok
-    if params.get("kamran"):
+    if params["kamran"]:
         kamran = verify_kamran_inequality(
             problem.space,
             problem.f,
             problem.F,
-            Gauge.constant(check_real(params.get("kamran_sup", 0.999), "kamran_sup")),
-            M=params.get("M", 0.0),
+            Gauge.constant(check_real(params["kamran_sup"], "kamran_sup")),
+            M=params["M"],
         )
         payload["kamran"] = kamran.to_dict()
         ok = ok and kamran.holds
@@ -141,20 +170,13 @@ _TRACE_HEADER = ["n", "w_label", "fw_label", "d_n", "D_n", "tail_bound_n", "edge
 
 def run_iterate(manifest: RunManifest) -> tuple[int, dict]:
     params = manifest.params
-    problem = _load(manifest.input, params.get("truncate"))
-    replacements = {}
-    if params.get("w0") is not None:
-        replacements["w0"] = params["w0"]
-    if params.get("p0") is not None:
-        replacements["p0"] = params["p0"]
-    cfg = problem.config
+    problem = _load(manifest.input, params["truncate"])
+    replacements = {k: params[k] for k in ("w0", "p0") if params[k] is not None}
     cfg_updates = {
-        k: params[k]
-        for k in ("tol", "residual_tol", "max_iter")
-        if params.get(k) is not None
+        k: params[k] for k in ("tol", "residual_tol", "max_iter") if params[k] is not None
     }
     if cfg_updates:
-        replacements["config"] = dataclasses.replace(cfg, **cfg_updates)
+        replacements["config"] = dataclasses.replace(problem.config, **cfg_updates)
     if replacements:
         problem = dataclasses.replace(problem, **replacements)
     outcome = run_coincidence_iteration(problem)
@@ -188,24 +210,26 @@ def _phi_from_file(path):
     return lambda a: float(np.interp(a, xs, ys))
 
 
+def _builtin_or_file(params: dict, key: str, builtins: dict, from_file):
+    """The builtin named by ``params[key]``, or ``from_file`` of
+    ``params[key + "_file"]`` when the name is "file".  A file given with
+    another name would change nothing, so it is an input error."""
+    name, path = params[key], params[f"{key}_file"]
+    if name != "file":
+        if path is not None:
+            raise InputError(f"--{key}-file applies only to --{key} file, not to --{key} {name}")
+        return builtins[name]
+    if not path:
+        raise InputError(f"--{key} file needs --{key}-file PATH")
+    return from_file(path)
+
+
 def run_bernstein(manifest: RunManifest) -> tuple[int, dict]:
     params = manifest.params
-    _require(params, "n", "q")
-    phi_name = params.get("phi", "square")
-    if phi_name == "file":
-        if not params.get("phi_file"):
-            raise InputError("--phi file needs --phi-file PATH")
-        phi = _phi_from_file(params["phi_file"])
-    elif phi_name in _PHI_BUILTINS:
-        phi = _PHI_BUILTINS[phi_name]
-    else:
-        raise InputError(f"unknown phi {phi_name!r}")
-
+    phi = _builtin_or_file(params, "phi", _PHI_BUILTINS, _phi_from_file)
     qp = QParams(params["n"], params["q"])
-    result = iterate_to_limit(
-        qp, phi, tol=params.get("tol", 1e-12), max_iter=params.get("max_iter", 200_000)
-    )
-    points = check_integer(params.get("grid", 101), "grid")
+    result = iterate_to_limit(qp, phi, tol=params["tol"], max_iter=params["max_iter"])
+    points = check_integer(params["grid"], "grid")
     if points < 1:
         raise InputError(f"grid needs at least one point, got {points}")
     grid = np.linspace(0.0, 1.0, points)
@@ -263,28 +287,17 @@ def _forcing_from_file(path):
 
 def run_fbvp(manifest: RunManifest) -> tuple[int, dict]:
     params = manifest.params
-    _require(params, "beta")
-    name = params.get("forcing", "sin-pi")
-    if name == "file":
-        if not params.get("forcing_file"):
-            raise InputError("--forcing file needs --forcing-file PATH")
-        g, default_sup = _forcing_from_file(params["forcing_file"])
-    elif name in _FORCING_BUILTINS:
-        g, default_sup = _FORCING_BUILTINS[name]
-    else:
-        raise InputError(f"unknown forcing {name!r}")
-    gauge_sup = params.get("gauge_sup")
-    if gauge_sup is not None:
-        gauge_sup = check_real(gauge_sup, "gauge_sup")
-    gauge = Gauge.constant(default_sup if gauge_sup is None else gauge_sup)
+    g, default_sup = _builtin_or_file(params, "forcing", _FORCING_BUILTINS, _forcing_from_file)
+    sup = params["gauge_sup"]
+    gauge = Gauge.constant(default_sup if sup is None else check_real(sup, "gauge_sup"))
 
     problem = FbvpProblem(
         beta=params["beta"],
         g=g,
         gauge=gauge,
-        grid_m=params.get("m", 200),
-        tol=params.get("tol", 1e-10),
-        max_iter=params.get("max_iter", 10_000),
+        grid_m=params["m"],
+        tol=params["tol"],
+        max_iter=params["max_iter"],
     )
     report = picard_solve(problem)
     rows = [
@@ -296,6 +309,7 @@ def run_fbvp(manifest: RunManifest) -> tuple[int, dict]:
     return _exit_code(report), _emit(manifest, "report.json", payload)
 
 
+# the subcommands a sweep job may run
 _RUNNERS = {
     "verify": run_verify,
     "iterate": run_iterate,
@@ -304,10 +318,13 @@ _RUNNERS = {
 }
 
 
-def _guarded(runner, manifest: RunManifest) -> tuple[int, dict | None, str | None]:
-    """Run one runner; a run that raises becomes an exit code and an error line."""
+def _guarded(
+    runner, command: click.Command, input_ref, params: dict, out: str, fmt: str
+) -> tuple[int, dict | None, str | None]:
+    """Resolve one run's manifest and run it; a run that raises becomes an
+    exit code and an error line."""
     try:
-        code, payload = runner(manifest)
+        code, payload = runner(_manifest(command, input_ref, params, out, fmt))
     except (InputError, DomainError) as exc:
         return EXIT_INPUT, None, f"error: {exc}"
     return code, payload, None
@@ -329,21 +346,15 @@ def run_sweep(manifest: RunManifest) -> tuple[int, dict]:
                 "and a params object"
             )
             return {"index": idx, "exit_code": EXIT_INPUT, "error": error}
-        sub_manifest = RunManifest(
-            subcommand=sub,
-            input=job.get("input"),
-            params=dict(params),
-            out=os.path.join(manifest.out, f"run-{idx:03d}"),
-            seed=manifest.seed,
-            format=manifest.format,
+        out = os.path.join(manifest.out, f"run-{idx:03d}")
+        code, _, error = _guarded(
+            _RUNNERS[sub], main.commands[sub], job.get("input"), params, out, manifest.format
         )
-        code, _, error = _guarded(_RUNNERS[sub], sub_manifest)
         return {"index": idx, "exit_code": code, "error": error}
 
     import concurrent.futures  # only sweeps use it; it imports logging
 
-    workers = max(1, int(manifest.params.get("jobs", 1)))
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
+    with concurrent.futures.ThreadPoolExecutor(max_workers=manifest.params["jobs"]) as pool:
         runs = list(pool.map(one, enumerate(jobs)))
     code = max(run["exit_code"] for run in runs)
     return code, _emit(manifest, "sweep.json", {"runs": runs})
@@ -353,8 +364,10 @@ def run_sweep(manifest: RunManifest) -> tuple[int, dict]:
 # click wiring
 # ---------------------------------------------------------------------------
 
-def _dispatch(runner, manifest: RunManifest) -> None:
-    code, payload, error = _guarded(runner, manifest)
+def _dispatch(ctx, runner, input_ref, params: dict) -> None:
+    code, payload, error = _guarded(
+        runner, ctx.command, input_ref, params, ctx.obj["out"], ctx.obj["format"]
+    )
     if error is None:
         click.echo(json_dumps(payload))
     else:
@@ -364,7 +377,6 @@ def _dispatch(runner, manifest: RunManifest) -> None:
 
 @click.group()
 @click.option("--out", default=".", show_default=True, help="Output directory.")
-@click.option("--seed", default=0, show_default=True, help="Seed recorded in reports.")
 @click.option(
     "--format",
     "fmt",
@@ -374,22 +386,9 @@ def _dispatch(runner, manifest: RunManifest) -> None:
     help="Table output format.",
 )
 @click.pass_context
-def main(ctx, out, seed, fmt):
+def main(ctx, out, fmt):
     """Graph-constrained coincidence iteration toolkit."""
-    ctx.obj = {"out": out, "seed": seed, "format": fmt}
-
-
-def _manifest(ctx, subcommand, input_ref, params) -> RunManifest:
-    """The run's manifest; ``params`` are the command's options, in the
-    order the command declares them."""
-    return RunManifest(
-        subcommand=subcommand,
-        input=input_ref,
-        params={p.name: params[p.name] for p in ctx.command.params if p.name in params},
-        out=ctx.obj["out"],
-        seed=ctx.obj["seed"],
-        format=ctx.obj["format"],
-    )
+    ctx.obj = {"out": out, "format": fmt}
 
 
 @main.command()
@@ -401,7 +400,7 @@ def _manifest(ctx, subcommand, input_ref, params) -> RunManifest:
 @click.pass_context
 def verify(ctx, problem, **params):
     """Check the contraction/graph hypotheses of PROBLEM (builtin or file)."""
-    _dispatch(run_verify, _manifest(ctx, "verify", problem, params))
+    _dispatch(ctx, run_verify, problem, params)
 
 
 @main.command()
@@ -415,7 +414,7 @@ def verify(ctx, problem, **params):
 @click.pass_context
 def iterate(ctx, problem, **params):
     """Run the coincidence iteration on PROBLEM; write trace and outcome."""
-    _dispatch(run_iterate, _manifest(ctx, "iterate", problem, params))
+    _dispatch(ctx, run_iterate, problem, params)
 
 
 @main.command()
@@ -434,7 +433,7 @@ def iterate(ctx, problem, **params):
 @click.pass_context
 def bernstein(ctx, **params):
     """Iterate the nonlinear q-Bernstein operator to its limit."""
-    _dispatch(run_bernstein, _manifest(ctx, "bernstein", None, params))
+    _dispatch(ctx, run_bernstein, None, params)
 
 
 @main.command()
@@ -453,16 +452,16 @@ def bernstein(ctx, **params):
 @click.pass_context
 def fbvp(ctx, **params):
     """Solve the fractional boundary problem by Picard iteration."""
-    _dispatch(run_fbvp, _manifest(ctx, "fbvp", None, params))
+    _dispatch(ctx, run_fbvp, None, params)
 
 
 @main.command()
 @click.argument("specfile")
-@click.option("--jobs", type=int, default=1, show_default=True)
+@click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True)
 @click.pass_context
 def sweep(ctx, specfile, **params):
     """Fan out independent runs described in SPECFILE (JSON array)."""
-    _dispatch(run_sweep, _manifest(ctx, "sweep", specfile, params))
+    _dispatch(ctx, run_sweep, specfile, params)
 
 
 if __name__ == "__main__":

@@ -85,12 +85,13 @@ def _encode(obj: Any, out: list[str], pad: str, step: str) -> None:
         raise TypeError(f"cannot serialize {kind.__name__}")
 
 
-def json_dumps(obj: Any, indent: int = 2) -> str:
-    """JSON text with 17-significant-digit floats.  A lone surrogate, which
-    UTF-8 cannot encode (``os.fsdecode`` makes them of the bytes of a file
-    name that are not UTF-8), is written as its ``\\udcXX`` escape."""
+def json_dumps(obj: Any) -> str:
+    """JSON text, indented by two spaces a level, with 17-significant-digit
+    floats.  A lone surrogate, which UTF-8 cannot encode (``os.fsdecode``
+    makes them of the bytes of a file name that are not UTF-8), is written
+    as its ``\\udcXX`` escape."""
     out: list[str] = []
-    _encode(obj, out, "\n", " " * indent)
+    _encode(obj, out, "\n", "  ")
     return _escape_surrogates("".join(out))
 
 

@@ -1,4 +1,7 @@
 import csv
+import dataclasses
+import importlib.util
+import inspect
 import json
 import math
 import os
@@ -6,13 +9,18 @@ import random
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
+import click
 import numpy as np
 import pytest
+from click.core import ParameterSource
 from click.testing import CliRunner
 
 import graphfix
+from graphfix.bernstein import iterate_to_limit
 from graphfix.cli import main
+from graphfix.fbvp import FbvpProblem
 from graphfix.problems import (
     builtin_problem,
     problem_to_dict,
@@ -40,7 +48,7 @@ def test_verify_builtin_all_true(runner, tmp_path):
     report = _read_json(tmp_path / "report.json")
     assert report["hypotheses"]["all_ok"] is True
     assert report["manifest"]["subcommand"] == "verify"
-    assert "seed" in report["manifest"]
+    assert set(report["manifest"]) == {"subcommand", "input", "params", "out", "format"}
 
 
 def test_verify_kamran_flags_violating_pair(runner, tmp_path):
@@ -389,15 +397,6 @@ def test_full_precision_serialization(runner, tmp_path):
     assert pairs[("0", "1")]["H"] == 1.0 / 3.0
 
 
-def test_seed_recorded_in_manifest(runner, tmp_path):
-    res = runner.invoke(
-        main, ["--out", str(tmp_path), "--seed", "77", "verify", "identity"]
-    )
-    assert res.exit_code == 0
-    report = _read_json(tmp_path / "report.json")
-    assert report["manifest"]["seed"] == 77
-
-
 def test_sweep_isolates_a_failing_job(runner, tmp_path):
     spec = [
         {"subcommand": "bernstein", "params": {"n": 3, "q": 1.0, "phi": "square"}},
@@ -727,7 +726,7 @@ _RECORD_KEYS = {
     "summary.json": {"n", "q", "iterations", "final_displacement", "b_nq",
                      "converged", "endpoint_nonneg", "status"},
     "report.json": {"beta", "m", "converged", "iterations", "residual", "kappa",
-                    "effective_factor", "warning", "status"},
+                    "effective_factor", "status"},
 }
 
 _STATUS = {0: "converged", 1: "hypothesis-violated", 3: "max-iter-exceeded"}
@@ -767,3 +766,184 @@ def test_run_record_keys_and_stop(runner, tmp_path, case):
     assert record["status"] == _STATUS[code]
     stop = {"condition", "step"} if code == 1 else set()
     assert set(record) == {"manifest"} | _RECORD_KEYS[name] | stop
+
+
+def _sweep_job(args):
+    """The sweep job of a CLI argument list: the options ``args`` gives, with
+    the values click parses them to, and the command's argument as input."""
+    command = main.commands[args[0]]
+    ctx = command.make_context(args[0], list(args[1:]))
+    params = {
+        p.name: ctx.params[p.name]
+        for p in command.params
+        if isinstance(p, click.Option)
+        and ctx.get_parameter_source(p.name) is ParameterSource.COMMANDLINE
+    }
+    inputs = [ctx.params[p.name] for p in command.params if isinstance(p, click.Argument)]
+    return {"subcommand": args[0], "input": inputs[0] if inputs else None, "params": params}
+
+
+def _run_dir(path):
+    """Exit code and error line aside, what a run left in ``path``: its files
+    by name, as bytes, and its record (the one JSON file of a csv run)."""
+    files = {p.name: p.read_bytes() for p in sorted(path.iterdir())} if path.exists() else {}
+    records = [json.loads(data) for name, data in files.items() if name.endswith(".json")]
+    assert len(records) <= 1
+    return {"files": files, "record": records[0] if records else None}
+
+
+def _cli_and_sweep(tmp_path, args):
+    """Run ``args`` (a subcommand and its arguments) as a CLI run into
+    ``tmp_path/cli`` and as the one job of a sweep into ``tmp_path/sweep``.
+    Returns, for each, the exit code, the error line (None when the run ran),
+    the files it wrote and its record."""
+    runner = CliRunner()
+    res = runner.invoke(main, ["--out", str(tmp_path / "cli"), *args])
+    spec = tmp_path / "jobs.json"
+    spec.write_text(json.dumps([_sweep_job(args)]))
+    runner.invoke(main, ["--out", str(tmp_path / "sweep"), "sweep", str(spec)])
+    (run,) = _read_json(tmp_path / "sweep" / "sweep.json")["runs"]
+    cli = {"exit_code": res.exit_code, "error": res.stderr.rstrip("\n") or None,
+           **_run_dir(tmp_path / "cli")}
+    sweep = {"exit_code": run["exit_code"], "error": run["error"],
+             **_run_dir(tmp_path / "sweep" / "run-000")}
+    return cli, sweep
+
+
+def _perfbench_inputs():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_BENCH = _perfbench_inputs()
+# the README examples (the cli kind) and the benchmark's other sweep job
+# kinds at their self-test sizes; PROBLEM stands for a problem file
+_BENCH_JOBS = [
+    args
+    for kind, size in (("cli", 0), ("finite", 12), ("operators", 40))
+    for args, _ in _BENCH.sweep_jobs(kind, size, "PROBLEM")
+]
+
+
+@pytest.mark.parametrize("args", _BENCH_JOBS, ids=" ".join)
+def test_sweep_job_records_the_cli_run(tmp_path, args):
+    problem = tmp_path / "problem.json"
+    problem.write_text(json.dumps(_BENCH.ladder_dict(random.Random(5), 11)))
+    args = [str(problem) if a == "PROBLEM" else a for a in args]
+    # the benchmark's sweep files hold exactly these jobs
+    assert _BENCH.job_spec(args) == _sweep_job(args)
+    cli, sweep = _cli_and_sweep(tmp_path, args)
+    assert cli["error"] is None and sweep["error"] is None
+    assert cli["exit_code"] == sweep["exit_code"]
+    cli_record, sweep_record = cli.pop("record"), sweep.pop("record")
+    cli_params, sweep_params = (r["manifest"]["params"] for r in (cli_record, sweep_record))
+    assert list(sweep_params.items()) == list(cli_params.items())  # keys, order, values
+    assert sweep_record["manifest"].pop("out") == str(tmp_path / "sweep" / "run-000")
+    assert cli_record["manifest"].pop("out") == str(tmp_path / "cli")
+    assert sweep_record == cli_record
+    # every other output file is byte-identical
+    assert cli["files"].keys() == sweep["files"].keys()
+    for name, data in cli["files"].items():
+        if not name.endswith(".json"):
+            assert sweep["files"][name] == data, name
+
+
+_CHANGES_NOTHING = {
+    "phi-file-with-a-builtin-phi": (
+        ["bernstein", "--n", "5", "--q", "0.9", "--phi", "cube", "--phi-file", "PATH"],
+        "error: --phi-file applies only to --phi file, not to --phi cube",
+    ),
+    "forcing-file-with-the-default-forcing": (
+        ["fbvp", "--beta", "2", "--forcing-file", "PATH"],
+        "error: --forcing-file applies only to --forcing file, not to --forcing sin-pi",
+    ),
+    "phi-file-missing": (
+        ["bernstein", "--n", "5", "--q", "0.9", "--phi", "file"],
+        "error: --phi file needs --phi-file PATH",
+    ),
+    "forcing-file-missing": (
+        ["fbvp", "--beta", "2", "--forcing", "file"],
+        "error: --forcing file needs --forcing-file PATH",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CHANGES_NOTHING))
+def test_file_option_without_its_file_choice_is_input_error(tmp_path, case):
+    # the path need not exist: the run is refused before anything is read
+    args, error = _CHANGES_NOTHING[case]
+    args = [str(tmp_path / "missing.json") if a == "PATH" else a for a in args]
+    cli, sweep = _cli_and_sweep(tmp_path, args)
+    assert cli == sweep == {"exit_code": 2, "error": error, "files": {}, "record": None}
+
+
+def test_sweep_job_is_resolved_against_its_command_options(runner, tmp_path):
+    spec = [
+        {"subcommand": "fbvp", "params": {"beta": 2, "grid_m": 7}},
+        {"subcommand": "verify", "input": "example-3-3", "params": {"kamran": True, "m": 1}},
+        {"subcommand": "bernstein", "input": "example-3-3", "params": {"n": 3, "q": 1.0}},
+        {"subcommand": "fbvp", "params": {"beta": 2, "forcing": "cosine"}},
+        {"subcommand": "bernstein", "params": {"n": 3, "q": 1.0, "phi": None}},
+        {"subcommand": "iterate", "input": "example-3-3", "params": {"problem": "identity"}},
+        {"subcommand": "iterate", "input": "example-3-3", "params": {"w0": 5}},
+        {"subcommand": "verify", "input": ["example-3-3"]},
+        {"subcommand": "verify", "input": "example-3-3", "params": {"kamran": "no"}},
+        {"subcommand": "fbvp", "input": None, "params": {"beta": 2, "m": 40}},
+    ]
+    spec_path = tmp_path / "sweep.json"
+    spec_path.write_text(json.dumps(spec))
+    res = runner.invoke(main, ["--out", str(tmp_path), "sweep", str(spec_path)])
+    assert res.exit_code == 2
+    runs = _read_json(tmp_path / "sweep.json")["runs"]
+    assert [r["exit_code"] for r in runs] == [2] * 9 + [0]
+    assert [r["error"] for r in runs] == [
+        "error: unknown parameter(s) for fbvp: grid_m",
+        "error: unknown parameter(s) for verify: m",
+        "error: bernstein takes no input, got 'example-3-3'",
+        "error: forcing must be one of sin-pi, const, linear-w, file, got 'cosine'",
+        "error: phi must be one of square, cube, sin, file, got None",
+        "error: unknown parameter(s) for iterate: problem",
+        "error: w0 must be a string, got 5",
+        "error: input must be a string, got ['example-3-3']",
+        "error: kamran must be true or false, got 'no'",
+        None,
+    ]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run-009", "sweep.json"]
+    # the manifest holds every declared option, defaults filled in
+    manifest = _read_json(tmp_path / "run-009" / "report.json")["manifest"]
+    assert manifest["input"] is None
+    assert list(manifest["params"].items()) == [
+        ("beta", 2), ("forcing", "sin-pi"), ("forcing_file", None), ("m", 40),
+        ("tol", 1e-10), ("max_iter", 10_000), ("gauge_sup", None),
+    ]
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_sweep_with_fewer_than_one_worker_is_input_error(runner, tmp_path, jobs):
+    spec_path = tmp_path / "sweep.json"
+    spec_path.write_text(json.dumps([{"subcommand": "verify", "input": "identity"}]))
+    res = runner.invoke(
+        main, ["--out", str(tmp_path / "out"), "sweep", str(spec_path), "--jobs", jobs]
+    )
+    assert res.exit_code == 2
+    assert "--jobs" in res.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_solver_option_defaults_are_the_library_defaults():
+    def defaults(name):
+        return {p.name: p.default for p in main.commands[name].params}
+
+    bernstein = defaults("bernstein")
+    signature = inspect.signature(iterate_to_limit).parameters
+    assert {key: bernstein[key] for key in ("tol", "max_iter")} == {
+        key: signature[key].default for key in ("tol", "max_iter")
+    }
+    fbvp = defaults("fbvp")
+    fields = {f.name: f.default for f in dataclasses.fields(FbvpProblem)}
+    assert (fbvp["m"], fbvp["tol"], fbvp["max_iter"]) == (
+        fields["grid_m"], fields["tol"], fields["max_iter"]
+    )

@@ -323,6 +323,19 @@ def test_kappa_matches_analytic_maximum():
         assert abs(quadrature_kappa(prob) - np.max(row_sums)) <= 1e-14 * np.max(row_sums)
 
 
+@pytest.mark.parametrize(
+    "beta", [1 + 1e-12, 1 + 1e-9, 1 + 1e-6, 1.001, 1.01, 1.1, 1.5, 2.0, 3.0, 10.0, 171.7]
+)
+def test_kappa_is_below_one(beta):
+    # a Gauge refuses sup k >= 1, so kappa < 1 keeps kappa * sup k below 1:
+    # the contraction the report's effective_factor states always holds.
+    # K @ 1 approaches 1 - 1/m as beta -> 1 (at the node b = 1/m)
+    for m in (2, 4, 6, 10, 20, 50, 100, 200, 1000, 2000, 4000):
+        prob = FbvpProblem(beta=beta, g=lambda b, w: 0.0, gauge=Gauge.constant(0.0),
+                           grid_m=m)
+        assert quadrature_kappa(prob) < 1.0, m
+
+
 # --- picard solver -----------------------------------------------------------------------
 
 def test_picard_w_independent_single_iteration():
@@ -347,7 +360,6 @@ def test_picard_linear_matches_direct_elimination():
     assert rep.residual <= 1e-8
     u = rep.solution.values
     assert rep.residual == float(np.max(np.abs(u - prob.matrix @ prob.forcing_vector(u))))
-    assert rep.warning is None
     assert abs(rep.effective_factor - rep.kappa * 0.5) < TOL
 
 
