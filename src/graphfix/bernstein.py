@@ -219,13 +219,13 @@ def iterate_to_limit(
 ) -> IterateResult:
     """Iterate the node vector u <- B|u| until the sup-change drops to tol.
 
-    For phi with nonnegative endpoint values the limit agrees with
-    phi(0)(1-a) + phi(1)a; otherwise only the empirical limit is
-    returned (the displacement-in-subspace check is dropped because the
-    first application folds the values into the nonnegative cone, after
-    which the endpoint values are no longer those of phi).  That check
-    is ``metric.within``: each endpoint displacement is 0 up to
-    EPS ||u_0||, since B is stochastic and so ||u_0|| bounds every
+    The iterates start from |phi| at the nodes: T(phi) = B|phi| = T(|phi|),
+    so they are those of phi, and since B's endpoint rows are exact unit
+    rows every iterate keeps the endpoint values |phi(0)| and |phi(1)|.
+    The limit agrees with |phi(0)|(1-a) + |phi(1)|a; ``endpoint_nonneg``
+    says whether that is phi(0)(1-a) + phi(1)a.  The displacement-in-
+    subspace check is ``metric.within``: each endpoint displacement is 0
+    up to EPS ||u_0||, since B is stochastic and so ||u_0|| bounds every
     iterate.
     """
     start = np.array([float(phi(t)) for t in nodes(params)])
@@ -234,19 +234,15 @@ def iterate_to_limit(
     gauge = Gauge.constant(1.0 - b_nq)
     endpoint_nonneg = bool(start[0] >= 0.0 and start[-1] >= 0.0)
 
-    if endpoint_nonneg:
-        size = float(np.max(np.abs(start)))
+    size = float(np.max(np.abs(start)))
 
-        def in_w0(delta) -> bool:
-            return (within(abs(delta[0]), 0.0, size)
-                    and within(abs(delta[-1]), 0.0, size))
-    else:
-        def in_w0(delta) -> bool:
-            return True
+    def in_w0(delta) -> bool:
+        return (within(abs(delta[0]), 0.0, size)
+                and within(abs(delta[-1]), 0.0, size))
 
     outcome = run_operator_iteration(
         lambda u: B @ np.abs(u),
-        start,
+        np.abs(start),
         in_w0,
         gauge,
         IterationConfig(tol=tol, residual_tol=tol, max_iter=max_iter),

@@ -5,6 +5,7 @@ the output directory and the table format (csv or json).  Exit codes
 partition outcomes: 0 success, 1 hypothesis or validation failure, 2 input
 error, 3 budget exhausted.  Every report embeds the run manifest
 (subcommand, input, parameters) so a run can be re-executed exactly.
+PROBLEM, --phi and --forcing each take a builtin name or a file path.
 
 A run's parameters are declared once, as its command's click options: a
 sweep job's params are resolved against them by ``_manifest``, and the
@@ -58,23 +59,31 @@ class RunManifest:
     format: str = "csv"
 
 
+def _builtin_or_file(kind: str, ref, builtins, from_name, from_file):
+    """Resolve PROBLEM, --phi or --forcing: ``from_name(ref)`` when ``ref``
+    names one of ``builtins``, else ``from_file(ref)`` when it is the path
+    of an existing file."""
+    if ref in builtins:
+        return from_name(ref)
+    if ref is not None and os.path.exists(ref):
+        return from_file(ref)
+    raise InputError(
+        f"needs a {kind}: a builtin ({', '.join(builtins)}) or an existing file, got {ref!r}"
+    )
+
+
 def _load(problem_ref: str | None, depth: int | None):
-    if problem_ref is None:
-        raise InputError("needs a problem: a builtin name or a problem file")
-    if problem_ref in BUILTIN_NAMES:
-        if depth is not None:
-            depth = check_integer(depth, "truncate")
-        return builtin_problem(problem_ref, depth=depth)
-    if os.path.exists(problem_ref):
+    def from_name(name):
+        return builtin_problem(name, None if depth is None else check_integer(depth, "truncate"))
+
+    def from_file(path):
         if depth is not None:
             raise InputError(
                 "truncate applies to the ternary orbit builtins, not to a problem file"
             )
-        return load_problem(problem_ref)
-    raise InputError(
-        f"{problem_ref!r} is neither a builtin ({', '.join(BUILTIN_NAMES)}) "
-        "nor an existing file"
-    )
+        return load_problem(path)
+
+    return _builtin_or_file("problem", problem_ref, BUILTIN_NAMES, from_name, from_file)
 
 
 def _emit(manifest: RunManifest, name: str, payload: dict) -> dict:
@@ -95,10 +104,10 @@ def _manifest(command: click.Command, input_ref, params: dict, out: str, fmt: st
     """The manifest of a run of ``command``: ``params`` resolved against its
     declared options, defaults filled in, in declaration order.  Click has
     resolved a command line's already; a sweep job's are resolved here.
-    Refused: an unknown key, a missing required option, a value outside a
-    choice, a flag that is not a bool, a string option or input that is not
-    a string, and an input for a command without an argument.  Numbers are
-    checked where they are used, by the library."""
+    Refused: an unknown key, a missing required option, a flag that is not
+    a bool, a string option or input that is not a string, and an input for
+    a command without an argument.  Numbers are checked where they are
+    used, by the library."""
     options = [p for p in command.params if isinstance(p, click.Option)]
     names = {p.name for p in options}
     unknown = [key for key in params if key not in names]
@@ -114,8 +123,6 @@ def _manifest(command: click.Command, input_ref, params: dict, out: str, fmt: st
     resolved = {p.name: params.get(p.name, p.default) for p in options}
     for p in options:
         value = resolved[p.name]
-        if isinstance(p.type, click.Choice) and value not in p.type.choices:
-            raise InputError(f"{p.name} must be one of {', '.join(p.type.choices)}, got {value!r}")
         if p.is_flag and type(value) is not bool:
             raise InputError(f"{p.name} must be true or false, got {value!r}")
         is_text = isinstance(p.type, click.types.StringParamType)
@@ -210,23 +217,11 @@ def _phi_from_file(path):
     return lambda a: float(np.interp(a, xs, ys))
 
 
-def _builtin_or_file(params: dict, key: str, builtins: dict, from_file):
-    """The builtin named by ``params[key]``, or ``from_file`` of
-    ``params[key + "_file"]`` when the name is "file".  A file given with
-    another name would change nothing, so it is an input error."""
-    name, path = params[key], params[f"{key}_file"]
-    if name != "file":
-        if path is not None:
-            raise InputError(f"--{key}-file applies only to --{key} file, not to --{key} {name}")
-        return builtins[name]
-    if not path:
-        raise InputError(f"--{key} file needs --{key}-file PATH")
-    return from_file(path)
-
-
 def run_bernstein(manifest: RunManifest) -> tuple[int, dict]:
     params = manifest.params
-    phi = _builtin_or_file(params, "phi", _PHI_BUILTINS, _phi_from_file)
+    phi = _builtin_or_file(
+        "phi", params["phi"], _PHI_BUILTINS, _PHI_BUILTINS.get, _phi_from_file
+    )
     qp = QParams(params["n"], params["q"])
     result = iterate_to_limit(qp, phi, tol=params["tol"], max_iter=params["max_iter"])
     points = check_integer(params["grid"], "grid")
@@ -287,14 +282,14 @@ def _forcing_from_file(path):
 
 def run_fbvp(manifest: RunManifest) -> tuple[int, dict]:
     params = manifest.params
-    g, default_sup = _builtin_or_file(params, "forcing", _FORCING_BUILTINS, _forcing_from_file)
-    sup = params["gauge_sup"]
-    gauge = Gauge.constant(default_sup if sup is None else check_real(sup, "gauge_sup"))
-
+    g, sup = _builtin_or_file(
+        "forcing", params["forcing"], _FORCING_BUILTINS, _FORCING_BUILTINS.get,
+        _forcing_from_file,
+    )
     problem = FbvpProblem(
         beta=params["beta"],
         g=g,
-        gauge=gauge,
+        gauge=Gauge.constant(sup),
         grid_m=params["m"],
         tol=params["tol"],
         max_iter=params["max_iter"],
@@ -422,11 +417,10 @@ def iterate(ctx, problem, **params):
 @click.option("--q", type=float, required=True, help="Deformation parameter.")
 @click.option(
     "--phi",
-    type=click.Choice(["square", "cube", "sin", "file"]),
     default="square",
     show_default=True,
+    help=f"{', '.join(_PHI_BUILTINS)}, or a JSON file of [[a, value], ...] samples.",
 )
-@click.option("--phi-file", default=None, help="JSON [[a, value], ...] samples.")
 @click.option("--tol", type=float, default=1e-12, show_default=True)
 @click.option("--max-iter", type=int, default=200_000, show_default=True)
 @click.option("--grid", type=int, default=101, show_default=True)
@@ -440,15 +434,13 @@ def bernstein(ctx, **params):
 @click.option("--beta", type=float, required=True, help="Fractional order (> 1).")
 @click.option(
     "--forcing",
-    type=click.Choice(["sin-pi", "const", "linear-w", "file"]),
     default="sin-pi",
     show_default=True,
+    help=f"{', '.join(_FORCING_BUILTINS)}, or a JSON file {{'expr': ..., 'gauge_sup': ...}}.",
 )
-@click.option("--forcing-file", default=None, help="JSON {'expr': ..., 'gauge_sup': ...}.")
 @click.option("--m", type=int, default=200, show_default=True, help="Grid panels (even).")
 @click.option("--tol", type=float, default=1e-10, show_default=True)
 @click.option("--max-iter", type=int, default=10_000, show_default=True)
-@click.option("--gauge-sup", type=float, default=None, help="Override the gauge bound.")
 @click.pass_context
 def fbvp(ctx, **params):
     """Solve the fractional boundary problem by Picard iteration."""

@@ -65,7 +65,7 @@ def ternary_orbit_problem(
     )
 
 
-def identity_problem(config: IterationConfig | None = None) -> CoincidenceProblem:
+def identity_problem() -> CoincidenceProblem:
     """Every point is a common fixed point: f = id, F(w) = {w}."""
     labels = ["0", "1/4", "1/2", "3/4", "1"]
     values = [0.0, 0.25, 0.5, 0.75, 1.0]
@@ -78,25 +78,22 @@ def identity_problem(config: IterationConfig | None = None) -> CoincidenceProble
         gauge=Gauge.constant(0.5),
         w0="0",
         p0="0",
-        config=config or IterationConfig(),
     )
 
 
-def builtin_problem(
-    name: str, depth: int | None = None, config: IterationConfig | None = None
-) -> CoincidenceProblem:
+def builtin_problem(name: str, depth: int | None = None) -> CoincidenceProblem:
     """Look up an embedded problem by its public name.  ``depth`` cuts the
     ternary orbit; the identity problem has none and refuses one."""
     if name == "example-3-3" or name == "example-3-5":
         # same truncated dataset; the second name flags the comparison use
-        return ternary_orbit_problem(12 if depth is None else depth, config)
+        return ternary_orbit_problem(12 if depth is None else depth)
     if name == "kamran-counterexample":
         # a small cut suffices: the violating pair (0, 1) survives any depth
-        return ternary_orbit_problem(4 if depth is None else depth, config)
+        return ternary_orbit_problem(4 if depth is None else depth)
     if name == "identity":
         if depth is not None:
             raise InputError("the identity problem takes no truncation depth")
-        return identity_problem(config)
+        return identity_problem()
     raise InputError(f"unknown builtin problem {name!r}; known: {BUILTIN_NAMES}")
 
 

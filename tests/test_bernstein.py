@@ -371,6 +371,24 @@ def test_iterate_outside_nonneg_endpoints_reports_empirical_limit():
     assert np.max(np.abs(res.evaluate_grid(grid) - expected)) <= 1e-9
 
 
+@pytest.mark.parametrize("phi", [lambda a: a * a, lambda a: a - 0.5], ids=["square", "a-0.5"])
+def test_iterate_checks_the_endpoints_for_every_phi(monkeypatch, phi):
+    # a first row that moves 1e-3 of its weight from the left endpoint to
+    # the next node breaks the endpoint interpolation; a negative phi(0)
+    # must not switch the check off
+    exact = operator_matrix
+
+    def leaky(params):
+        B = exact(params)
+        B[0, 0] -= 1e-3
+        B[0, 1] += 1e-3
+        return B
+
+    monkeypatch.setattr("graphfix.bernstein.operator_matrix", leaky)
+    record = iterate_to_limit(QParams(10, 0.9), phi).to_dict()
+    assert (record["status"], record.get("condition")) == ("hypothesis-violated", "edge")
+
+
 def test_iterate_rounding_at_the_iterate_size_is_no_contraction_failure():
     # the exact rate is 1/2 = k, and late displacements exceed k d by a
     # rounding of u, about 1e-16, which is far above EPS k d: the check's

@@ -227,7 +227,7 @@ def test_bernstein_phi_file(runner, tmp_path):
     res = runner.invoke(
         main,
         ["--out", str(tmp_path), "bernstein", "--n", "4", "--q", "1.1",
-         "--phi", "file", "--phi-file", str(phi_path)],
+         "--phi", str(phi_path)],
     )
     assert res.exit_code == 0, res.output
 
@@ -238,7 +238,7 @@ def test_bernstein_malformed_phi_file_is_input_error(runner, tmp_path):
     res = runner.invoke(
         main,
         ["--out", str(tmp_path), "bernstein", "--n", "4", "--q", "1.0",
-         "--phi", "file", "--phi-file", str(phi_path)],
+         "--phi", str(phi_path)],
     )
     assert res.exit_code == 2
     assert res.stderr.startswith("error:")
@@ -262,7 +262,7 @@ def test_bernstein_phi_sample_that_is_no_finite_number_is_input_error(
     res = runner.invoke(
         main,
         ["--out", str(tmp_path), "bernstein", "--n", "4", "--q", "1.0",
-         "--phi", "file", "--phi-file", str(phi_path)],
+         "--phi", str(phi_path)],
     )
     assert res.exit_code == 2, res.output
     assert res.stderr.startswith("error:")
@@ -299,8 +299,7 @@ def test_fbvp_forcing_file_expression(runner, tmp_path):
     forcing.write_text(json.dumps({"expr": "0.25*sin(w) + b", "gauge_sup": 0.25}))
     res = runner.invoke(
         main,
-        ["--out", str(tmp_path), "fbvp", "--beta", "1.5", "--forcing", "file",
-         "--forcing-file", str(forcing)],
+        ["--out", str(tmp_path), "fbvp", "--beta", "1.5", "--forcing", str(forcing)],
     )
     assert res.exit_code == 0, res.output
     report = _read_json(tmp_path / "report.json")
@@ -312,8 +311,7 @@ def test_fbvp_forcing_file_rejects_unknown_names(runner, tmp_path):
     forcing.write_text(json.dumps({"expr": "__import__('os')"}))
     res = runner.invoke(
         main,
-        ["--out", str(tmp_path), "fbvp", "--beta", "1.5", "--forcing", "file",
-         "--forcing-file", str(forcing)],
+        ["--out", str(tmp_path), "fbvp", "--beta", "1.5", "--forcing", str(forcing)],
     )
     assert res.exit_code == 2
 
@@ -326,8 +324,7 @@ def test_fbvp_malformed_forcing_file_is_input_error(runner, tmp_path):
         forcing.write_text(json.dumps(data))
         res = runner.invoke(
             main,
-            ["--out", str(tmp_path), "fbvp", "--beta", "1.5", "--forcing", "file",
-             "--forcing-file", str(forcing)],
+            ["--out", str(tmp_path), "fbvp", "--beta", "1.5", "--forcing", str(forcing)],
         )
         assert res.exit_code == 2, data
         assert res.stderr.startswith("error:")
@@ -339,8 +336,7 @@ def test_fbvp_report_says_why_it_stopped(runner, tmp_path):
     forcing.write_text(json.dumps({"expr": "exp(w)", "gauge_sup": 0.5}))
     res = runner.invoke(
         main,
-        ["--out", str(tmp_path), "fbvp", "--beta", "1.1", "--forcing", "file",
-         "--forcing-file", str(forcing)],
+        ["--out", str(tmp_path), "fbvp", "--beta", "1.1", "--forcing", str(forcing)],
     )
     assert res.exit_code == 1
     report = _read_json(tmp_path / "report.json")
@@ -444,8 +440,7 @@ def test_fbvp_forcing_that_fails_when_evaluated_is_input_error(runner, tmp_path)
     forcing.write_text(json.dumps({"expr": "log(w)"}))  # w = 0 at the start
     res = runner.invoke(
         main,
-        ["--out", str(tmp_path), "fbvp", "--beta", "1.5", "--forcing", "file",
-         "--forcing-file", str(forcing)],
+        ["--out", str(tmp_path), "fbvp", "--beta", "1.5", "--forcing", str(forcing)],
     )
     assert res.exit_code == 2
     assert res.stderr.startswith("error:")
@@ -627,8 +622,7 @@ def test_forcing_that_divides_by_zero_at_a_node_is_input_error(runner, tmp_path)
         warnings.simplefilter("always")
         res = runner.invoke(
             main,
-            ["--out", str(tmp_path), "fbvp", "--beta", "1.5", "--forcing", "file",
-             "--forcing-file", str(forcing)],
+            ["--out", str(tmp_path), "fbvp", "--beta", "1.5", "--forcing", str(forcing)],
         )
     assert res.exit_code == 2
     assert res.stderr == (
@@ -692,7 +686,6 @@ def test_sweep_job_with_a_mistyped_solver_option_is_input_error(runner, tmp_path
         {"subcommand": "iterate", "input": "example-3-3",
          "params": {"residual_tol": "x"}},
         {"subcommand": "iterate", "input": "example-3-3", "params": {"max_iter": 1.5}},
-        {"subcommand": "fbvp", "params": {"beta": 1.5, "gauge_sup": "x"}},
         {"subcommand": "verify", "input": "example-3-3", "params": {"truncate": "x"}},
         {"subcommand": "verify", "input": "example-3-3",
          "params": {"kamran": True, "M": "x"}},
@@ -703,7 +696,7 @@ def test_sweep_job_with_a_mistyped_solver_option_is_input_error(runner, tmp_path
     res = runner.invoke(main, ["--out", str(tmp_path), "sweep", str(spec_path)])
     assert res.exit_code == 2
     runs = _read_json(tmp_path / "sweep.json")["runs"]
-    assert [r["exit_code"] for r in runs] == [2] * 9 + [0]
+    assert [r["exit_code"] for r in runs] == [2] * 8 + [0]
     assert [r["error"] for r in runs] == [
         "error: grid must be a number, got 'abc'",
         "error: max_iter must be a number, got 'x'",
@@ -711,7 +704,6 @@ def test_sweep_job_with_a_mistyped_solver_option_is_input_error(runner, tmp_path
         "error: tol must be a number, got 'x'",
         "error: residual_tol must be a number, got 'x'",
         "error: max_iter must be an integer, got 1.5",
-        "error: gauge_sup must be a number, got 'x'",
         "error: truncate must be a number, got 'x'",
         "error: M must be a number, got 'x'",
         None,
@@ -746,7 +738,7 @@ _RECORD_RUNS = {
     ),
     # exp has slope e^w > 0.5 near the start, so condition (i) fails at once
     "fbvp-violated": (
-        ["fbvp", "--beta", "1.1", "--forcing", "file", "--forcing-file", "FORCING"],
+        ["fbvp", "--beta", "1.1", "--forcing", "FORCING"],
         1,
         "report.json",
     ),
@@ -828,13 +820,10 @@ _BENCH_JOBS = [
 ]
 
 
-@pytest.mark.parametrize("args", _BENCH_JOBS, ids=" ".join)
-def test_sweep_job_records_the_cli_run(tmp_path, args):
-    problem = tmp_path / "problem.json"
-    problem.write_text(json.dumps(_BENCH.ladder_dict(random.Random(5), 11)))
-    args = [str(problem) if a == "PROBLEM" else a for a in args]
-    # the benchmark's sweep files hold exactly these jobs
-    assert _BENCH.job_spec(args) == _sweep_job(args)
+def _assert_same_run(tmp_path, args):
+    """Run ``args`` on the command line and as a one-job sweep, and check
+    that both ran alike: the same exit code, records equal apart from the
+    output directory, and every other file byte-identical."""
     cli, sweep = _cli_and_sweep(tmp_path, args)
     assert cli["error"] is None and sweep["error"] is None
     assert cli["exit_code"] == sweep["exit_code"]
@@ -849,33 +838,74 @@ def test_sweep_job_records_the_cli_run(tmp_path, args):
     for name, data in cli["files"].items():
         if not name.endswith(".json"):
             assert sweep["files"][name] == data, name
+    return cli["exit_code"], cli_record
 
 
-_CHANGES_NOTHING = {
-    "phi-file-with-a-builtin-phi": (
-        ["bernstein", "--n", "5", "--q", "0.9", "--phi", "cube", "--phi-file", "PATH"],
-        "error: --phi-file applies only to --phi file, not to --phi cube",
+@pytest.mark.parametrize("args", _BENCH_JOBS, ids=" ".join)
+def test_sweep_job_records_the_cli_run(tmp_path, args):
+    problem = tmp_path / "problem.json"
+    problem.write_text(json.dumps(_BENCH.ladder_dict(random.Random(5), 11)))
+    args = [str(problem) if a == "PROBLEM" else a for a in args]
+    # the benchmark's sweep files hold exactly these jobs
+    assert _BENCH.job_spec(args) == _sweep_job(args)
+    _assert_same_run(tmp_path, args)
+
+
+_FILE_INPUTS = {
+    "phi-samples": (
+        ["bernstein", "--n", "4", "--q", "1.1", "--phi", "PATH"],
+        [[a, a * a] for a in np.linspace(0.0, 1.0, 201)],
+        0,
     ),
-    "forcing-file-with-the-default-forcing": (
-        ["fbvp", "--beta", "2", "--forcing-file", "PATH"],
-        "error: --forcing-file applies only to --forcing file, not to --forcing sin-pi",
+    "forcing-expression": (
+        ["fbvp", "--beta", "1.5", "--forcing", "PATH"],
+        {"expr": "0.25*sin(w) + b", "gauge_sup": 0.25},
+        0,
     ),
-    "phi-file-missing": (
-        ["bernstein", "--n", "5", "--q", "0.9", "--phi", "file"],
-        "error: --phi file needs --phi-file PATH",
-    ),
-    "forcing-file-missing": (
-        ["fbvp", "--beta", "2", "--forcing", "file"],
-        "error: --forcing file needs --forcing-file PATH",
+    # exp has slope e^w > 0.5 near the start, so condition (i) fails at once
+    "forcing-violated": (
+        ["fbvp", "--beta", "1.1", "--forcing", "PATH"],
+        {"expr": "exp(w)", "gauge_sup": 0.5},
+        1,
     ),
 }
 
 
-@pytest.mark.parametrize("case", sorted(_CHANGES_NOTHING))
-def test_file_option_without_its_file_choice_is_input_error(tmp_path, case):
-    # the path need not exist: the run is refused before anything is read
-    args, error = _CHANGES_NOTHING[case]
-    args = [str(tmp_path / "missing.json") if a == "PATH" else a for a in args]
+@pytest.mark.parametrize("case", sorted(_FILE_INPUTS))
+def test_file_input_runs_alike_on_the_cli_and_in_a_sweep(tmp_path, case):
+    args, data, code = _FILE_INPUTS[case]
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    args = [str(path) if a == "PATH" else a for a in args]
+    exit_code, record = _assert_same_run(tmp_path, args)
+    assert exit_code == code
+    assert record["manifest"]["params"][args[-2].lstrip("-")] == str(path)
+
+
+_NO_SUCH_INPUT = {
+    "problem": (
+        ["verify", "no-such-problem"],
+        "needs a problem: a builtin (example-3-3, example-3-5, kamran-counterexample, "
+        "identity) or an existing file, got 'no-such-problem'",
+    ),
+    "phi": (
+        ["bernstein", "--n", "5", "--q", "0.9", "--phi", "PATH"],
+        "needs a phi: a builtin (square, cube, sin) or an existing file, got 'PATH'",
+    ),
+    "forcing": (
+        ["fbvp", "--beta", "2", "--forcing", "cosine"],
+        "needs a forcing: a builtin (sin-pi, const, linear-w) or an existing file, "
+        "got 'cosine'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NO_SUCH_INPUT))
+def test_input_that_is_neither_a_builtin_nor_a_file_is_input_error(tmp_path, case):
+    args, error = _NO_SUCH_INPUT[case]
+    missing = str(tmp_path / "missing.json")
+    args = [missing if a == "PATH" else a for a in args]
+    error = "error: " + error.replace("PATH", missing)
     cli, sweep = _cli_and_sweep(tmp_path, args)
     assert cli == sweep == {"exit_code": 2, "error": error, "files": {}, "record": None}
 
@@ -885,7 +915,7 @@ def test_sweep_job_is_resolved_against_its_command_options(runner, tmp_path):
         {"subcommand": "fbvp", "params": {"beta": 2, "grid_m": 7}},
         {"subcommand": "verify", "input": "example-3-3", "params": {"kamran": True, "m": 1}},
         {"subcommand": "bernstein", "input": "example-3-3", "params": {"n": 3, "q": 1.0}},
-        {"subcommand": "fbvp", "params": {"beta": 2, "forcing": "cosine"}},
+        {"subcommand": "fbvp", "params": {"beta": 2, "gauge_sup": 0.1}},
         {"subcommand": "bernstein", "params": {"n": 3, "q": 1.0, "phi": None}},
         {"subcommand": "iterate", "input": "example-3-3", "params": {"problem": "identity"}},
         {"subcommand": "iterate", "input": "example-3-3", "params": {"w0": 5}},
@@ -903,8 +933,8 @@ def test_sweep_job_is_resolved_against_its_command_options(runner, tmp_path):
         "error: unknown parameter(s) for fbvp: grid_m",
         "error: unknown parameter(s) for verify: m",
         "error: bernstein takes no input, got 'example-3-3'",
-        "error: forcing must be one of sin-pi, const, linear-w, file, got 'cosine'",
-        "error: phi must be one of square, cube, sin, file, got None",
+        "error: unknown parameter(s) for fbvp: gauge_sup",
+        "error: needs a phi: a builtin (square, cube, sin) or an existing file, got None",
         "error: unknown parameter(s) for iterate: problem",
         "error: w0 must be a string, got 5",
         "error: input must be a string, got ['example-3-3']",
@@ -916,8 +946,7 @@ def test_sweep_job_is_resolved_against_its_command_options(runner, tmp_path):
     manifest = _read_json(tmp_path / "run-009" / "report.json")["manifest"]
     assert manifest["input"] is None
     assert list(manifest["params"].items()) == [
-        ("beta", 2), ("forcing", "sin-pi"), ("forcing_file", None), ("m", 40),
-        ("tol", 1e-10), ("max_iter", 10_000), ("gauge_sup", None),
+        ("beta", 2), ("forcing", "sin-pi"), ("m", 40), ("tol", 1e-10), ("max_iter", 10_000),
     ]
 
 
