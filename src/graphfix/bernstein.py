@@ -228,10 +228,11 @@ def iterate_to_limit(
     up to EPS ||u_0||, since B is stochastic and so ||u_0|| bounds every
     iterate.
     """
-    start = np.array([float(phi(t)) for t in nodes(params)])
-    B = operator_matrix(params)
+    # a gauge that rounds to 1 is refused here, before the O(n^2) builds
     b_nq = contraction_constant(params)
     gauge = Gauge.constant(1.0 - b_nq)
+    start = np.array([float(phi(t)) for t in nodes(params)])
+    B = operator_matrix(params)
     endpoint_nonneg = bool(start[0] >= 0.0 and start[-1] >= 0.0)
 
     size = float(np.max(np.abs(start)))

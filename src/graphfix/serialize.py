@@ -102,12 +102,15 @@ def _escape_surrogates(text: str) -> str:
 
 
 def load_json(path) -> Any:
-    """Parse a JSON input file; unreadable or malformed files raise InputError."""
+    """Parse a UTF-8 JSON input file; unreadable, undecodable or malformed
+    files raise InputError."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8 text: {exc}") from None
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from None
 

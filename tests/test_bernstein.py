@@ -389,6 +389,18 @@ def test_iterate_checks_the_endpoints_for_every_phi(monkeypatch, phi):
     assert (record["status"], record.get("condition")) == ("hypothesis-violated", "edge")
 
 
+@pytest.mark.parametrize("n, q", [(10, 2.0), (40, 0.9), (60, 1.0), (120, 0.5), (200, 1.0)])
+def test_iterate_refuses_a_gauge_that_rounds_to_one_before_building(monkeypatch, n, q):
+    # 1 - b_nq rounds to 1.0; the refusal comes before the nodes, phi and B
+    def unbuilt(*args):
+        raise AssertionError("built before the gauge was checked")
+
+    monkeypatch.setattr("graphfix.bernstein.nodes", unbuilt)
+    monkeypatch.setattr("graphfix.bernstein.operator_matrix", unbuilt)
+    with pytest.raises(InputError, match=r"^gauge values must lie in \[0, 1\)$"):
+        iterate_to_limit(QParams(n, q), unbuilt)
+
+
 def test_iterate_rounding_at_the_iterate_size_is_no_contraction_failure():
     # the exact rate is 1/2 = k, and late displacements exceed k d by a
     # rounding of u, about 1e-16, which is far above EPS k d: the check's

@@ -346,6 +346,23 @@ def test_fbvp_report_says_why_it_stopped(runner, tmp_path):
     assert report["step"] == 1
 
 
+def test_fbvp_step_check_tests_the_certified_rate(runner, tmp_path):
+    # slope 3 against a claimed gauge of 0.5: each step shrinks by about
+    # 0.305, within the gauge's 0.5 but far above kappa * 0.5 = 0.0625
+    forcing = tmp_path / "forcing.json"
+    forcing.write_text(json.dumps({"expr": "3*sin(w)+b", "gauge_sup": 0.5}))
+    res = runner.invoke(
+        main,
+        ["--out", str(tmp_path), "fbvp", "--beta", "2", "--forcing", str(forcing)],
+    )
+    assert res.exit_code == 1, res.output
+    report = _read_json(tmp_path / "report.json")
+    assert report["status"] == "hypothesis-violated"
+    assert report["condition"] == "i"
+    assert report["step"] == 1
+    assert report["effective_factor"] == report["kappa"] * 0.5
+
+
 def test_sweep_fans_out(runner, tmp_path):
     spec = [
         {"subcommand": "verify", "input": "identity", "params": {}},
@@ -414,6 +431,31 @@ def test_sweep_isolates_a_failing_job(runner, tmp_path):
     assert os.path.exists(tmp_path / "run-002" / "report.json")
     # stdout carries the sweep summary only, not the jobs' reports
     assert json.loads(res.stdout) == summary
+
+
+def test_a_file_that_is_not_utf8_is_input_error(runner, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe[[0,1]]")
+    for args in (["verify", str(bad)],
+                 ["bernstein", "--n", "3", "--q", "1", "--phi", str(bad)],
+                 ["fbvp", "--beta", "2", "--forcing", str(bad)],
+                 ["sweep", str(bad)]):
+        res = runner.invoke(main, ["--out", str(tmp_path / "out"), *args])
+        assert res.exit_code == 2, (args, res.output)
+        assert res.stderr.startswith("error:") and "not UTF-8" in res.stderr, args
+    # as a sweep job's input, it fails that job alone
+    spec = [
+        {"subcommand": "bernstein", "params": {"n": 3, "q": 1.0, "phi": str(bad)}},
+        {"subcommand": "verify", "input": str(bad)},
+        {"subcommand": "fbvp", "params": {"beta": 2.0, "forcing": "const"}},
+    ]
+    spec_path = tmp_path / "sweep.json"
+    spec_path.write_text(json.dumps(spec))
+    res = runner.invoke(main, ["--out", str(tmp_path), "sweep", str(spec_path)])
+    assert res.exit_code == 2
+    runs = _read_json(tmp_path / "sweep.json")["runs"]
+    assert [r["exit_code"] for r in runs] == [2, 2, 0]
+    assert all("not UTF-8" in r["error"] for r in runs[:2])
 
 
 def test_sweep_job_missing_a_parameter_is_input_error(runner, tmp_path):
