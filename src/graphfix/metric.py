@@ -15,8 +15,11 @@ function, so instances can be shared freely across threads.
 from __future__ import annotations
 
 import bisect
+import os
+import threading
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -26,11 +29,14 @@ from .errors import DomainError, InputError, check_real
 
 # The relative slack of :func:`within`; its docstring says why it suffices.
 EPS = 1e-9
-# Rows per block of the triangle check.  A block's slab and its sum buffer,
-# 2 x 64 x n doubles, take 1 MB at n = 1000 and so stay in a 2 MB L2 cache,
-# while each numpy call still adds 64 x n pairs: on a 2-core Xeon, 128 rows
-# measured slower at n = 500 and 1000, and 32 no faster.
-_TRIANGLE_BLOCK = 64
+# The triangle check's blocking.  A thread takes the scaled rows in blocks
+# of 32 and adds 4 other rows to a block per numpy call: 128 x n sums, 1 MB
+# at n = 1000, which stay in a 2 MB L2 cache.  numpy releases the GIL for
+# each call, and taking it back can cost a thread switch, so fewer, larger
+# calls pay: on a 2-core Xeon two threads scan 500 points in 47-53 ms, and
+# took about 80 ms adding one row to a block of 64 per call.
+_TRIANGLE_BLOCK = 32
+_TRIANGLE_ROWS = 4
 
 _NORM_ORDS = {"euclidean": 2, "manhattan": 1, "chebyshev": np.inf}
 _PLAIN_NUMBERS = {float, int, np.float64, np.int64}
@@ -43,11 +49,17 @@ def _real_array(value, name: str) -> np.ndarray:
         arr = np.asarray(value)
     except (TypeError, ValueError):
         raise InputError(f"{name} must be a rectangular array of numbers") from None
-    # numpy reads bools among numbers as 1 and 0, integers beyond 64 bits as objects
-    entries = arr if isinstance(value, np.ndarray) else np.asarray(value, dtype=object)
-    plain = entries.dtype.kind != "O" or _PLAIN_NUMBERS.issuperset(map(type, entries.flat))
-    if arr.dtype.kind == "O" or not plain:
-        arr = np.array([check_real(x, name) for x in entries.flat]).reshape(arr.shape)
+    # numpy reads bools among numbers as 1 and 0, integers beyond 64 bits as
+    # objects; so the entries' types are read, from nested lists at C speed
+    if isinstance(value, np.ndarray):
+        entries = value.flat if value.dtype.kind == "O" else ()
+    else:
+        entries = [value]
+        for _ in range(arr.ndim):
+            entries = chain.from_iterable(entries)
+    if arr.dtype.kind == "O" or not _PLAIN_NUMBERS.issuperset(map(type, entries)):
+        entries = np.asarray(value, dtype=object).flat
+        arr = np.array([check_real(x, name) for x in entries]).reshape(arr.shape)
     if arr.dtype.kind not in "iuf":
         raise InputError(f"{name} must be a rectangular array of numbers")
     return arr.astype(float, copy=False)
@@ -100,45 +112,105 @@ def _norms(diffs: np.ndarray, norm: str) -> np.ndarray:
     return np.ldexp(np.sqrt(np.add.reduce(scaled * scaled, axis=-1)), e)
 
 
+def _triangle_workers(n: int) -> int:
+    """Threads for the triangle scan of n points: one per CPU this process
+    may run on, as long as their buffers, (2 + _TRIANGLE_ROWS) x
+    _TRIANGLE_BLOCK x n doubles each, fit in the memory of the matrix."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform has affinity masks
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, n // ((2 + _TRIANGLE_ROWS) * _TRIANGLE_BLOCK)))
+
+
 def _check_triangle(labels: tuple[str, ...], m: np.ndarray) -> None:
     """Raise InputError unless d(i, j) <= (d(i, k) + d(k, j)) (1 + EPS).
 
     That is :func:`within` with scale = rhs, the factor 1 + EPS
-    distributed over the two summands and folded into one scaled copy g
-    of the matrix, so that the O(n^3) scan is additions and minima only.
-    The scan takes the rows of g in blocks of ``_TRIANGLE_BLOCK``
-    and, for each block starting at row i0, only the columns j >= i0: for
-    each such j, one addition of row j to the block's slab gives
-    g[i, k] + g[k, j] for every i in the block and every k, and a minimum
-    over k leaves the least bound on d(i, j).
+    distributed over the two summands and folded into the scaled matrix
+    g = d (1 + EPS), so that the O(n^3) scan is additions and minima only.
+    The scan takes the rows of g in blocks of ``_TRIANGLE_BLOCK`` and, for
+    each block starting at row i0, only the columns j >= i0: adding row j
+    to the block gives g[i, k] + g[k, j] for every i in the block and
+    every k, and a minimum over k leaves the least bound on d(i, j).  The
+    blocks are shared out among :func:`_triangle_workers` threads by their
+    work, n - i0 rows each, the heaviest first to the least loaded share;
+    numpy releases the GIL while it adds and reduces.
 
     The verdict is exactly that of comparing d(i, j) with every such sum.
     The matrix was checked to be symmetric bit for bit, so g[j, k] is
     g[k, j], the pair (j, i) gives the same sums as (i, j), and the upper
     triangle covers every pair; the minimum is one of the sums, unrounded.
-    Only once a violation is known does :func:`_raise_first_violation`
-    run the full per-k scan, which names the first k and its worst pair.
+    Only once every thread has stopped and a violation is known does
+    :func:`_raise_first_violation` run the full per-k scan, which names
+    the first k and its worst pair.
     """
     n = len(labels)
-    grown = m * (1.0 + EPS)
-    sums = np.empty((min(n, _TRIANGLE_BLOCK), n))
-    least = np.empty((n, len(sums)))
-    for i0 in range(0, n, _TRIANGLE_BLOCK):
-        slab = grown[i0 : i0 + _TRIANGLE_BLOCK]
-        out = sums[: len(slab)]
-        best = least[: n - i0, : len(slab)]
-        for j, row in enumerate(grown[i0:]):
-            np.add(slab, row, out=out)
-            np.minimum.reduce(out, axis=1, out=best[j])
-        # best[j, i] bounds d(i0 + j, i0 + i), which is d(i0 + i, i0 + j)
-        if np.greater(m[i0:, i0 : i0 + len(slab)], best).any():
-            _raise_first_violation(labels, m, grown)
+    starts = range(0, n, _TRIANGLE_BLOCK)
+    shares = [[] for _ in range(min(_triangle_workers(n), len(starts)))]
+    work = [0] * len(shares)
+    for i0 in starts:
+        w = work.index(min(work))
+        shares[w].append(i0)
+        work[w] += n - i0
+    found: list = []
+    threads = [threading.Thread(target=_scan_blocks, args=(m, share, found))
+               for share in shares[1:]]
+    for t in threads:
+        t.start()
+    _scan_blocks(m, shares[0], found)
+    for t in threads:
+        t.join()
+    for outcome in found:
+        if outcome is not True:
+            raise outcome
+    if found:
+        _raise_first_violation(labels, m)
 
 
-def _raise_first_violation(labels: tuple[str, ...], m: np.ndarray, grown: np.ndarray) -> None:
+def _scan_blocks(m: np.ndarray, starts: list, found: list) -> None:
+    """Look for a violation in the row blocks of :func:`_check_triangle`
+    that begin at ``starts``; append True to ``found`` on one, or the
+    exception the scan raised, and stop early once ``found`` holds any.
+
+    The thread scales its block, and each block of rows j >= i0 in turn,
+    into its own buffers (so no scaled copy of the whole matrix is made),
+    adds ``_TRIANGLE_ROWS`` rows to the block per call, and compares each
+    block of bounds at once.
+    """
+    n = len(m)
+    size = min(n, _TRIANGLE_BLOCK)
+    try:
+        slab, chunk = np.empty((size, n)), np.empty((size, n))
+        sums = np.empty((_TRIANGLE_ROWS, size, n))
+        least = np.empty((size, size))
+        for i0 in starts:
+            rows = m[i0 : i0 + size]
+            block = np.multiply(rows, 1.0 + EPS, out=slab[: len(rows)])
+            for j0 in range(i0, n, size):
+                if found:
+                    return
+                cols = m[j0 : j0 + size]
+                grown = np.multiply(cols, 1.0 + EPS, out=chunk[: len(cols)])
+                best = least[: len(cols), : len(block)]
+                for r0 in range(0, len(cols), _TRIANGLE_ROWS):
+                    few = grown[r0 : r0 + _TRIANGLE_ROWS]
+                    out = sums[: len(few), : len(block)]
+                    np.add(block, few[:, None, :], out=out)
+                    np.minimum.reduce(out, axis=2, out=best[r0 : r0 + _TRIANGLE_ROWS])
+                # best[r, i] bounds d(j0 + r, i0 + i), which is d(i0 + i, j0 + r)
+                if np.greater(cols[:, i0 : i0 + len(block)], best).any():
+                    found.append(True)
+                    return
+    except BaseException as exc:  # raised again in the caller's thread
+        found.append(exc)
+
+
+def _raise_first_violation(labels: tuple[str, ...], m: np.ndarray) -> None:
     """Raise the InputError of :func:`_check_triangle` for a matrix known to
     break the triangle inequality: the first k through which some pair
     breaks it, and the pair that breaks it most for that k."""
+    grown = m * (1.0 + EPS)
     bound = np.empty_like(m)
     for k in range(len(labels)):
         np.add(grown[:, k : k + 1], grown[k : k + 1, :], out=bound)
@@ -359,6 +431,18 @@ def validate_pair(space: FiniteMetricSpace, f: Mapping, F: Mapping) -> Validated
     )
 
 
+_PAIRS_ERROR = "edges must be [u, v] pairs of point labels"
+
+
+def _edge_index(space: FiniteMetricSpace, pair) -> int:
+    """The flat adjacency index of an edge [u, v], each label read through
+    str()."""
+    if len(pair) != 2 or any(isinstance(label, (list, dict)) for label in pair):
+        raise InputError(_PAIRS_ERROR)
+    u, v = (space.index(str(label)) for label in pair)
+    return u * len(space) + v
+
+
 @dataclass(frozen=True)
 class EdgeStructure:
     """Directed reflexive graph over a finite metric space.
@@ -399,16 +483,21 @@ class EdgeStructure:
     def from_pairs(
         cls, space: FiniteMetricSpace, pairs: Iterable[Sequence[str]]
     ) -> "EdgeStructure":
+        """The graph with an edge (u, v) for each pair [u, v] of labels, a
+        list or a tuple.  A label that is no string, such as a number, is
+        read through str(), as in every other section of a problem file;
+        that second pass over the pairs runs only after the first misses."""
+        pairs = pairs if isinstance(pairs, list) else list(pairs)
+        if not {list, tuple}.issuperset(map(type, pairs)):
+            raise InputError(_PAIRS_ERROR)
         n = len(space)
         index = space._index
         try:
             flat = [index[u] * n + index[v] for u, v in pairs]
-        except KeyError as exc:
-            raise InputError(f"unknown point label {exc.args[0]!r}") from None
-        except (TypeError, ValueError):
-            raise InputError("edges must be [u, v] pairs of point labels") from None
+        except (KeyError, TypeError, ValueError):
+            flat = [_edge_index(space, pair) for pair in pairs]
         adjacency = np.zeros(n * n, dtype=bool)
-        adjacency[flat] = True
+        adjacency[np.fromiter(flat, np.intp, len(flat))] = True
         return cls(space=space, adjacency=adjacency.reshape(n, n))
 
     def contains(self, u: str, v: str) -> bool:

@@ -83,6 +83,37 @@ def test_verify_malformed_file(runner, tmp_path):
     assert res.exit_code == 2
 
 
+def _two_point_file(tmp_path, a, b, pairs):
+    path = tmp_path / "two.json"
+    path.write_text(json.dumps({
+        "points": [{"label": a}, {"label": b}],
+        "distances": [[0, 1], [1, 0]],
+        "edges": {"mode": "list", "pairs": pairs},
+        "gauge": {"form": "constant", "value": 0.5},
+        "f": {str(a): a, str(b): b},
+        "F": {str(a): [a], str(b): [b]},
+        "w0": a,
+        "p0": a,
+    }))
+    return str(path)
+
+
+@pytest.mark.parametrize("a, b", [(0, 1), ("0", "1"), (0, "1")])
+def test_edge_pairs_read_numeric_labels_like_every_other_section(runner, tmp_path, a, b):
+    path = _two_point_file(tmp_path, a, b, [[a, b], [b, a]])
+    res = runner.invoke(main, ["--out", str(tmp_path / "out"), "verify", path])
+    assert res.exit_code == 0, res.output
+
+
+@pytest.mark.parametrize("pairs", [["ab"], [{"a": 0, "b": 1}], [["a", "b"], "ba"]])
+def test_an_edge_pair_that_is_no_two_element_array_is_refused(runner, tmp_path, pairs):
+    # a string or an object of two labels unpacks as a pair, but is none
+    path = _two_point_file(tmp_path, "a", "b", pairs)
+    res = runner.invoke(main, ["--out", str(tmp_path / "out"), "verify", path])
+    assert res.exit_code == 2
+    assert res.stderr == "error: edges must be [u, v] pairs of point labels\n"
+
+
 def test_verify_unknown_name(runner, tmp_path):
     res = runner.invoke(main, ["--out", str(tmp_path), "verify", "no-such-problem"])
     assert res.exit_code == 2

@@ -210,6 +210,22 @@ def test_operator_matches_dense_reference(beta):
             assert out[0] == 0.0 and out[m] == 0.0, m
 
 
+@pytest.mark.parametrize("beta", [10.0, 20.0, 30.0, 50.0])
+def test_operator_matches_dense_reference_at_large_beta_on_coarse_grids(beta):
+    # ||K||_inf is far below the largest ramp weights there: a ramp past
+    # a = 0 cancelled in columns 0..2 cost 6e-2 ||K||_inf at beta = 50, m = 2,
+    # and the rounding of a transform over every lag 2e-10 at m = 4
+    rng = np.random.default_rng(7)
+    for m in (2, 4, 8, 64, 200):
+        K = _dense_operator_matrix(beta, m)
+        op = build_operator_matrix(beta, m)
+        norm = _max_abs_row_sum(K)
+        j, k = np.indices(K.shape)
+        assert np.max(np.abs(op.entries(j, k) - K)) <= 1e-14 * norm, m
+        for v in (np.ones(m + 1), rng.choice([-1.0, 1.0], m + 1), rng.random(m + 1)):
+            assert np.max(np.abs(op @ v - K @ v)) <= 1e-12 * norm * np.max(np.abs(v)), m
+
+
 @pytest.mark.parametrize("beta", [1.01, 1.5, 2.0, 3.7])
 @pytest.mark.parametrize("m", [1022, 1024])
 def test_operator_matches_dense_reference_at_the_tightest_pads(beta, m):

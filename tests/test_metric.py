@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import random
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphfix import metric
 from graphfix.errors import DomainError, InputError
 from graphfix.metric import (
     EPS,
@@ -16,6 +19,7 @@ from graphfix.metric import (
     FiniteMetricSpace,
     Gauge,
     _check_triangle,
+    _real_array,
     validate_pair,
 )
 from graphfix.problems import (
@@ -270,6 +274,38 @@ def test_a_number_too_large_for_a_float_is_refused():
         FiniteMetricSpace.from_coords(["a", "b"], [[0], [10**400]])
 
 
+def _rows_ending_in(last):
+    """A 100 x 100 nested list of numbers whose very last entry is ``last``:
+    a type scan that stops early misses it."""
+    rows = [[float(i + j) for j in range(100)] for i in range(100)]
+    rows[-1][-1] = last
+    return rows
+
+
+@pytest.mark.parametrize(
+    "last", [True, np.bool_(True), "1.5", 10**400, None],
+    ids=["bool", "numpy-bool", "text", "too-large", "null"],
+)
+def test_an_entry_that_is_no_number_is_refused_wherever_it_lies(last):
+    with pytest.raises(InputError, match="distances"):
+        _real_array(_rows_ending_in(last), "distances")
+
+
+def test_a_row_nested_deeper_or_ragged_is_refused():
+    deeper = _rows_ending_in(1.0)
+    deeper[-1][-1] = [1.0]
+    ragged = _rows_ending_in(1.0)
+    del ragged[-1][-1]
+    for rows in (deeper, ragged):
+        with pytest.raises(InputError, match="rectangular array of numbers"):
+            _real_array(rows, "distances")
+
+
+def test_an_integer_beyond_64_bits_is_read_wherever_it_lies():
+    arr = _real_array(_rows_ending_in(2**70), "distances")
+    assert arr[-1, -1] == 2.0**70 and arr[0, 1] == 1.0 and arr.dtype == float
+
+
 def test_coordinate_distances_neither_underflow_nor_overflow():
     # squaring 1e200 overflows and squaring 2^-600 underflows
     assert FiniteMetricSpace.from_coords(["a", "b"], [0.0, 1e200]).distance("a", "b") == 1e200
@@ -354,8 +390,15 @@ def _assert_triangle_check_matches_reference(m):
     return expected
 
 
-# sizes around the row block of 64, and at several blocks
-_TRIANGLE_SIZES = [1, 2, 3, 63, 64, 65, 129, 200]
+# sizes around the row block of 32, and at several blocks
+_TRIANGLE_SIZES = [1, 2, 3, 31, 32, 33, 65, 129, 200]
+
+
+def _with_workers(count, check, *args):
+    """``check(*args)`` with the triangle scan split among ``count`` threads."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metric, "_triangle_workers", lambda n: count)
+        return check(*args)
 
 
 @st.composite
@@ -392,7 +435,14 @@ def triangle_matrices(draw):
 @settings(max_examples=150, deadline=None)
 @given(triangle_matrices())
 def test_triangle_check_matches_per_k_reference(m):
-    _assert_triangle_check_matches_reference(m)
+    _with_workers(1, _assert_triangle_check_matches_reference, m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(triangle_matrices())
+def test_triangle_check_on_three_threads_matches_per_k_reference(m):
+    # three threads where there are three blocks (65 points), fewer below
+    _with_workers(3, _assert_triangle_check_matches_reference, m)
 
 
 def _ladder_with_detours(n, detours):
@@ -408,23 +458,78 @@ def _ladder_with_detours(n, detours):
     return m
 
 
-@pytest.mark.parametrize(
-    "n, detours, named",
-    [
-        # i, k and j each in a different block of 64 rows
-        (200, [(10, 70, 130)], (10, 70, 130)),
-        (200, [(150, 3, 90)], (90, 3, 150)),
-        # the block scan meets the violation of rows 5 and 60 first, but the
-        # first k with a violation is 7, through which rows 100 and 170 break it
-        (200, [(5, 180, 60), (100, 7, 170)], (100, 7, 170)),
-        # both pairs inside the first block
-        (65, [(1, 2, 3), (60, 61, 62)], (1, 2, 3)),
-    ],
-)
-def test_triangle_check_names_the_first_k_and_its_worst_pair(n, detours, named):
+_DETOUR_CASES = [
+    # i, k and j each in a different block of rows
+    (200, [(10, 70, 130)], (10, 70, 130)),
+    (200, [(150, 3, 90)], (90, 3, 150)),
+    # the block scan meets the violation of rows 5 and 60 first, but the
+    # first k with a violation is 7, through which rows 100 and 170 break it
+    (200, [(5, 180, 60), (100, 7, 170)], (100, 7, 170)),
+    # one pair in the first block, one in the second
+    (65, [(1, 2, 3), (60, 61, 62)], (1, 2, 3)),
+    # both pairs inside the first block
+    (65, [(1, 2, 3), (20, 21, 22)], (1, 2, 3)),
+    # with three threads, the second one's first block holds the only violation
+    (200, [(40, 41, 42)], (40, 41, 42)),
+]
+
+
+def _assert_names_the_first_k(workers, n, detours, named):
     i, k, j = named
-    message = _assert_triangle_check_matches_reference(_ladder_with_detours(n, detours))
+    m = _ladder_with_detours(n, detours)
+    message = _with_workers(workers, _assert_triangle_check_matches_reference, m)
     assert message == f"triangle inequality fails: d(p{i},p{j}) > d(p{i},p{k}) + d(p{k},p{j})"
+
+
+@pytest.mark.parametrize("n, detours, named", _DETOUR_CASES)
+def test_triangle_check_names_the_first_k_and_its_worst_pair(n, detours, named):
+    _assert_names_the_first_k(1, n, detours, named)
+
+
+@pytest.mark.parametrize("n, detours, named", _DETOUR_CASES)
+def test_triangle_check_on_three_threads_names_the_first_k(n, detours, named):
+    # the threads switch every microsecond, so a verdict one of them lost
+    # or left behind would show
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        _assert_names_the_first_k(3, n, detours, named)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+class _FaultyInWorkers(np.ndarray):
+    """A matrix whose rows cannot be read outside the main thread."""
+
+    def __getitem__(self, key):
+        if threading.current_thread() is not threading.main_thread():
+            raise MemoryError("no row for a worker")
+        return super().__getitem__(key)
+
+
+def test_an_exception_in_a_triangle_worker_reaches_the_caller(monkeypatch):
+    monkeypatch.setattr(metric, "_triangle_workers", lambda n: 3)
+    m = _ladder_with_detours(200, []).view(_FaultyInWorkers)
+    before = threading.active_count()
+    with pytest.raises(MemoryError, match="no row for a worker"):
+        _check_triangle(tuple(f"p{i}" for i in range(200)), m)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("detours", [[], [(150, 3, 90)]])
+def test_triangle_check_leaves_no_thread_behind(monkeypatch, detours):
+    monkeypatch.setattr(metric, "_triangle_workers", lambda n: 3)
+    m = _ladder_with_detours(200, detours)
+    before = threading.active_count()
+    verdict = _triangle_verdict(_check_triangle, m)
+    assert (verdict is None) == (not detours)
+    assert threading.active_count() == before
+
+
+def test_triangle_workers_follow_the_cpus_and_the_matrix_size(monkeypatch):
+    monkeypatch.setattr(metric.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    # each thread's buffers take 6 x 32 x n doubles, at most the n x n matrix
+    assert [metric._triangle_workers(n) for n in (1, 191, 192, 384, 576, 1000)] == [1, 1, 1, 2, 3, 4]
 
 
 def test_triangle_violation_beyond_relative_slack_is_refused():
@@ -447,7 +552,7 @@ def test_triangle_violation_beyond_relative_slack_is_refused():
 
 
 def test_triangle_check_memory_is_below_one_and_a_half_matrices():
-    # a scaled copy of the matrix and two 64 x n slabs fit; three n x n arrays do not
+    # the threads' buffers fit, on any number of CPUs; three n x n arrays do not
     n = 1000
     t = np.arange(n, dtype=float)
     m = np.abs(t[:, None] - t[None, :])
@@ -496,13 +601,24 @@ def test_edges_and_gauge_from_dict():
     assert lst.contains("a", "b") and not lst.contains("b", "a")
     with pytest.raises(InputError, match="'zz'"):
         edges_from_dict({"mode": "list", "pairs": [["a", "zz"]]}, space)
-    for bad in ([["a"]], [["a", "b", "a"]], [3], [[["a"], "b"]]):
+    for bad in ([["a"]], [["a", "b", "a"]], [3], [[["a"], "b"]], ["ab"], [{"a": 1, "b": 2}],
+                [["a", "b"], "ba"], [["a", {"b": 1}]]):
         with pytest.raises(InputError, match="pairs of point labels"):
             edges_from_dict({"mode": "list", "pairs": bad}, space)
     k = gauge_from_dict({"form": "constant", "value": 0.25, "sup": 0.3})
     assert k(1.0) == 0.25 and k.certified_sup == 0.3
     with pytest.raises(InputError):
         gauge_from_dict({"form": "constant", "value": 1.2, "sup": 1.2})
+
+
+def test_edge_pairs_read_labels_through_str():
+    space = FiniteMetricSpace.from_matrix(["0", "1", "x"], [[0, 1, 1], [1, 0, 1], [1, 1, 0]])
+    numeric = EdgeStructure.from_pairs(space, [(0, 1), ["1", "x"], (1, 0)])
+    text = EdgeStructure.from_pairs(space, [("0", "1"), ("1", "x"), ("1", "0")])
+    assert np.array_equal(numeric.adjacency, text.adjacency)
+    # pairs from any iterable, once
+    assert np.array_equal(EdgeStructure.from_pairs(space, iter([("0", "1")])).adjacency,
+                          EdgeStructure.from_pairs(space, [["0", "1"]]).adjacency)
 
 
 def test_list_edges_round_trip_through_problem_dict():
