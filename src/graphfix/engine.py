@@ -27,8 +27,10 @@ The certificate: once the gauge is globally bounded by alpha < 1, step
 distances shrink at least by sqrt(alpha) per step, so the distance from
 f(w_n) to the limit is at most  B alpha^(n/2) / (1 - sqrt(alpha)) * d1
 with B = alpha^(-1/2) (first step distance d1).  ``tail_bound`` evaluates
-that closed form; the engine stops on whichever of the a-posteriori test
-and the certificate fires first, both gated on the residual.
+that closed form.  The walk stops on whichever of the a-posteriori test
+d_n <= tol and the certificate fires first, both gated on the residual;
+the operator iteration stops on d_n <= tol and residual <= residual_tol
+only, and records the tail bound without stopping on it.
 """
 
 from __future__ import annotations

@@ -38,6 +38,7 @@ EPS = 1e-9
 _TRIANGLE_BLOCK = 32
 _TRIANGLE_ROWS = 4
 
+_TINY = float(np.finfo(float).tiny)  # the smallest normal double
 _NORM_ORDS = {"euclidean": 2, "manhattan": 1, "chebyshev": np.inf}
 _PLAIN_NUMBERS = {float, int, np.float64, np.int64}
 
@@ -226,8 +227,10 @@ def _raise_first_violation(labels: tuple[str, ...], m: np.ndarray) -> None:
 class FiniteMetricSpace:
     """Labeled finite point set with a validated distance matrix.
 
-    The matrix must be symmetric, nonnegative, zero on the diagonal and
-    satisfy the triangle inequality within the relative slack of
+    The matrix must be symmetric, zero on the diagonal, no smaller than
+    the smallest normal double off it (a metric separates its points, and
+    a subnormal distance leaves :func:`within` no slack), and satisfy the
+    triangle inequality within the relative slack of
     :func:`within` (taken as given for spaces built by
     :meth:`from_coords`); violations raise :class:`InputError` at
     construction time.  A :meth:`from_coords`
@@ -269,6 +272,16 @@ class FiniteMetricSpace:
             raise InputError("distance(i, i) must be 0")
         if not np.array_equal(m, m.T):
             raise InputError("distance matrix must be symmetric")
+        # a zero merges two points, and below the smallest normal double
+        # rounding is no longer relative, so within has no slack left
+        small = m < _TINY
+        if np.count_nonzero(small) > n:
+            np.fill_diagonal(small, False)
+            i, j = np.argwhere(small)[0]
+            d = float(m[i, j])
+            why = (f"below the smallest normal double {_TINY!r}" if d
+                   else "distinct points must be at a positive distance")
+            raise InputError(f"d({labels[i]},{labels[j]}) = {d!r}: {why}")
         if triangle:
             _check_triangle(labels, m)
         object.__setattr__(self, "_index", {s: i for i, s in enumerate(labels)})

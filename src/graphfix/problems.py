@@ -18,6 +18,7 @@ exactly on 0.
 
 from __future__ import annotations
 
+from dataclasses import asdict, fields
 from typing import Mapping
 
 from .engine import CoincidenceProblem, IterationConfig
@@ -31,9 +32,15 @@ BUILTIN_NAMES = ("example-3-3", "example-3-5", "kamran-counterexample", "identit
 def ternary_orbit_problem(
     depth: int = 12, config: IterationConfig | None = None
 ) -> CoincidenceProblem:
-    """The ternary orbit instance truncated at 1/3^depth (depth >= 3)."""
+    """The ternary orbit instance truncated at 1/3^depth (3 <= depth <= 644)."""
     if depth < 3:
         raise InputError("ternary orbit problem needs depth >= 3")
+    # every distance is at least 3^-depth, a normal double up to depth 644
+    if depth > 644:
+        raise InputError(
+            "ternary orbit problem needs depth <= 644: "
+            "past it, 3^-depth is below the smallest normal double"
+        )
     labels = ["0", "1"] + [f"1/{3**n}" for n in range(1, depth + 1)]
     values = [0.0, 1.0] + [3.0**-n for n in range(1, depth + 1)]
     space = FiniteMetricSpace.from_coords(labels, values)
@@ -144,11 +151,7 @@ def problem_to_dict(problem: CoincidenceProblem) -> dict:
         "F": {w: list(problem.F[w].members) for w in space.labels},
         "w0": problem.w0,
         "p0": problem.p0,
-        "config": {
-            "tol": problem.config.tol,
-            "residual_tol": problem.config.residual_tol,
-            "max_iter": problem.config.max_iter,
-        },
+        "config": asdict(problem.config),
     }
     if problem.truncated:
         out["truncated"] = sorted(problem.truncated)
@@ -239,11 +242,11 @@ def problem_from_dict(data: Mapping) -> CoincidenceProblem:
     cfg = data.get("config", {})
     if not isinstance(cfg, Mapping):
         raise InputError("problem file 'config' must be an object")
-    config = IterationConfig(
-        tol=cfg.get("tol", 1e-9),
-        residual_tol=cfg.get("residual_tol", 1e-8),
-        max_iter=cfg.get("max_iter", 10_000),
-    )
+    names = {f.name for f in fields(IterationConfig)}
+    unknown = [str(key) for key in cfg if key not in names]
+    if unknown:
+        raise InputError(f"unknown problem file config key(s): {', '.join(unknown)}")
+    config = IterationConfig(**cfg)
     return CoincidenceProblem(
         space=space,
         f=fmap,

@@ -8,14 +8,15 @@ import pytest
 
 from graphfix.bernstein import (
     QParams,
+    _expm1_row,
     _log_q_binomials,
+    _log_qints,
     basis,
     basis_vector,
     contraction_constant,
     iterate_to_limit,
     nodes,
     operator_matrix,
-    q_integer,
 )
 from graphfix.errors import InputError
 
@@ -24,25 +25,40 @@ TOL = 1e-12
 
 # --- q-integers ----------------------------------------------------------------
 
+def _q_integers(n, q):
+    """[k]_q for k = 1..n, as basis takes them."""
+    return np.exp(_log_qints(n, q))
+
+
+def _mp_log_q_integer(i, q):
+    """log [i]_q at 50 digits."""
+    with mpmath.workdps(50):
+        mq = mpmath.mpf(q)
+        return mpmath.log((mq**i - 1) / (mq - 1))
+
+
 def test_q_integer_zero():
+    # [0]_q = 0: the row starts at +0, and so does every node vector
+    for q in (0.2, 3.7):
+        assert _expm1_row(5, q)[0] == 0.0
     for q in (0.2, 1.0, 3.7):
-        assert q_integer(0, q) == 0.0
+        assert math.copysign(1.0, nodes(QParams(5, q))[0]) == 1.0
 
 
 def test_q_integer_classical():
-    assert q_integer(3, 1.0) == 3.0
+    assert abs(_q_integers(3, 1.0)[-1] - 3.0) < TOL
 
 
 def test_q_integer_half():
     # direct sum 1 + 0.5 + 0.25
-    assert abs(q_integer(3, 0.5) - 1.75) < TOL
+    assert abs(_q_integers(3, 0.5)[-1] - 1.75) < TOL
 
 
 def test_q_integer_matches_direct_sum():
     for q in (0.3, 0.9, 1.0, 1.7, 4.0):
-        for i in range(12):
+        for i, value in enumerate(_q_integers(11, q), start=1):
             direct = sum(q**k for k in range(i))
-            assert abs(q_integer(i, q) - direct) <= 1e-12 * max(1.0, direct)
+            assert abs(value - direct) <= 1e-12 * max(1.0, direct)
 
 
 @pytest.mark.parametrize("i, q", [(2, 1.5e154), (2, 1e200), (2, 1e300), (3, 1e150),
@@ -50,27 +66,18 @@ def test_q_integer_matches_direct_sum():
 def test_q_integer_where_q_to_the_i_overflows(i, q):
     with pytest.raises(OverflowError):
         q**i
-    with mpmath.workdps(50):
-        mq = mpmath.mpf(q)
-        ref = float((mq**i - 1) / (mq - 1))
-    assert abs(q_integer(i, q) - ref) <= 2 * math.ulp(ref)
+    ref = float(_mp_log_q_integer(i, q))
+    assert abs(_log_qints(i, q)[-1] - ref) <= 4 * math.ulp(ref)
 
 
 @pytest.mark.parametrize("i, q", [(3, 1e155), (32, 1e10), (366, 7.0), (1024, 2.0),
                                   (1025, 2.0), (709_000, 1.001)])
-def test_q_integer_beyond_the_double_range_raises(i, q):
-    with mpmath.workdps(50):
-        mq = mpmath.mpf(q)
-        assert (mq**i - 1) / (mq - 1) > sys.float_info.max
-    with pytest.raises(OverflowError):
-        q_integer(i, q)
-
-
-def test_q_integer_errors():
-    with pytest.raises(InputError):
-        q_integer(-1, 0.5)
-    with pytest.raises(InputError):
-        q_integer(2, 0.0)
+def test_log_q_integer_beyond_the_double_range(i, q):
+    # [i]_q itself exceeds the largest double; its logarithm does not
+    mp_ref = _mp_log_q_integer(i, q)
+    assert mp_ref > math.log(sys.float_info.max)
+    ref = float(mp_ref)
+    assert abs(_log_qints(i, q)[-1] - ref) <= 4 * math.ulp(ref)
 
 
 # --- q-binomials ------------------------------------------------------------------
@@ -193,59 +200,59 @@ def test_nodes_endpoints_exact():
         assert np.all(np.diff(ts) > 0)
 
 
-def _q_integer_by_formula(i, q):
-    """[i]_q = (q**i - 1) / (q - 1), as q_integer took it before it was made
-    overflow-free: it raises OverflowError wherever q**i does."""
-    if i == 0:
-        return 0.0
-    if q == 1.0:
-        return float(i)
-    return (q**i - 1.0) / (q - 1.0)
-
-
-def _nodes_by_formula(n, q):
-    """t_i = [i]_q / [n]_q from the q-integer formula, as nodes took them
-    before they were made overflow-free."""
-    denom = _q_integer_by_formula(n, q)
-    return np.array([_q_integer_by_formula(i, q) / denom for i in range(n + 1)])
-
-
 @pytest.mark.parametrize("n, q", [(3, 1e300), (40, 1e10), (2, 1e200), (200, 1e4)])
 def test_nodes_do_not_overflow(n, q):
     with pytest.raises(OverflowError):
-        _nodes_by_formula(n, q)  # q**n is beyond the largest double
+        q**n  # beyond the largest double
     _assert_nodes_match_mpmath(n, q)
 
 
 @pytest.mark.parametrize("n, q", [(1750, 1.5), (7424, 1.1)])
 def test_nodes_where_the_formula_gives_an_infinite_q_integer(n, q):
     # q**n is finite, but (q**n - 1) / (q - 1) is inf without an OverflowError
-    assert _q_integer_by_formula(n, q) == math.inf
+    assert (q**n - 1.0) / (q - 1.0) == math.inf
     _assert_nodes_match_mpmath(n, q)
 
 
 def _assert_nodes_match_mpmath(n, q):
+    """Exact endpoints, nondecreasing, and each t_i = [i]_q / [n]_q within
+    4 units in the last place of its value at 60 digits."""
     ts = nodes(QParams(n, q))
     assert ts[0] == 0.0 and ts[-1] == 1.0
-    assert np.all(np.isfinite(ts)) and np.all(np.diff(ts) >= 0.0)
-    # t_i = [i]_q / [n]_q against 50 digits
-    with mpmath.workdps(50):
+    assert np.all(np.diff(ts) >= 0.0)
+    with mpmath.workdps(60):
         mq = mpmath.mpf(q)
-        ref = [float((mq**i - 1) / (mq**n - 1)) for i in range(n + 1)]
-    assert np.allclose(ts, ref, rtol=1e-12, atol=0.0)
+        if q == 1.0:
+            ref = [mpmath.mpf(i) / n for i in range(n + 1)]
+        else:
+            power, den = mpmath.mpf(1), mq**n - 1
+            ref = []
+            for _ in range(n + 1):
+                ref.append((power - 1) / den)
+                power *= mq
+        ref = np.array([float(r) for r in ref])
+    ulps = np.array([math.ulp(r) for r in ref])
+    assert np.all(np.abs(ts - ref) <= 4 * ulps), np.max(np.abs(ts - ref) / ulps)
 
 
-def test_nodes_are_the_formula_wherever_it_is_finite():
-    finite = 0
-    for n in (1, 2, 7, 40, 120, 200):
-        for q in (0.2, 0.5, 0.9, 1.0, 1.3, 2.0, 1e10):
-            try:
-                ref = _nodes_by_formula(n, q)
-            except OverflowError:
-                continue  # test_nodes_do_not_overflow covers these
-            assert nodes(QParams(n, q)).tobytes() == ref.tobytes(), (n, q)
-            finite += 1
-    assert finite == 39
+_NODE_DEGREES = (1, 2, 3, 7, 40, 50, 120, 200, 400, 1750, 3000, 7424)
+
+
+@pytest.mark.parametrize("q", [1e-300, 1e-5, 0.2, 0.5, 0.9, 1 - 1e-7, 1.0, 1 + 1e-7, 1.1,
+                               1.3, 1.5, 2.0, 3.0, 1e4, 1e5, 1e10, 1e200, 1e300])
+def test_nodes_are_within_4_ulp_of_mpmath(q):
+    # near q = 1, q^i - 1 and q - 1 both cancel; far from it they overflow
+    for n in _NODE_DEGREES:
+        _assert_nodes_match_mpmath(n, q)
+
+
+@pytest.mark.parametrize("n, q", [(20, 1 + 1e-7), (20, 1 - 1e-7), (30, 1 + 1e-7),
+                                  (10, 1 + 1e-9)])
+def test_operator_reproduces_the_identity_near_q_one(n, q):
+    # sum_i t_i b_i(t_j) = t_j holds only for exact nodes
+    qp = QParams(n, q)
+    ts = nodes(qp)
+    assert np.max(np.abs(operator_matrix(qp) @ ts - ts)) <= 1e-14
 
 
 # --- the operator at a grid of points ---------------------------------------------
@@ -275,7 +282,7 @@ def test_operator_degree_one_two_terms():
 # --- contraction constant -------------------------------------------------------------
 
 def test_contraction_degree_one_is_exactly_one():
-    for q in (0.3, 1.0, 5.0):
+    for q in (1e-300, 0.3, 1.0, 1 + 1e-9, 5.0, 1e300):
         assert contraction_constant(QParams(1, q)) == 1.0
 
 
@@ -310,6 +317,14 @@ def test_contraction_in_unit_interval():
 
 def test_iterate_square_limit_is_identity_line():
     res = iterate_to_limit(QParams(5, 0.9), lambda a: a * a, tol=1e-12)
+    assert res.converged
+    grid = np.linspace(0.0, 1.0, 101)
+    assert np.max(np.abs(res.evaluate_grid(grid) - grid)) <= 1e-10
+
+
+def test_iterate_square_limit_is_the_identity_line_near_q_one():
+    # inexact nodes move the limit off the line by 6.8e-8 here
+    res = iterate_to_limit(QParams(10, 1 + 1e-9), lambda a: a * a)
     assert res.converged
     grid = np.linspace(0.0, 1.0, 101)
     assert np.max(np.abs(res.evaluate_grid(grid) - grid)) <= 1e-10

@@ -127,6 +127,44 @@ def test_verify_truncate_zero_is_input_error(runner, tmp_path, name):
     assert res.stderr == "error: ternary orbit problem needs depth >= 3\n"
 
 
+_DEPTH_PAST_NORMAL = (
+    "error: ternary orbit problem needs depth <= 644: "
+    "past it, 3^-depth is below the smallest normal double\n"
+)
+
+
+@pytest.mark.parametrize("depth", [645, 665, 9013])
+def test_verify_truncate_past_the_normal_doubles_is_input_error(runner, tmp_path, depth):
+    # 3^-645 is subnormal: 665 gave a false condition (i) witness, and
+    # 9013 a label past Python's int-to-str digit limit
+    assert 3.0**-644 >= sys.float_info.min > 3.0**-645
+    res = runner.invoke(main, ["--out", str(tmp_path), "verify", "example-3-3",
+                               "--truncate", str(depth)])
+    assert res.exit_code == 2
+    assert res.stderr == _DEPTH_PAST_NORMAL
+
+
+def test_verify_truncate_at_the_last_normal_depth(runner, tmp_path):
+    res = runner.invoke(main, ["--out", str(tmp_path), "verify", "example-3-3",
+                               "--truncate", "644"])
+    assert res.exit_code == 0, res.output
+    assert _read_json(tmp_path / "report.json")["hypotheses"]["all_ok"] is True
+
+
+def test_sweep_job_truncate_past_the_normal_doubles_is_input_error(runner, tmp_path):
+    spec = [
+        {"subcommand": "verify", "input": "example-3-3", "params": {"truncate": 9013}},
+        {"subcommand": "iterate", "input": "example-3-3", "params": {"truncate": 5}},
+    ]
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    res = runner.invoke(main, ["--out", str(tmp_path), "sweep", str(spec_path)])
+    assert res.exit_code == 2
+    runs = _read_json(tmp_path / "sweep.json")["runs"]
+    assert [r["exit_code"] for r in runs] == [2, 0]
+    assert runs[0]["error"] == _DEPTH_PAST_NORMAL.rstrip("\n")
+
+
 _NO_DEPTH = {
     "identity": "the identity problem takes no truncation depth",
     "FILE": "truncate applies to the ternary orbit builtins, not to a problem file",
@@ -702,6 +740,30 @@ def test_forcing_that_divides_by_zero_at_a_node_is_input_error(runner, tmp_path)
         "error: forcing expression '1/b' fails at b=0.0, w=0.0: float division by zero\n"
     )
     assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
+
+def test_verify_problem_file_with_two_labels_at_one_coordinate_is_input_error(
+    runner, tmp_path
+):
+    data = problem_to_dict(ternary_orbit_problem(6))
+    data["points"][3]["coord"] = data["points"][2]["coord"]
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(data))
+    res = runner.invoke(main, ["--out", str(tmp_path / "out"), "verify", str(path)])
+    assert res.exit_code == 2
+    assert res.stderr == (
+        "error: d(1/3,1/9) = 0.0: distinct points must be at a positive distance\n"
+    )
+
+
+def test_verify_problem_file_with_unknown_config_keys_is_input_error(runner, tmp_path):
+    data = problem_to_dict(ternary_orbit_problem(6))
+    data["config"] = {"tolerance": 1e-3, "max_iter": 1, "max_iters": 1}
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(data))
+    res = runner.invoke(main, ["--out", str(tmp_path / "out"), "iterate", str(path)])
+    assert res.exit_code == 2
+    assert res.stderr == "error: unknown problem file config key(s): tolerance, max_iters\n"
 
 
 @pytest.mark.parametrize("truncated", [5, "ab"])

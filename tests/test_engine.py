@@ -144,7 +144,7 @@ def test_walk_matches_reference_walk(max_iter):
                 if config is not None:
                     p = dataclasses.replace(p, config=config)
                 _assert_walks_match_reference(p)
-    for p in (_tie_problem(), _zero_step_problem(), _twin_problem()):
+    for p in (_tie_problem(), _zero_step_problem()):
         _assert_walks_match_reference(p)
 
 
@@ -172,30 +172,6 @@ def test_select_returns_coincident_member():
     w = space.index("1/9")
     assert space.labels[pair.nearest[w]] == "1/9"
     assert pair.gap[w] == 0.0 and pair.coincident[w]
-
-
-def _twin_problem():
-    # a and b are distinct labels at distance 0; f = id and F swaps them
-    space = FiniteMetricSpace.from_matrix(["a", "b"], [[0.0, 0.0], [0.0, 0.0]])
-    return CoincidenceProblem(
-        space=space,
-        f={"a": "a", "b": "b"},
-        F={"a": ["b"], "b": ["a"]},
-        edges=EdgeStructure.ball(space, 1.0),
-        gauge=Gauge.constant(0.5),
-        w0="b",
-        p0="a",
-    )
-
-
-def test_a_member_at_distance_zero_is_not_a_coincidence():
-    p = _twin_problem()
-    assert p.pair.gap.tolist() == [0.0, 0.0]
-    assert p.pair.coincident.tolist() == [False, False]
-    assert enumerate_coincidence_points(p.space, p.f, p.F).coincidence == ()
-    out = run_coincidence_iteration(p)
-    assert out.status == Converged("a", "a", False)
-    assert out.common_fixed_point is None
 
 
 def _tie_problem():

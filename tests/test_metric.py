@@ -254,6 +254,48 @@ def test_space_rejects_bad_matrices():
         )
 
 
+_SMALLEST_NORMAL = 2.2250738585072014e-308
+
+
+@pytest.mark.parametrize("labels, matrix, error", [
+    (["a", "b"], [[0.0, 0.0], [0.0, 0.0]],
+     "d(a,b) = 0.0: distinct points must be at a positive distance"),
+    (["a", "b", "c"], [[0, 1, 1], [1, 0, 0], [1, 0, 0]],
+     "d(b,c) = 0.0: distinct points must be at a positive distance"),
+    (["a", "b", "c"], [[0, 1, 1], [1, 0, 1e-310], [1, 1e-310, 0]],
+     "d(b,c) = 1e-310: below the smallest normal double "
+     "2.2250738585072014e-308"),
+    (["a", "b"], [[0, 5e-324], [5e-324, 0]],
+     "d(a,b) = 5e-324: below the smallest normal double "
+     "2.2250738585072014e-308"),
+], ids=["twin", "zero", "subnormal", "smallest-subnormal"])
+def test_a_distance_of_zero_or_below_the_smallest_normal_double_is_refused(
+    labels, matrix, error
+):
+    # a metric separates its points, and a subnormal distance leaves
+    # within no relative slack
+    with pytest.raises(InputError) as exc:
+        FiniteMetricSpace.from_matrix(labels, matrix)
+    assert str(exc.value) == error
+
+
+def test_coordinates_at_a_distance_of_zero_or_below_the_smallest_normal_double_are_refused():
+    with pytest.raises(InputError, match=r"^d\(b,c\) = 0\.0: distinct points"):
+        FiniteMetricSpace.from_coords(["a", "b", "c"], [[0.0, 1.0], [2.0, 3.0], [2.0, 3.0]])
+    with pytest.raises(InputError, match=r"^d\(a,c\) = 1e-310: below the smallest normal"):
+        FiniteMetricSpace.from_coords(["a", "b", "c"], [0.0, 1.0, 1e-310])
+
+
+def test_the_smallest_normal_distance_is_accepted():
+    space = FiniteMetricSpace.from_matrix(
+        ["a", "b"], [[0.0, _SMALLEST_NORMAL], [_SMALLEST_NORMAL, 0.0]]
+    )
+    assert space.distance("a", "b") == _SMALLEST_NORMAL
+    coords = FiniteMetricSpace.from_coords(["a", "b"], [0.0, _SMALLEST_NORMAL])
+    assert coords.distance("a", "b") == _SMALLEST_NORMAL
+    assert len(FiniteMetricSpace.from_matrix(["a"], [[0.0]])) == 1
+
+
 @pytest.mark.parametrize("bad", ["1", "x", None, [1.0], True, False])
 def test_a_coordinate_or_distance_that_is_no_number_is_refused(bad):
     with pytest.raises(InputError, match="number"):

@@ -20,15 +20,17 @@ _GAUGE_VALUES = st.floats(0.0, 0.99)
 
 
 def _space(draw, labels):
-    """A coordinate space (any finite coordinates whose distances stay
-    finite), or an explicit matrix with off-diagonal entries in [s, 2s],
-    which meets the triangle inequality exactly."""
+    """A coordinate space (distinct points whose coordinates are 0 or of
+    magnitude 1e-290 to 1e100, so that every distance is a normal double),
+    or an explicit matrix with off-diagonal entries in [s, 2s], which meets
+    the triangle inequality exactly."""
     n = len(labels)
     if draw(st.booleans()):
         dim = draw(st.integers(1, 3))
-        coord = st.floats(-1e100, 1e100)
+        magnitude = st.floats(1e-290, 1e100)
+        coord = st.just(0.0) | magnitude | magnitude.map(lambda x: -x)
         coords = draw(st.lists(st.lists(coord, min_size=dim, max_size=dim),
-                               min_size=n, max_size=n))
+                               min_size=n, max_size=n, unique_by=tuple))
         return FiniteMetricSpace.from_coords(labels, coords, draw(st.sampled_from(_NORMS)))
     scale = 10.0 ** draw(st.integers(-3, 3))
     m = np.zeros((n, n))

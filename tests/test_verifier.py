@@ -259,9 +259,8 @@ def _unstructured_problem(rng):
     ball edges and a constant or piecewise gauge on up to 9 points."""
     n = rng.randint(1, 9)
     labels = [f"q{i}" for i in range(n)]
-    # tenths make near-ties that only the comparison slack resolves
-    space = FiniteMetricSpace.from_coords(labels, [rng.randint(0, 8) / 10.0
-                                                    for _ in range(n)])
+    # distinct tenths make near-ties that only the comparison slack resolves
+    space = FiniteMetricSpace.from_coords(labels, [k / 10.0 for k in rng.sample(range(9), n)])
     f = {s: rng.choice(labels) for s in labels}
     F = {s: rng.sample(labels, rng.randint(1, n)) for s in labels}
     pairs = [(u, v) for u in labels for v in labels if rng.random() < 0.5]
@@ -729,13 +728,17 @@ class _ExactGauge:
 
 
 def _rational_instance(rng):
-    """Points p/q on a line, as floats and with their exact distances;
+    """Distinct points p/q on a line, as floats and with their exact distances;
     arbitrary f and F, list or ball edges, and a gauge at, just off or far
     off a ratio D(f(w), F(w)) / d(f(v), f(w)) of the instance, so that
     some checks are ties or lie within EPS of one."""
     n = rng.randint(2, 7)
     labels = [f"r{i}" for i in range(n)]
-    xs = [Fraction(rng.randint(-20, 20), rng.randint(1, 9)) for _ in labels]
+    xs = []
+    while len(xs) < n:  # distinct points: a zero distance is refused
+        x = Fraction(rng.randint(-20, 20), rng.randint(1, 9))
+        if x not in xs:
+            xs.append(x)
     exact = [[abs(a - b) for b in xs] for a in xs]
     # coordinates rounded to floats, so equal exact distances may differ in floats
     space = FiniteMetricSpace.from_coords(labels, [float(x) for x in xs])
