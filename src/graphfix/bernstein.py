@@ -131,11 +131,6 @@ def basis(params: QParams, points) -> np.ndarray:
     return out
 
 
-def basis_vector(params: QParams, a: float) -> np.ndarray:
-    """All n+1 basis values at the single point a."""
-    return basis(params, [a])[0]
-
-
 def operator_matrix(params: QParams) -> np.ndarray:
     """Matrix B with B[i, j] = b_{n,j}(q, t_i): one iterate is B @ |u|."""
     return basis(params, nodes(params))
@@ -206,6 +201,7 @@ def iterate_to_limit(
     up to EPS ||u_0||, since B is stochastic and so ||u_0|| bounds every
     iterate.
     """
+    config = IterationConfig(tol=tol, residual_tol=tol, max_iter=max_iter)
     # a gauge that rounds to 1 is refused here, before the O(n^2) builds
     b_nq = contraction_constant(params)
     gauge = Gauge.constant(1.0 - b_nq)
@@ -219,13 +215,7 @@ def iterate_to_limit(
         return (within(abs(delta[0]), 0.0, size)
                 and within(abs(delta[-1]), 0.0, size))
 
-    outcome = run_operator_iteration(
-        lambda u: B @ np.abs(u),
-        np.abs(start),
-        in_w0,
-        gauge,
-        IterationConfig(tol=tol, residual_tol=tol, max_iter=max_iter),
-    )
+    outcome = run_operator_iteration(lambda u: B @ np.abs(u), np.abs(start), in_w0, gauge, config)
     point = outcome.point
     return IterateResult(
         **vars(outcome),

@@ -223,10 +223,10 @@ def run_bernstein(manifest: RunManifest) -> tuple[int, dict]:
         "phi", params["phi"], _PHI_BUILTINS, _PHI_BUILTINS.get, _phi_from_file
     )
     qp = QParams(params["n"], params["q"])
-    result = iterate_to_limit(qp, phi, tol=params["tol"], max_iter=params["max_iter"])
     points = check_integer(params["grid"], "grid")
     if points < 1:
         raise InputError(f"grid needs at least one point, got {points}")
+    result = iterate_to_limit(qp, phi, tol=params["tol"], max_iter=params["max_iter"])
     grid = np.linspace(0.0, 1.0, points)
     limit_vals = result.evaluate_grid(grid)
     interp_vals = result.interpolant(grid)

@@ -26,11 +26,13 @@ displacement grows with that size.
 The certificate: once the gauge is globally bounded by alpha < 1, step
 distances shrink at least by sqrt(alpha) per step, so the distance from
 f(w_n) to the limit is at most  B alpha^(n/2) / (1 - sqrt(alpha)) * d1
-with B = alpha^(-1/2) (first step distance d1).  ``tail_bound`` evaluates
-that closed form.  The walk stops on whichever of the a-posteriori test
-d_n <= tol and the certificate fires first, both gated on the residual;
-the operator iteration stops on d_n <= tol and residual <= residual_tol
-only, and records the tail bound without stopping on it.
+with B = alpha^(-1/2) (first step distance d1).  That closed form is
+written once, as ``ConvergenceCertificate.bound``, which both drivers
+and ``tail_bound`` call.  The walk stops on whichever of the
+a-posteriori test d_n <= tol and the certificate fires first, both
+gated on the residual; the operator iteration stops on d_n <= tol and
+residual <= residual_tol only, and records the tail bound without
+stopping on it.
 """
 
 from __future__ import annotations
@@ -84,42 +86,39 @@ class IterationConfig:
 
 @dataclass(frozen=True)
 class ConvergenceCertificate:
-    """Geometric tail certificate (rate alpha, prefactor B).
+    """Geometric tail certificate of rate alpha.
 
-    With a globally certified gauge the bound holds from the first step
-    and B = alpha^(-1/2); alpha = 0 degenerates to a one-step bound,
-    handled by the 0^0 = 1 convention in :func:`tail_bound`.
+    With a globally certified gauge the bound holds from the first step,
+    with the prefactor B = alpha^(-1/2) derived from alpha; alpha = 0
+    degenerates to a one-step bound, B = 1 and the 0^0 = 1 convention.
     """
 
     alpha: float
-    B: float
+    B: float = field(init=False)
 
     def __post_init__(self):
         if not (0.0 <= self.alpha < 1.0):
             raise DomainError("certificate rate alpha must lie in [0, 1)")
-        if self.B <= 0:
-            raise DomainError("certificate prefactor B must be positive")
+        object.__setattr__(self, "B", 1.0 if self.alpha == 0.0 else self.alpha ** -0.5)
 
     @classmethod
     def from_gauge(cls, gauge: Gauge) -> "ConvergenceCertificate":
-        alpha = gauge.certified_sup
-        B = 1.0 if alpha == 0.0 else alpha ** -0.5
-        return cls(alpha=alpha, B=B)
+        return cls(gauge.certified_sup)
+
+    def bound(self, d1: float, n: int) -> float:
+        """B alpha^(n/2) / (1 - sqrt(alpha)) * d1: the distance from step n
+        to the limit, for a first step distance d1."""
+        return self.B * self.alpha ** (n / 2) / (1.0 - math.sqrt(self.alpha)) * d1
 
 
 def tail_bound(cert: ConvergenceCertificate, d0: float, n: int) -> float:
-    """Upper bound on d(f(w_n), f(w_{n+m})) for every m, hence to the limit.
-
-    Evaluates B * alpha^(n/2) / (1 - sqrt(alpha)) * d0 where d0 is the
-    first step distance.
-    """
-    if cert.alpha >= 1.0:
-        raise DomainError("tail bound needs alpha < 1")
+    """Upper bound on d(f(w_n), f(w_{n+m})) for every m, hence to the limit,
+    for the first step distance d0 (see :meth:`ConvergenceCertificate.bound`)."""
     if d0 < 0:
         raise InputError("d0 must be nonnegative")
     if n < 0:
         raise InputError("n must be nonnegative")
-    return cert.B * cert.alpha ** (n / 2) / (1.0 - math.sqrt(cert.alpha)) * d0
+    return cert.bound(d0, n)
 
 
 @dataclass(slots=True)
@@ -316,7 +315,7 @@ def run_coincidence_iteration(problem: CoincidenceProblem) -> IterationOutcome:
     labels = space.labels
     adjacency = problem.edges.adjacency
     # every member of every F(w) has a preimage, by construction
-    fi, inverse, nearest, gap, coincident = problem.pair.tables
+    fi, inverse, nearest, gap = problem.pair.tables
     w0 = space.index(problem.w0)
     p0 = space.index(problem.p0)
     fw0 = fi[w0]
@@ -334,7 +333,7 @@ def run_coincidence_iteration(problem: CoincidenceProblem) -> IterationOutcome:
 
     while True:
         residual = gap[w]
-        bound = tail_bound(cert, d1, n)
+        bound = cert.bound(d1, n)
         edge_ok = bool(adjacency[prev_fw, fw])
         trace.append(TraceRow(n, labels[w], labels[fw], d_n, residual, bound, edge_ok))
         if not edge_ok:
@@ -344,8 +343,9 @@ def run_coincidence_iteration(problem: CoincidenceProblem) -> IterationOutcome:
             if not within(d_n, limit, limit):
                 return outcome(HypothesisViolated("i", n))
         if residual <= cfg.residual_tol and (d_n <= cfg.tol or bound <= cfg.tol):
-            common = labels[fw] if fi[fw] == fw and coincident[fw] else None
-            return outcome(Converged(labels[w], labels[fw], coincident[w]), common)
+            # distinct labels sit at a positive distance: f(w) in F(w) iff gap 0
+            common = labels[fw] if fi[fw] == fw and gap[fw] == 0.0 else None
+            return outcome(Converged(labels[w], labels[fw], gap[w] == 0.0), common)
         if n > cfg.max_iter:
             return outcome(MaxIterExceeded(labels[w]))
         if residual > 0 and (d_n == 0 or gauge(d_n) == 0.0):
@@ -378,12 +378,9 @@ def run_operator_iteration(
     rounding and passes.
 
     A step pays for one call of T and one displacement w_n - w_{n+1},
-    which serves as both the residual and the argument of ``in_W0``; the
-    tail bound is :func:`tail_bound`'s expression inlined in its operation
-    order, so every trace value is the same float.
+    which serves as both the residual and the argument of ``in_W0``.
     """
     cert = ConvergenceCertificate.from_gauge(gauge)
-    B, alpha, den = cert.B, cert.alpha, 1.0 - math.sqrt(cert.alpha)
     trace = IterationTrace()
     rows = trace.rows
     tol, residual_tol, max_iter = config.tol, config.residual_tol, config.max_iter
@@ -406,8 +403,7 @@ def run_operator_iteration(
         w_after = np.asarray(T(w_next), dtype=float)
         delta = w_next - w_after
         resid = sup(delta)
-        bound = B * alpha ** (n / 2) / den * d1  # tail_bound(cert, d1, n)
-        rows.append(TraceRow(n, None, None, d_prev, resid, bound, True))
+        rows.append(TraceRow(n, None, None, d_prev, resid, cert.bound(d1, n), True))
         if d_prev <= tol and resid <= residual_tol:
             status = Converged(w_next, w_next)
             break

@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -61,6 +60,7 @@ class GreenKernel:
     gamma_beta: float = field(init=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "beta", check_real(self.beta, "beta"))
         if not (self.beta > 1):
             raise InputError("fractional order beta must exceed 1")
         # Gamma overflows a double past beta = 171.62, where 1/Gamma(beta) =
@@ -156,10 +156,11 @@ def build_operator_matrix(beta: float, m: int) -> "KernelOperator":
     [0, h] and [1 - h, 1] are left over and take the quadratic of their
     neighbouring pair.  See ``KernelOperator`` for the form it is kept in.
     """
+    kernel = GreenKernel(beta)
+    m = check_integer(m, "grid_m")
     if m < 2 or m % 2 != 0:
         raise InputError("grid_m must be an even integer >= 2")
-    gamma = GreenKernel(beta).gamma_beta
-    p = beta - 1.0
+    gamma, p = kernel.gamma_beta, kernel.beta - 1.0
     sp = np.linspace(0.0, 1.0, m + 1) ** p
     # past beta = 171.62 1/Gamma(beta) underflows and K is exactly 0
     mu = np.zeros((m, 3)) if math.isinf(gamma) else _panel_moments(p, m) / gamma
@@ -254,7 +255,7 @@ class KernelOperator:
         return tail, band
 
     def norm_inf(self) -> float:
-        """||K||_inf = max_j sum_k |K[j, k]|, in O(m (band + 1)).
+        """kappa = ||K||_inf = max_j sum_k |K[j, k]|, in O(m (band + 1)).
 
         K[j, k] integrates G(b_j, .) against a quadratic basis function, and
         is negative only where a quadratic resolves G(b_j, .) poorly: next to
@@ -265,6 +266,13 @@ class KernelOperator:
         beta = 2, 7 columns and 6 diagonals at beta = 10, about beta / 2 of
         each beyond.  So the sum of |K| over a row is its sum plus twice the
         negative parts there.
+
+        Kappa bounds ||K x - K y|| <= kappa ||x - y||, which makes kappa * k
+        the rate a Picard step can be checked against.  It is below 1: K @ 1
+        is (b^(beta-1) - b^beta)/Gamma(beta+1) < 1 for every beta > 1, and
+        kappa stays below 1 on the grids the tests check (beta from
+        1 + 1e-12 to 171.7, m up to 4000), where it peaks at 0.99975 at
+        beta = 1 + 1e-12, m = 4000.
         """
         m = self.sp.size - 1
         tail, band = self._negative_reach()
@@ -307,6 +315,10 @@ class FbvpProblem:
     Lipschitz-type bound |g(b, u) - g(b, v)| <= k(||u - v||)|u - v|.
     It is called with two Python floats, the node b_j and the profile's
     value there, once per node and Picard step.
+
+    Construction builds the stop rule ``config`` (step tolerance ``tol``,
+    residual tolerance 10 tol) and the operator ``matrix`` once, and
+    these refuse the parameters out of their range.
     """
 
     beta: float
@@ -315,50 +327,26 @@ class FbvpProblem:
     grid_m: int = 200
     tol: float = 1e-10
     max_iter: int = 10_000
+    config: IterationConfig = field(init=False)
+    matrix: KernelOperator = field(init=False, repr=False, compare=False)
+    _nodes: list[float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        self.tol = check_real(self.tol, "tol")
+        self.config = IterationConfig(self.tol, 10.0 * self.tol, self.max_iter)
         self.beta = check_real(self.beta, "beta")
         self.grid_m = check_integer(self.grid_m, "grid_m")
-        self.tol = check_real(self.tol, "tol")
-        self.max_iter = check_integer(self.max_iter, "max_iter")
-        if not (self.beta > 1):
-            raise InputError("fractional order beta must exceed 1")
-        if self.grid_m < 2 or self.grid_m % 2 != 0:
-            raise InputError("grid_m must be an even integer >= 2")
-        if self.tol <= 0:
-            raise InputError("tol must be positive")
-
-    @cached_property
-    def matrix(self) -> KernelOperator:
-        return build_operator_matrix(self.beta, self.grid_m)
+        self.matrix = build_operator_matrix(self.beta, self.grid_m)
+        self._nodes = self.grid.tolist()
 
     @property
     def grid(self) -> np.ndarray:
         return np.linspace(0.0, 1.0, self.grid_m + 1)
 
-    @cached_property
-    def _nodes(self) -> list[float]:
-        return self.grid.tolist()
-
     def forcing_vector(self, values: np.ndarray) -> np.ndarray:
         """g(b_j, values_j) at every node, with floats as both arguments."""
         pairs = map(self.g, self._nodes, values.tolist())
         return np.fromiter(pairs, float, self.grid_m + 1)
-
-
-def quadrature_kappa(problem: FbvpProblem) -> float:
-    """kappa = ||K||_inf, the max over grid nodes of the sum of |K| over a row.
-
-    K has small negative entries where G vanishes or kinks (see
-    ``KernelOperator.norm_inf``), so kappa is K @ 1 plus twice those.  It
-    bounds ||K x - K y|| <= kappa ||x - y||, which makes kappa * k the rate
-    a Picard step can be checked against.  Kappa is below 1: K @ 1 is
-    (b^(beta-1) - b^beta)/Gamma(beta+1) < 1 for every beta > 1, and kappa
-    stays below 1 on the grids the tests check (beta from 1 + 1e-12 to
-    171.7, m up to 4000), where it peaks at 0.99975 at beta = 1 + 1e-12,
-    m = 4000.
-    """
-    return problem.matrix.norm_inf()
 
 
 @dataclass(kw_only=True)
@@ -369,7 +357,11 @@ class PicardReport(IterationOutcome):
     solution: GridFunction
     residual: float
     kappa: float
-    effective_factor: float
+
+    @property
+    def effective_factor(self) -> float:
+        """kappa * sup k, the rate the run certified."""
+        return self.certificate.alpha
 
     def _record(self) -> dict:
         return {
@@ -388,15 +380,15 @@ def picard_solve(problem: FbvpProblem) -> PicardReport:
     integral-equation residual ||u* - K g(., u*)||, the quadrature
     constant kappa = ||K||_inf, and the effective contraction factor
     kappa * sup k.  That factor is below 1: a ``Gauge`` refuses sup k >= 1,
-    and kappa < 1 (see ``quadrature_kappa``).  Each step's displacement is
-    checked against kappa k(d) d, the rate the report certifies; a forcing
-    that breaks its gauge by more than a factor of about
-    kappa / rho(K) fails that check.  The failure is not raised: the
+    and kappa < 1 (see ``KernelOperator.norm_inf``).  Each step's
+    displacement is checked against kappa k(d) d, the rate the report
+    certifies; a forcing that breaks its gauge by more than a factor of
+    about kappa / rho(K) fails that check.  The failure is not raised: the
     report comes back with a ``HypothesisViolated`` status naming condition
     "i" and the step.
     """
     K = problem.matrix
-    kappa = quadrature_kappa(problem)
+    kappa = K.norm_inf()
     gauge = problem.gauge
     # ||T u - T v|| <= kappa k(||u - v||) ||u - v||: the step check tests kappa k
     rate = Gauge(gauge.breakpoints, tuple(kappa * v for v in gauge.values),
@@ -410,11 +402,7 @@ def picard_solve(problem: FbvpProblem) -> PicardReport:
         np.zeros(problem.grid_m + 1),
         lambda delta: True,
         rate,
-        IterationConfig(
-            tol=problem.tol,
-            residual_tol=10.0 * problem.tol,
-            max_iter=problem.max_iter,
-        ),
+        problem.config,
     )
     u_star = outcome.point
     if u_star is not None:
@@ -428,5 +416,4 @@ def picard_solve(problem: FbvpProblem) -> PicardReport:
         solution=GridFunction(u_star),
         residual=residual,
         kappa=kappa,
-        effective_factor=rate.certified_sup,
     )

@@ -366,9 +366,9 @@ class ValidatedPair:
     index of f(w), row w of ``members`` holds the member indices of F(w),
     padded with repeats of the first (min and max ignore repeats), and
     ``inverse[y]`` is the lowest-index preimage of y, or -1.  ``nearest[w]``
-    is the member of F(w) nearest f(w), ties to the lowest index,
-    ``gap[w]`` is D(f(w), F(w)), and ``coincident[w]`` says whether f(w)
-    lies in F(w).
+    is the member of F(w) nearest f(w), ties to the lowest index, and
+    ``gap[w]`` is D(f(w), F(w)).  Distinct labels sit at a positive
+    distance, so f(w) lies in F(w) exactly when ``gap[w] == 0``.
     """
 
     space: FiniteMetricSpace
@@ -380,21 +380,16 @@ class ValidatedPair:
     inverse: np.ndarray = field(repr=False)
     nearest: np.ndarray = field(repr=False)
     gap: np.ndarray = field(repr=False)
-    coincident: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        for a in (self.fi, self.members, self.inverse, self.nearest, self.gap,
-                  self.coincident):
+        for a in (self.fi, self.members, self.inverse, self.nearest, self.gap):
             a.flags.writeable = False
 
     @cached_property
     def tables(self) -> tuple[list, ...]:
-        """``fi``, ``inverse``, ``nearest``, ``gap`` and ``coincident`` as
-        Python lists, built once per pair for scalar lookups."""
-        return tuple(
-            a.tolist()
-            for a in (self.fi, self.inverse, self.nearest, self.gap, self.coincident)
-        )
+        """``fi``, ``inverse``, ``nearest`` and ``gap`` as Python lists,
+        built once per pair for scalar lookups."""
+        return tuple(a.tolist() for a in (self.fi, self.inverse, self.nearest, self.gap))
 
 
 def validate_pair(space: FiniteMetricSpace, f: Mapping, F: Mapping) -> ValidatedPair:
@@ -440,7 +435,6 @@ def validate_pair(space: FiniteMetricSpace, f: Mapping, F: Mapping) -> Validated
     return ValidatedPair(
         space, MappingProxyType(fmap), MappingProxyType(images), misses,
         fi, members, inverse, nearest, to_members.min(axis=1),
-        (members == fi[:, None]).any(axis=1),
     )
 
 

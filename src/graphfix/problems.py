@@ -22,7 +22,7 @@ from dataclasses import asdict, fields
 from typing import Mapping
 
 from .engine import CoincidenceProblem, IterationConfig
-from .errors import InputError
+from .errors import InputError, check_integer
 from .metric import ClosedSet, EdgeStructure, FiniteMetricSpace, Gauge
 from .serialize import load_json
 
@@ -33,6 +33,7 @@ def ternary_orbit_problem(
     depth: int = 12, config: IterationConfig | None = None
 ) -> CoincidenceProblem:
     """The ternary orbit instance truncated at 1/3^depth (3 <= depth <= 644)."""
+    depth = check_integer(depth, "depth")
     if depth < 3:
         raise InputError("ternary orbit problem needs depth >= 3")
     # every distance is at least 3^-depth, a normal double up to depth 644

@@ -262,10 +262,11 @@ def enumerate_coincidence_points(
 ) -> CoincidenceSets:
     """Every w with f(w) in F(w), and among them every w = f(w)."""
     pair = validate_pair(space, f, F)
-    common = pair.coincident & (pair.fi == np.arange(len(space)))
+    hits = pair.gap == 0.0  # f(w) in F(w): distinct labels are never at distance 0
+    common = hits & (pair.fi == np.arange(len(space)))
     labels = space.labels
     return CoincidenceSets(
-        tuple(labels[i] for i in np.flatnonzero(pair.coincident)),
+        tuple(labels[i] for i in np.flatnonzero(hits)),
         tuple(labels[i] for i in np.flatnonzero(common)),
     )
 

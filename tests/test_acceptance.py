@@ -13,7 +13,7 @@ import numpy as np
 
 from graphfix.bernstein import (
     QParams,
-    basis_vector,
+    basis,
     contraction_constant,
     iterate_to_limit,
 )
@@ -135,10 +135,10 @@ def test_criterion_5_partition_of_unity_and_q1_reduction():
         for q in (0.5, 0.9, 1.0, 1.5, 3.0):
             qp = QParams(n, q)
             for a in grid:
-                assert abs(basis_vector(qp, a).sum() - 1.0) <= 1e-12
+                assert abs(basis(qp, [a])[0].sum() - 1.0) <= 1e-12
         qp1 = QParams(n, 1.0)
         for a in grid:
-            bv = basis_vector(qp1, a)
+            bv = basis(qp1, [a])[0]
             classical = np.array(
                 [comb(n, i) * a**i * (1.0 - a) ** (n - i) for i in range(n + 1)]
             )

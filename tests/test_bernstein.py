@@ -12,7 +12,6 @@ from graphfix.bernstein import (
     _log_q_binomials,
     _log_qints,
     basis,
-    basis_vector,
     contraction_constant,
     iterate_to_limit,
     nodes,
@@ -116,18 +115,18 @@ def test_qparams_rejects_non_numeric_parameters():
 
 def test_basis_endpoint_interpolation():
     qp = QParams(5, 0.7)
-    assert basis_vector(qp, 0.0)[0] == 1.0
-    assert all(basis_vector(qp, 0.0)[i] == 0.0 for i in range(1, 6))
-    assert basis_vector(qp, 1.0)[5] == 1.0
-    assert all(basis_vector(qp, 1.0)[i] == 0.0 for i in range(5))
+    assert basis(qp, [0.0])[0][0] == 1.0
+    assert all(basis(qp, [0.0])[0][i] == 0.0 for i in range(1, 6))
+    assert basis(qp, [1.0])[0][5] == 1.0
+    assert all(basis(qp, [1.0])[0][i] == 0.0 for i in range(5))
 
 
 def test_basis_degree_one_is_linear():
     for q in (0.5, 1.0, 2.5):
         qp = QParams(1, q)
         for a in np.linspace(0.0, 1.0, 11):
-            assert abs(basis_vector(qp, a)[1] - a) < TOL
-            assert abs(basis_vector(qp, a)[0] - (1.0 - a)) < TOL
+            assert abs(basis(qp, [a])[0][1] - a) < TOL
+            assert abs(basis(qp, [a])[0][0] - (1.0 - a)) < TOL
 
 
 def test_basis_partition_of_unity():
@@ -135,14 +134,14 @@ def test_basis_partition_of_unity():
         for q in (0.5, 0.9, 1.0, 1.5, 3.0):
             qp = QParams(n, q)
             for a in np.linspace(0.0, 1.0, 53):
-                assert abs(basis_vector(qp, a).sum() - 1.0) <= 1e-12
+                assert abs(basis(qp, [a])[0].sum() - 1.0) <= 1e-12
 
 
 def test_basis_q1_reduces_to_classical_bernstein():
     for n in (2, 5, 10):
         qp = QParams(n, 1.0)
         for a in np.linspace(0.0, 1.0, 31):
-            bv = basis_vector(qp, a)
+            bv = basis(qp, [a])[0]
             classical = np.array(
                 [comb(n, i) * a**i * (1.0 - a) ** (n - i) for i in range(n + 1)]
             )
@@ -155,7 +154,7 @@ def test_basis_reproduces_linear_functions():
         qp = QParams(n, q)
         ts = nodes(qp)
         for a in np.linspace(0.0, 1.0, 21):
-            assert abs(float(ts @ basis_vector(qp, a)) - a) <= 1e-12
+            assert abs(float(ts @ basis(qp, [a])[0]) - a) <= 1e-12
 
 
 def _mp_basis(n, q, a):
@@ -177,7 +176,7 @@ def _mp_basis(n, q, a):
 def test_basis_matches_mpmath_at_high_degree(n, q):
     qp = QParams(n, q)
     for a in (0.013, 0.37, 0.81):
-        assert np.max(np.abs(basis_vector(qp, a) - _mp_basis(n, q, a))) <= 1e-12
+        assert np.max(np.abs(basis(qp, [a])[0] - _mp_basis(n, q, a))) <= 1e-12
 
 
 def test_operator_matrix_rows_are_basis_vectors():
@@ -185,12 +184,12 @@ def test_operator_matrix_rows_are_basis_vectors():
         qp = QParams(n, q)
         B = operator_matrix(qp)
         for t, row in zip(nodes(qp), B):
-            assert np.array_equal(row, basis_vector(qp, t))
+            assert np.array_equal(row, basis(qp, [t])[0])
 
 
 def test_basis_rejects_outside_unit_interval():
     with pytest.raises(InputError):
-        basis_vector(QParams(3, 1.0), 1.5)[1]
+        basis(QParams(3, 1.0), [1.5])[0][1]
 
 
 def test_nodes_endpoints_exact():
@@ -300,7 +299,7 @@ def test_contraction_lower_bounds_endpoint_mass():
         qp = QParams(n, q)
         b_nq = contraction_constant(qp)
         grid_min = min(
-            basis_vector(qp, a)[[0, n]].sum() for a in np.linspace(0.0, 1.0, 2001)
+            basis(qp, [a])[0][[0, n]].sum() for a in np.linspace(0.0, 1.0, 2001)
         )
         assert b_nq <= grid_min + 1e-12
 
@@ -335,7 +334,7 @@ def test_evaluate_grid_matches_pointwise_operator():
         res = iterate_to_limit(QParams(n, q), lambda a: math.sin(math.pi * a) + a,
                                max_iter=50)
         grid = np.linspace(0.0, 1.0, 101)
-        pointwise = [basis_vector(res.params, a) @ np.abs(res.values) for a in grid]
+        pointwise = [basis(res.params, [a])[0] @ np.abs(res.values) for a in grid]
         assert np.max(np.abs(res.evaluate_grid(grid) - pointwise)) <= 1e-14
 
 
@@ -414,6 +413,25 @@ def test_iterate_refuses_a_gauge_that_rounds_to_one_before_building(monkeypatch,
     monkeypatch.setattr("graphfix.bernstein.operator_matrix", unbuilt)
     with pytest.raises(InputError, match=r"^gauge values must lie in \[0, 1\)$"):
         iterate_to_limit(QParams(n, q), unbuilt)
+
+
+@pytest.mark.parametrize("n, q", [(200, 0.9), (400, 1.0)])
+@pytest.mark.parametrize("stop, message", [
+    ({"tol": -1}, "tolerances must be positive"),
+    ({"tol": "x"}, "tol must be a number, got 'x'"),
+    ({"max_iter": -1}, "max_iter must be nonnegative"),
+    ({"max_iter": 2.5}, "max_iter must be an integer, got 2.5"),
+])
+def test_iterate_checks_its_stop_parameters_first(monkeypatch, n, q, stop, message):
+    # before the gauge (which refuses (400, 1.0)), the nodes, phi and B
+    def unbuilt(*args):
+        raise AssertionError("built before the stop parameters were checked")
+
+    monkeypatch.setattr("graphfix.bernstein.contraction_constant", unbuilt)
+    monkeypatch.setattr("graphfix.bernstein.nodes", unbuilt)
+    monkeypatch.setattr("graphfix.bernstein.operator_matrix", unbuilt)
+    with pytest.raises(InputError, match=f"^{message}$"):
+        iterate_to_limit(QParams(n, q), unbuilt, **stop)
 
 
 def test_iterate_rounding_at_the_iterate_size_is_no_contraction_failure():

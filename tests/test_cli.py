@@ -710,6 +710,19 @@ def test_bernstein_with_q_beyond_the_double_range_reaches_the_gauge(
     assert res.stderr == "error: gauge values must lie in [0, 1)\n"
 
 
+@pytest.mark.parametrize("stop, error", [
+    (["--grid", "0"], "grid needs at least one point, got 0"),
+    (["--tol", "-1"], "tolerances must be positive"),
+])
+def test_bernstein_checks_its_parameters_before_the_gauge(runner, tmp_path, stop, error):
+    # (400, 1.0) meets item 1's gauge refusal; a bad grid or tol is reported
+    # instead, and no iteration runs before it is
+    res = runner.invoke(main, ["--out", str(tmp_path), "bernstein", "--n", "400",
+                               "--q", "1.0", *stop])
+    assert res.exit_code == 2, res.output
+    assert res.stderr == f"error: {error}\n"
+
+
 def test_sweep_survives_jobs_beyond_the_double_range(runner, tmp_path):
     spec = [
         {"subcommand": "fbvp", "params": {"beta": 172.0}},

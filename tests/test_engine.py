@@ -21,6 +21,7 @@ from graphfix.engine import (
     run_operator_iteration,
     tail_bound,
 )
+from graphfix.bernstein import QParams, iterate_to_limit
 from graphfix.errors import DomainError, InputError
 from graphfix.metric import (
     ClosedSet,
@@ -30,7 +31,7 @@ from graphfix.metric import (
     validate_pair,
     within,
 )
-from graphfix.problems import identity_problem, ternary_orbit_problem
+from graphfix.problems import builtin_problem, identity_problem, ternary_orbit_problem
 from graphfix.serialize import json_dumps
 from graphfix.verifier import enumerate_coincidence_points
 
@@ -163,7 +164,7 @@ def test_select_nearest_on_orbit_step():
     w = space.index("1/9")
     assert space.labels[pair.nearest[w]] == "1/81"
     assert pair.gap[w] == space.distance("1/9", "1/81")
-    assert not pair.coincident[w]
+    assert pair.gap[w] > 0.0
 
 
 def test_select_returns_coincident_member():
@@ -171,7 +172,7 @@ def test_select_returns_coincident_member():
     pair = _identity_pair(space, {"1/9": ["1", "1/9"]})
     w = space.index("1/9")
     assert space.labels[pair.nearest[w]] == "1/9"
-    assert pair.gap[w] == 0.0 and pair.coincident[w]
+    assert pair.gap[w] == 0.0
 
 
 def _tie_problem():
@@ -227,7 +228,7 @@ def test_select_zero_gauge_with_positive_residual():
 # --- tail_bound -----------------------------------------------------------------
 
 def test_tail_bound_closed_form():
-    cert = ConvergenceCertificate(alpha=1.0 / 3.0, B=math.sqrt(3.0))
+    cert = ConvergenceCertificate(alpha=1.0 / 3.0)
     # oracle: direct evaluation of B * alpha^(n/2) / (1 - sqrt(alpha)) * d0
     expected = math.sqrt(3.0) * (2.0 / 9.0) / (1.0 - math.sqrt(1.0 / 3.0))
     assert abs(tail_bound(cert, 2.0 / 9.0, 0) - expected) < TOL
@@ -235,20 +236,20 @@ def test_tail_bound_closed_form():
 
 
 def test_tail_bound_zero_first_step():
-    cert = ConvergenceCertificate(alpha=0.5, B=2.0)
+    cert = ConvergenceCertificate(alpha=0.5)
     for n in (0, 1, 5, 50):
         assert tail_bound(cert, 0.0, n) == 0.0
 
 
 def test_tail_bound_quarter_rate():
-    cert = ConvergenceCertificate(alpha=0.25, B=2.0)
+    cert = ConvergenceCertificate(alpha=0.25)
     assert abs(tail_bound(cert, 1.0, 4) - 0.25) < TOL
 
 
 def test_tail_bound_dominates_observed_tail():
     # alpha = 1/4, B = 2 bound must dominate distances to the limit in any
     # conforming trace; use an exact quarter-ladder as that trace
-    cert = ConvergenceCertificate(alpha=0.25, B=2.0)
+    cert = ConvergenceCertificate(alpha=0.25)
     d0 = 1.0
     positions = [sum(d0 * 0.25**j for j in range(n)) for n in range(30)]
     limit = d0 / (1 - 0.25)
@@ -258,10 +259,8 @@ def test_tail_bound_dominates_observed_tail():
 
 def test_certificate_validation():
     with pytest.raises(DomainError):
-        ConvergenceCertificate(alpha=1.0, B=1.0)
-    with pytest.raises(DomainError):
-        ConvergenceCertificate(alpha=0.5, B=0.0)
-    cert = ConvergenceCertificate(alpha=0.5, B=1.0)
+        ConvergenceCertificate(alpha=1.0)
+    cert = ConvergenceCertificate(alpha=0.5)
     with pytest.raises(InputError):
         tail_bound(cert, -1.0, 0)
     with pytest.raises(InputError):
@@ -274,6 +273,31 @@ def test_certificate_from_zero_gauge():
     assert tail_bound(cert, 0.7, 3) == 0.0
 
 
+def test_certificate_prefactor_is_derived_from_alpha():
+    # a settable B let ConvergenceCertificate(alpha=0.25, B=0.01) bound the
+    # tail 200 times too low
+    with pytest.raises(TypeError):
+        ConvergenceCertificate(alpha=0.25, B=0.01)
+    for alpha in (1e-300, 1e-9, 0.25, 1.0 / 3.0, 0.5, 0.9, 1.0 - 2.0**-53):
+        cert = ConvergenceCertificate(alpha)
+        assert cert.B == alpha ** -0.5
+        assert dataclasses.replace(cert, alpha=0.25).B == 2.0
+    assert ConvergenceCertificate(0.0).B == 1.0
+    assert ConvergenceCertificate(0.25).bound(1.0, 0) == 4.0
+
+
+def test_trace_bounds_are_tail_bound_bit_for_bit():
+    walk = run_coincidence_iteration(ternary_orbit_problem(20))
+    operator = iterate_to_limit(QParams(10, 0.9), lambda a: a * a)
+    for out in (walk, operator):
+        rows = [row for row in out.trace.rows if row.n >= 1]
+        assert len(rows) > 5 and rows[0].n == 1
+        d1 = rows[0].d
+        for row in rows:
+            bound = tail_bound(out.certificate, d1, row.n)
+            assert struct.pack("<d", row.bound) == struct.pack("<d", bound)
+
+
 # --- run_coincidence_iteration ----------------------------------------------------
 
 def test_ternary_orbit_converges_to_common_fixed_point():
@@ -283,6 +307,19 @@ def test_ternary_orbit_converges_to_common_fixed_point():
     assert out.status.f_w_star == "0"
     assert out.common_fixed_point == "0"
     assert out.final_residual == 0.0
+
+
+def test_ternary_orbit_depth_must_be_an_integer():
+    depth7 = ternary_orbit_problem(7).space.labels
+    assert ternary_orbit_problem(7.0).space.labels == depth7
+    assert builtin_problem("example-3-3", 7.0).space.labels == depth7
+    for depth, message in ((5.5, "depth must be an integer, got 5.5"),
+                           ("7", "depth must be a number, got '7'"),
+                           (True, "depth must be a number, got True")):
+        with pytest.raises(InputError, match=f"^{message}$"):
+            ternary_orbit_problem(depth)
+        with pytest.raises(InputError, match=f"^{message}$"):
+            builtin_problem("kamran-counterexample", depth)
 
 
 def test_identity_problem_converges_at_start():
@@ -349,7 +386,7 @@ def test_restart_does_not_revalidate_the_pair(monkeypatch):
     assert len(calls) == 1
     assert q.pair is p.pair and r.pair is p.pair
     # the walk's tables are shared too, and their Python lists built once
-    for name in ("nearest", "gap", "coincident", "tables"):
+    for name in ("nearest", "gap", "tables"):
         assert getattr(q.pair, name) is getattr(p.pair, name)
         assert getattr(r.pair, name) is getattr(p.pair, name)
     assert q.f is p.f and q.F is p.F
@@ -714,7 +751,7 @@ def test_operator_loop_matches_reference_on_bernstein(n):
 
 @pytest.mark.parametrize("beta", [1.25, 1.5, 2.0])
 def test_operator_loop_matches_reference_on_fbvp(beta):
-    from graphfix.fbvp import FbvpProblem, quadrature_kappa
+    from graphfix.fbvp import FbvpProblem
 
     forcings = [
         (lambda b, w: 1.0, Gauge.constant(0.0)),  # const
@@ -727,7 +764,7 @@ def test_operator_loop_matches_reference_on_fbvp(beta):
     for g, gauge in forcings:
         problem = FbvpProblem(beta=beta, g=g, gauge=gauge, grid_m=40)
         K = problem.matrix
-        assert quadrature_kappa(problem) < 1.0
+        assert K.norm_inf() < 1.0
         for max_iter in (0, 1, 7, 10_000):
             out = _assert_matches_reference(
                 lambda u: K @ problem.forcing_vector(u), np.zeros(41), _always,

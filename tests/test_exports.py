@@ -1,5 +1,11 @@
 """The package's public names: every entry of ``graphfix.__all__`` must
-resolve, so an API deleted from its module cannot stay exported."""
+resolve, so an API deleted from its module cannot stay exported, and
+every public function and class must have a use besides its definition."""
+
+import ast
+import re
+from collections import Counter
+from pathlib import Path
 
 import graphfix
 
@@ -14,3 +20,30 @@ def test_star_import_gives_the_exported_names():
     namespace = {}
     exec("from graphfix import *", namespace)
     assert set(graphfix.__all__) <= set(namespace)
+
+
+_ROOT = Path(__file__).resolve().parents[1]
+
+
+def _public_definitions() -> list[tuple[str, str]]:
+    """(module, name) of every public top-level function and class."""
+    found = []
+    for path in sorted((_ROOT / "src" / "graphfix").glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            is_def = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            if is_def and not node.name.startswith("_"):
+                found.append((path.stem, node.name))
+    return found
+
+
+def test_every_public_definition_has_a_use():
+    # "no public API that nothing uses": a name whose only word in src/,
+    # perfbench/ and README is its own definition has no caller there
+    texts = [p.read_text(encoding="utf-8") for p in (
+        *(_ROOT / "src" / "graphfix").glob("*.py"),
+        *(_ROOT / "perfbench").glob("*.py"),
+        _ROOT / "README.md",
+    )]
+    words = Counter(w for text in texts for w in re.findall(r"\w+", text))
+    unused = [f"{module}.{name}" for module, name in _public_definitions() if words[name] < 2]
+    assert unused == []

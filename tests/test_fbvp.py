@@ -5,7 +5,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from graphfix.engine import HypothesisViolated, MaxIterExceeded
+from graphfix import fbvp
+from graphfix.engine import HypothesisViolated, IterationConfig, MaxIterExceeded
 from graphfix.errors import InputError
 from graphfix.fbvp import (
     FbvpProblem,
@@ -14,7 +15,6 @@ from graphfix.fbvp import (
     build_operator_matrix,
     green_kernel,
     picard_solve,
-    quadrature_kappa,
 )
 from graphfix.metric import Gauge
 
@@ -188,7 +188,7 @@ def test_operator_is_exact_on_constants(beta):
 
 @pytest.mark.parametrize("beta", [1.01, 1.25, 1.5, 1.9, 2.0, 3.7])
 def test_operator_matrix_matches_per_row_construction(beta):
-    # KernelOperator.entries, which quadrature_kappa reads, against the pair rule
+    # KernelOperator.entries, which norm_inf reads, against the pair rule
     for m in [*range(2, 41, 2), 200]:
         ref = _dense_operator_matrix(beta, m)
         j, k = np.indices(ref.shape)
@@ -372,12 +372,12 @@ def test_kappa_matches_analytic_maximum():
     # beta = 2: int_0^1 G(b, a) da = b(1-b)/2, maximal value 1/8
     prob = FbvpProblem(beta=2.0, g=lambda b, w: 0.0, gauge=Gauge.constant(0.0),
                        grid_m=100)
-    assert abs(quadrature_kappa(prob) - 0.125) <= 1e-15
+    assert abs(prob.matrix.norm_inf() - 0.125) <= 1e-15
     for beta in (1.01, 1.5, 3.7):
         prob = FbvpProblem(beta=beta, g=lambda b, w: 0.0, gauge=Gauge.constant(0.0),
                            grid_m=100)
         norm = _max_abs_row_sum(_dense_operator_matrix(beta, 100))
-        assert abs(quadrature_kappa(prob) - norm) <= 1e-14 * norm
+        assert abs(prob.matrix.norm_inf() - norm) <= 1e-14 * norm
 
 
 KAPPA_BETAS = [1 + 1e-12, 1 + 1e-9, 1 + 1e-6, 1.001, 1.01, 1.1, 1.5, 2.0, 3.0, 10.0, 171.7]
@@ -410,7 +410,7 @@ def test_kappa_is_below_one(beta):
     for m in (2, 4, 6, 10, 20, 50, 100, 200, 1000, 2000, 4000):
         prob = FbvpProblem(beta=beta, g=lambda b, w: 0.0, gauge=Gauge.constant(0.0),
                            grid_m=m)
-        assert quadrature_kappa(prob) < 1.0, m
+        assert prob.matrix.norm_inf() < 1.0, m
 
 
 # --- picard solver -----------------------------------------------------------------------
@@ -498,6 +498,42 @@ def test_problem_validation():
                     grid_m=41)
     with pytest.raises(InputError):
         build_operator_matrix(1.5, 3)
+
+
+def test_operator_build_checks_its_parameters():
+    for beta, m, message in (
+        ("x", 4, "beta must be a number, got 'x'"),
+        (True, 4, "beta must be a number, got True"),
+        (1.5, "4", "grid_m must be a number, got '4'"),
+        (1.5, 4.5, "grid_m must be an integer, got 4.5"),
+        (1.5, 0, "grid_m must be an even integer >= 2"),
+        # beta before the grid
+        (0.5, 3, "fractional order beta must exceed 1"),
+    ):
+        with pytest.raises(InputError, match=message):
+            build_operator_matrix(beta, m)
+    assert np.array_equal(build_operator_matrix(1.5, 4.0) @ np.ones(5),
+                          build_operator_matrix(1.5, 4) @ np.ones(5))
+
+
+def test_problem_builds_its_stop_rule_and_operator_once(monkeypatch):
+    ok = dict(beta=1.5, g=lambda b, w: 0.0, gauge=Gauge.constant(0.0))
+    # refused at construction, not when picard_solve runs
+    with pytest.raises(InputError, match="max_iter must be nonnegative"):
+        FbvpProblem(**ok, max_iter=-1)
+    with pytest.raises(InputError, match="tolerances must be positive"):
+        FbvpProblem(**ok, tol=0.0)
+    calls = []
+    build = fbvp.build_operator_matrix
+    monkeypatch.setattr(fbvp, "build_operator_matrix",
+                        lambda *args: calls.append(args) or build(*args))
+    prob = FbvpProblem(**ok, grid_m=40, tol=1e-8, max_iter=7)
+    assert calls == [(1.5, 40)]
+    assert prob.config == IterationConfig(tol=1e-8, residual_tol=10.0 * 1e-8, max_iter=7)
+    rep = picard_solve(prob)
+    assert calls == [(1.5, 40)]
+    assert rep.kappa == prob.matrix.norm_inf()
+    assert rep.effective_factor == rep.certificate.alpha == 0.0
 
 
 def test_problem_rejects_non_numeric_parameters():

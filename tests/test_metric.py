@@ -738,13 +738,10 @@ def test_validated_pair_index_form_is_read_only():
     assert pair.inverse.tolist() == [2, 0, -1, -1]  # lowest-index preimage
     assert pair.nearest.tolist() == [1, 2, 0, 1]  # member of F(w) nearest f(w)
     assert pair.gap.tolist() == [0.0, 1.0, 0.0, 1.0]  # D(f(w), F(w))
-    assert pair.coincident.tolist() == [True, False, True, False]
     assert pair.tables == (
         [1, 1, 0, 0], [2, 0, -1, -1], [1, 2, 0, 1], [0.0, 1.0, 0.0, 1.0],
-        [True, False, True, False],
     )
-    for arr in (pair.fi, pair.members, pair.inverse, pair.nearest, pair.gap,
-                pair.coincident):
+    for arr in (pair.fi, pair.members, pair.inverse, pair.nearest, pair.gap):
         with pytest.raises(ValueError):
             arr[0] = 0
     with pytest.raises(TypeError):
