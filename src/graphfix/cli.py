@@ -34,6 +34,7 @@ from .errors import (
     DomainError,
     InputError,
     check_integer,
+    check_nonnegative,
     check_real,
 )
 from .fbvp import FbvpProblem, picard_solve
@@ -148,6 +149,9 @@ def _exit_code(outcome: IterationOutcome) -> int:
 
 def run_verify(manifest: RunManifest) -> tuple[int, dict]:
     params = manifest.params
+    # checked on every run, so that no bad value reaches a manifest unread
+    kamran_gauge = Gauge.constant(check_real(params["kamran_sup"], "kamran_sup"))
+    M = check_nonnegative(params["M"], "M")
     problem = _load(manifest.input, params["truncate"])
     report = verify_coincidence_hypotheses(
         problem.space,
@@ -164,8 +168,8 @@ def run_verify(manifest: RunManifest) -> tuple[int, dict]:
             problem.space,
             problem.f,
             problem.F,
-            Gauge.constant(check_real(params["kamran_sup"], "kamran_sup")),
-            M=params["M"],
+            kamran_gauge,
+            M=M,
         )
         payload["kamran"] = kamran.to_dict()
         ok = ok and kamran.holds
@@ -421,8 +425,10 @@ def iterate(ctx, problem, **params):
     show_default=True,
     help=f"{', '.join(_PHI_BUILTINS)}, or a JSON file of [[a, value], ...] samples.",
 )
-@click.option("--tol", type=float, default=1e-12, show_default=True)
-@click.option("--max-iter", type=int, default=200_000, show_default=True)
+@click.option("--tol", type=float, default=1e-12, show_default=True,
+              help="Bound on the distance of the node values to the limit.")
+@click.option("--max-iter", type=int, default=200_000, show_default=True,
+              help="Budget of operator applications.")
 @click.option("--grid", type=int, default=101, show_default=True)
 @click.pass_context
 def bernstein(ctx, **params):

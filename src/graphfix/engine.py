@@ -13,9 +13,8 @@ norm, with the displacement inequality
 
 checked each step.  A step costs one call of T plus one displacement:
 a vector subtraction, one sup-norm reduction and a few scalar operations
-on that sup.  For the q-Bernstein map at n = 40, q = 1 that is about
-6 us a step, of which B|u| takes 1.5 us (best of 7 x 10 runs, 2-core
-x86-64 host).
+on that sup.  The FBVP Picard solver is its caller; the q-Bernstein
+iterates are linear and reach their limit by matrix powers instead.
 
 Both drivers decide their contraction checks with ``metric.within``.
 The walk passes the bound as the scale, so no verdict changes when every
@@ -168,12 +167,13 @@ class IterationOutcome:
     """How a run stopped, with its trace and certificate.
 
     The one result type of all three solvers: the q-Bernstein and FBVP
-    results subclass it and add their own fields and record keys.
+    results subclass it and add their own fields and record keys.  The
+    certificate is None when a q-Bernstein run stopped before it found one.
     """
 
     status: object
     trace: IterationTrace
-    certificate: ConvergenceCertificate
+    certificate: ConvergenceCertificate | None
     common_fixed_point: object | None = None
 
     @property

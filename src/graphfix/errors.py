@@ -27,6 +27,14 @@ def check_real(value, name: str) -> float:
     return x
 
 
+def check_nonnegative(value, name: str) -> float:
+    """``value`` as a float; InputError unless it is a finite real >= 0."""
+    x = check_real(value, name)
+    if x < 0:
+        raise InputError(f"{name} must be nonnegative")
+    return x
+
+
 def check_integer(value, name: str) -> int:
     """``value`` as an int; InputError unless it is an integral real number,
     so 40.0 is accepted as 40."""

@@ -35,7 +35,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import DomainError, InputError, check_real
+from .errors import DomainError, InputError, check_nonnegative
 from .metric import (
     EdgeStructure,
     FiniteMetricSpace,
@@ -213,9 +213,7 @@ def verify_kamran_inequality(
     M: float = 0.0,
 ) -> KamranReport:
     """Check H(Fv, Fw) <= k(d(fv, fw)) d(fv, fw) + M D(fv, Fw) on all pairs."""
-    M = check_real(M, "M")
-    if M < 0:
-        raise InputError("M must be nonnegative")
+    M = check_nonnegative(M, "M")
     pair = validate_pair(space, f, F)
     fi, members = pair.fi, pair.members
     labels = space.labels

@@ -1,5 +1,6 @@
 import math
 import sys
+from fractions import Fraction
 from math import comb
 
 import mpmath
@@ -404,15 +405,29 @@ def test_iterate_checks_the_endpoints_for_every_phi(monkeypatch, phi):
 
 
 @pytest.mark.parametrize("n, q", [(10, 2.0), (40, 0.9), (60, 1.0), (120, 0.5), (200, 1.0)])
-def test_iterate_refuses_a_gauge_that_rounds_to_one_before_building(monkeypatch, n, q):
-    # 1 - b_nq rounds to 1.0; the refusal comes before the nodes, phi and B
-    def unbuilt(*args):
-        raise AssertionError("built before the gauge was checked")
+def test_iterate_refuses_a_gauge_that_rounds_to_one_before_building(n, q):
+    # 1 - b_nq rounds to 1.0, so the paper's gauge certifies nothing here;
+    # it is not used, and c_p = ||B_int^p|| <= 1/2 certifies the limit
+    assert 1.0 - contraction_constant(QParams(n, q)) == 1.0
+    res = iterate_to_limit(QParams(n, q), lambda a: a * a)
+    assert res.converged, res.to_dict()
+    assert 0.0 <= res.rate <= 0.5 and res.error_bound <= 1e-12
+    grid = np.linspace(0.0, 1.0, 101)
+    assert np.max(np.abs(res.evaluate_grid(grid) - grid)) <= 1e-8
 
-    monkeypatch.setattr("graphfix.bernstein.nodes", unbuilt)
-    monkeypatch.setattr("graphfix.bernstein.operator_matrix", unbuilt)
-    with pytest.raises(InputError, match=r"^gauge values must lie in \[0, 1\)$"):
-        iterate_to_limit(QParams(n, q), unbuilt)
+
+_ITEM_1_GRID = [(n, q) for n in (1, 2, 3, 50, 400)
+                for q in (1e-300, 1e-5, 0.5, 1.0, 1 + 1e-7, 3.0, 1e5, 1e300)]
+
+
+@pytest.mark.parametrize("n, q", _ITEM_1_GRID)
+def test_iterate_converges_on_the_whole_parameter_grid(n, q):
+    # 1 - b_nq rounds to 1.0 on 19 of these 40 pairs
+    res = iterate_to_limit(QParams(n, q), lambda a: a**3)
+    assert res.converged, res.to_dict()
+    assert res.iterations <= 200_000
+    grid = np.linspace(0.0, 1.0, 101)
+    assert np.max(np.abs(res.evaluate_grid(grid) - grid)) <= 1e-8
 
 
 @pytest.mark.parametrize("n, q", [(200, 0.9), (400, 1.0)])
@@ -443,8 +458,107 @@ def test_iterate_rounding_at_the_iterate_size_is_no_contraction_failure():
 
 
 def test_iterate_budget_report():
-    res = iterate_to_limit(QParams(6, 1.0), lambda a: a * a, tol=1e-12, max_iter=3)
-    assert not res.converged
-    ds = [r.d for r in res.trace.rows]
-    assert len(ds) == 3  # displacement history retained
+    # the certificate needs p = 8 steps at (6, 1.0): a budget below 8 stops
+    # before any block, and otherwise every block of 8 steps must fit
+    assert iterate_to_limit(QParams(6, 1.0), lambda a: a * a).power == 8
+    for max_iter, iterations in ((0, 0), (3, 0), (7, 0), (8, 8), (23, 16), (24, 24)):
+        res = iterate_to_limit(QParams(6, 1.0), lambda a: a * a, tol=1e-12,
+                               max_iter=max_iter)
+        assert res.to_dict()["status"] == "max-iter-exceeded"
+        assert res.iterations == iterations <= max_iter
+        assert [r.n for r in res.trace.rows] == list(range(0, iterations + 1, 8))
+        assert res.error_bound > 1e-12
+        assert res.point is res.values
 
+
+@pytest.mark.parametrize("n, q", [(5, 0.9), (20, 1.0), (40, 1.0)])
+def test_iterate_agrees_with_a_plain_loop(n, q):
+    phi = lambda a: math.sin(math.pi * a) + a * a
+    res = iterate_to_limit(QParams(n, q), phi, tol=1e-12)
+    assert res.converged and res.iterations > 0
+    B = operator_matrix(QParams(n, q))
+    u = np.array([phi(t) for t in nodes(QParams(n, q))])
+    for _ in range(res.iterations):
+        u = B @ np.abs(u)
+    assert np.max(np.abs(u - res.values)) <= 1e-12
+
+
+@pytest.mark.parametrize("n, q, phi", [
+    (5, 0.9, lambda a: a * a), (20, 1.0, lambda a: math.sin(math.pi * a)),
+    (40, 3.0, lambda a: 1e-300 * (a - 0.3) ** 2), (60, 0.5, lambda a: 100.0 * math.cos(a)),
+    (7, 1.0, lambda a: 2.5 - a),
+])
+def test_iterate_error_bound_covers_the_distance_to_the_line(n, q, phi):
+    for tol in (1e-12, 1e-6):
+        res = iterate_to_limit(QParams(n, q), phi, tol=tol)
+        assert res.converged
+        v0, v1 = (Fraction(abs(float(v))) for v in res.values[[0, -1]])
+        distance = max(
+            abs(Fraction(float(u)) - (v0 * (1 - Fraction(float(t))) + v1 * Fraction(float(t))))
+            for u, t in zip(res.values, nodes(QParams(n, q)))
+        )
+        assert distance <= Fraction(res.error_bound) <= Fraction(tol)
+        assert res.error_bound == res.trace.rows[-1].bound
+
+
+def test_iterate_reports_a_certificate_that_bounds_the_spectral_radius():
+    # Kelisky & Rivlin: at q = 1 the interior block's largest eigenvalue is
+    # 1 - 1/n; Gelfand's formula puts c_p^(1/p) above it
+    for n, q in ((10, 1.0), (60, 1.0), (40, 0.9), (30, 2.0)):
+        res = iterate_to_limit(QParams(n, q), lambda a: a * a)
+        B_int = operator_matrix(QParams(n, q))[1:-1, 1:-1]
+        rho = np.max(np.abs(np.linalg.eigvals(B_int)))
+        if q == 1.0:
+            assert abs(rho - (1.0 - 1.0 / n)) <= 1e-10
+        assert 0.0 <= res.rate <= 0.5 and res.power & (res.power - 1) == 0
+        assert rho <= res.spectral_bound < 1.0
+        assert res.certificate.alpha == res.rate
+        assert np.max(np.sum(np.linalg.matrix_power(B_int, res.power), axis=1)) == \
+            pytest.approx(res.rate, rel=1e-12)
+        record = res.to_dict()
+        assert (record["power"], record["rate"], record["error_bound"]) == (
+            res.power, res.rate, res.error_bound)
+
+
+def _lines_fixed(ts, M):
+    """The node matrix with interior block M and endpoint columns chosen so
+    that B 1 = 1 and B t = t, with exact unit endpoint rows."""
+    n = len(ts) - 1
+    B = np.zeros((n + 1, n + 1))
+    B[0, 0] = B[n, n] = 1.0
+    B[1:n, 1:n] = M
+    B[1:n, n] = ts[1:n] - M @ ts[1:n]
+    B[1:n, 0] = 1.0 - B[1:n, n] - M.sum(axis=1)
+    return B
+
+
+@pytest.mark.parametrize("phi", [lambda a: a * a, lambda a: math.sin(math.pi * a)],
+                         ids=["square", "sin"])
+def test_iterate_stops_on_an_interior_row_sum_above_one(monkeypatch, phi):
+    exact = operator_matrix
+
+    def heavy(params):
+        B = exact(params)
+        B[5, 5] += 1e-3
+        return B
+
+    monkeypatch.setattr("graphfix.bernstein.operator_matrix", heavy)
+    record = iterate_to_limit(QParams(10, 0.9), phi).to_dict()
+    assert (record["status"], record.get("condition")) == ("hypothesis-violated", "line")
+
+
+@pytest.mark.parametrize("M, status, condition", [
+    # B = I: every power has norm 1, and squaring runs into the budget
+    (np.eye(2), "max-iter-exceeded", None),
+    # row sums 0.1, but the eigenvalue 1.9 on (1, -1): the rate check fails
+    (np.array([[1.0, -0.9], [-0.9, 1.0]]), "hypothesis-violated", "i"),
+])
+def test_iterate_never_converges_when_the_interior_block_does_not_contract(
+    monkeypatch, M, status, condition
+):
+    monkeypatch.setattr("graphfix.bernstein.operator_matrix",
+                        lambda params: _lines_fixed(nodes(params), M))
+    res = iterate_to_limit(QParams(3, 1.0), lambda a: a**3)
+    record = res.to_dict()
+    assert (record["status"], record.get("condition")) == (status, condition)
+    assert res.iterations <= 200_000

@@ -698,16 +698,33 @@ def test_fbvp_beyond_the_range_of_gamma_solves_to_zero(runner, tmp_path, args):
     assert len(rows) == 201 and {u for _, u in rows} == {"0"}
 
 
+def _limit_line_error(path) -> float:
+    with open(path) as fh:
+        return max(float(r["abs_error"]) for r in csv.DictReader(fh))
+
+
 @pytest.mark.parametrize("n, q", [(40, "1e10"), (3, "1e300")])
 def test_bernstein_with_q_beyond_the_double_range_reaches_the_gauge(
     runner, tmp_path, n, q
 ):
-    # q**n overflows; the nodes do not, and the run meets the known
-    # 1 - b_nq = 1 gauge refusal of ROADMAP item 1 (exit 2, no traceback)
+    # q**n overflows, and 1 - b_nq rounds to 1; the nodes do not overflow,
+    # and the run converges on its own certificate
     res = runner.invoke(main, ["--out", str(tmp_path), "bernstein", "--n", str(n),
                                "--q", q])
-    assert res.exit_code == 2, res.output
-    assert res.stderr == "error: gauge values must lie in [0, 1)\n"
+    assert res.exit_code == 0, res.output
+    assert _limit_line_error(tmp_path / "bernstein.csv") <= 1e-8
+
+
+@pytest.mark.parametrize("n, q", [(10, 2.0), (40, 0.9), (60, 1.0), (120, 0.5), (200, 1.0)])
+def test_bernstein_converges_where_the_paper_gauge_rounds_to_one(runner, tmp_path, n, q):
+    res = runner.invoke(main, ["--out", str(tmp_path), "bernstein", "--n", str(n),
+                               "--q", str(q), "--phi", "cube"])
+    assert res.exit_code == 0, res.output
+    summary = _read_json(tmp_path / "summary.json")
+    assert summary["b_nq"] < 2.0**-53 and summary["rate"] <= 0.5
+    assert summary["iterations"] % summary["power"] == 0
+    assert summary["error_bound"] <= 1e-12
+    assert _limit_line_error(tmp_path / "bernstein.csv") <= 1e-8
 
 
 @pytest.mark.parametrize("stop, error", [
@@ -715,8 +732,7 @@ def test_bernstein_with_q_beyond_the_double_range_reaches_the_gauge(
     (["--tol", "-1"], "tolerances must be positive"),
 ])
 def test_bernstein_checks_its_parameters_before_the_gauge(runner, tmp_path, stop, error):
-    # (400, 1.0) meets item 1's gauge refusal; a bad grid or tol is reported
-    # instead, and no iteration runs before it is
+    # a bad grid or tol is reported before the O(n^2) operator is built
     res = runner.invoke(main, ["--out", str(tmp_path), "bernstein", "--n", "400",
                                "--q", "1.0", *stop])
     assert res.exit_code == 2, res.output
@@ -732,9 +748,10 @@ def test_sweep_survives_jobs_beyond_the_double_range(runner, tmp_path):
     spec_path = tmp_path / "sweep.json"
     spec_path.write_text(json.dumps(spec))
     res = runner.invoke(main, ["--out", str(tmp_path), "sweep", str(spec_path)])
-    assert res.exit_code == 2, res.output
+    # Gamma(172) overflows and so does 1e300**3; both jobs run
+    assert res.exit_code == 0, res.output
     runs = _read_json(tmp_path / "sweep.json")["runs"]
-    assert [run["exit_code"] for run in runs] == [0, 2, 0]
+    assert [run["exit_code"] for run in runs] == [0, 0, 0]
 
 
 def test_forcing_that_divides_by_zero_at_a_node_is_input_error(runner, tmp_path):
@@ -863,8 +880,9 @@ def test_sweep_job_with_a_mistyped_solver_option_is_input_error(runner, tmp_path
 _RECORD_KEYS = {
     "outcome.json": {"status", "w_star", "fw_star", "common_fixed_point",
                      "iterations", "final_residual", "exact_coincidence"},
-    "summary.json": {"n", "q", "iterations", "final_displacement", "b_nq",
-                     "converged", "endpoint_nonneg", "status"},
+    "summary.json": {"n", "q", "iterations", "final_displacement", "b_nq", "power",
+                     "rate", "spectral_bound", "error_bound", "converged",
+                     "endpoint_nonneg", "status"},
     "report.json": {"beta", "m", "converged", "iterations", "residual", "kappa",
                     "effective_factor", "status"},
 }

@@ -3,11 +3,12 @@
 Argument lists for ``verify``, ``iterate``, ``bernstein`` and ``fbvp`` are
 drawn inside and outside each parameter's domain and run in-process.  No
 run may end in a traceback; a run exits 2, with an ``error:`` line,
-exactly when some value lies outside its domain, and 0, 1 or 3 otherwise.
+exactly when some value lies outside its domain, and 0, 1 or 3 otherwise
+(0 or 3 for ``bernstein``, whose valid runs converge or use up the budget).
 
 Each domain is written out here, as the oracle, apart from the checks the
 package makes.  Draws are bounded so that every run is short: degree
-n <= 60, grid panels m <= 400, bernstein grid <= 201 points, and ternary
+n <= 200, grid panels m <= 400, bernstein grid <= 201 points, and ternary
 depths from 3..50, 640..650 and 9013.
 """
 
@@ -21,7 +22,6 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphfix.bernstein import QParams, contraction_constant
 from graphfix.cli import main
 from graphfix.problems import problem_to_dict, ternary_orbit_problem
 
@@ -40,12 +40,6 @@ _LABELS = ["0", "1", "1/3", "1/9", "1/27", "1/4", "1/2", "nowhere"]
 
 _NOT_POSITIVE = st.sampled_from([0.0, -0.0, -1e-300, -1.0, _NAN, _INF, -_INF])
 _NEGATIVE = st.integers(-5, -1)
-
-# ROADMAP item 1, open: 1 - b_nq rounds to 1.0 and the gauge is refused.
-# Such (n, q) lie inside the domain; until item 1 lands they are expected
-# failures, which must exit 2 with exactly this line.
-_ITEM_1_ERROR = "error: gauge values must lie in [0, 1)"
-
 
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
@@ -152,12 +146,10 @@ def _verify(draw, files):
     args.problem(files, deep=not kamran)
     if kamran:
         args.words.append("--kamran")
-    problem_ok = args.ok
     args.option("--M", st.floats(0.0, 1e300), st.sampled_from([-1e-300, -1.0, _NAN, _INF]))
     args.option("--kamran-sup", st.floats(0.0, 1.0, exclude_max=True),
                 st.sampled_from([1.0, 1.5, -0.1, _NAN, _INF]))
-    # --M and --kamran-sup parameterize the --kamran check, and only it
-    return args.words, args.ok if kamran else problem_ok, None
+    return args.words, args.ok
 
 
 @st.composite
@@ -173,16 +165,15 @@ def _iterate(draw, files):
     for flag in ("--tol", "--residual-tol"):
         args.option(flag, st.floats(1e-300, 1e300), _NOT_POSITIVE)
     args.option("--max-iter", st.integers(0, 10**6), _NEGATIVE)
-    return args.words, args.ok, None
+    return args.words, args.ok
 
 
 @st.composite
 def _bernstein(draw):
     args = _Args(draw, "bernstein")
-    # most (n, q) far from q = 1 are item 1's; keep as many that run
-    n = args.option("--n", st.one_of(st.integers(1, 8), st.integers(1, 60)), st.integers(-3, 0),
-                    required=True)
-    q = args.option(
+    args.option("--n", st.one_of(st.integers(1, 8), st.integers(1, 200)), st.integers(-3, 0),
+                required=True)
+    args.option(
         "--q", st.one_of(st.floats(1e-300, 1e300), st.floats(0.1, 10.0),
                          st.sampled_from([1.0, 1 - 1e-7, 1 + 1e-7])),
         st.sampled_from([0.0, -0.5, _NAN, _INF, -_INF]), required=True)
@@ -190,8 +181,7 @@ def _bernstein(draw):
     args.option("--tol", st.floats(1e-14, 1e300), _NOT_POSITIVE)
     args.option("--max-iter", st.integers(0, 3000), _NEGATIVE)
     args.option("--grid", st.integers(1, 201), st.integers(-2, 0))
-    item_1 = args.ok and 1.0 - contraction_constant(QParams(n, q)) == 1.0
-    return args.words, args.ok, _ITEM_1_ERROR if item_1 else None
+    return args.words, args.ok
 
 
 @st.composite
@@ -207,20 +197,18 @@ def _fbvp(draw):
     args.option("--tol", st.floats(1e-12, 1e300),
                 st.sampled_from([0.0, -1.0, _NAN, _INF, 1e308]))
     args.option("--max-iter", st.integers(0, 200), _NEGATIVE)
-    return args.words, args.ok, None
+    return args.words, args.ok
 
 
-def _check(out_dir, words, in_domain, expect):
+def _check(out_dir, words, in_domain, inside=(0, 1, 3)):
     res = CliRunner().invoke(main, ["--out", str(out_dir), *words])
     assert res.exception is None or isinstance(res.exception, SystemExit), (
         words, res.exc_info)
     assert "Traceback" not in res.output
     # click words its own usage errors (a missing required option) "Error:"
     errors = re.findall(r"^(?:error|Error): .*$", res.stderr, re.MULTILINE)
-    if expect is not None:  # an expected failure of ROADMAP item 1
-        assert (res.exit_code, errors) == (2, [expect]), (words, res.output)
-    elif in_domain:
-        assert res.exit_code in (0, 1, 3), (words, res.output)
+    if in_domain:
+        assert res.exit_code in inside, (words, res.output)
     else:
         assert res.exit_code == 2 and errors, (words, res.output)
 
@@ -243,7 +231,7 @@ def test_iterate_exits_2_exactly_outside_the_domain(files, data):
 @settings(max_examples=_RUNS, deadline=None)
 @given(case=_bernstein())
 def test_bernstein_exits_2_exactly_outside_the_domain(files, case):
-    _check(files / "out", *case)
+    _check(files / "out", *case, inside=(0, 3))
 
 
 @settings(max_examples=_RUNS, deadline=None)

@@ -21,8 +21,8 @@ from graphfix.engine import (
     run_operator_iteration,
     tail_bound,
 )
-from graphfix.bernstein import QParams, iterate_to_limit
 from graphfix.errors import DomainError, InputError
+from graphfix.fbvp import FbvpProblem, picard_solve
 from graphfix.metric import (
     ClosedSet,
     EdgeStructure,
@@ -288,7 +288,9 @@ def test_certificate_prefactor_is_derived_from_alpha():
 
 def test_trace_bounds_are_tail_bound_bit_for_bit():
     walk = run_coincidence_iteration(ternary_orbit_problem(20))
-    operator = iterate_to_limit(QParams(10, 0.9), lambda a: a * a)
+    operator = picard_solve(
+        FbvpProblem(beta=1.5, g=lambda b, w: 0.5 * w + 1.0, gauge=Gauge.constant(0.5))
+    )
     for out in (walk, operator):
         rows = [row for row in out.trace.rows if row.n >= 1]
         assert len(rows) > 5 and rows[0].n == 1
