@@ -10,11 +10,18 @@ PROBLEM, --phi and --forcing each take a builtin name or a file path.
 A run's parameters are declared once, as its command's click options: a
 sweep job's params are resolved against them by ``_manifest``, and the
 runners hold no defaults of their own.
+
+A run imports only its own subcommand's solver modules (``_SOLVER_NAMES``),
+and a ``graphfix`` process (``process_main``) freezes the heap left by
+import once they are loaded, so that no garbage collection, the ones at
+interpreter exit included, walks those objects again.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import gc
+import importlib
 import math
 import os
 import sys
@@ -23,7 +30,6 @@ from dataclasses import dataclass, field
 import click
 import numpy as np
 
-from .bernstein import QParams, iterate_to_limit
 from .engine import (
     Converged,
     IterationOutcome,
@@ -37,16 +43,63 @@ from .errors import (
     check_nonnegative,
     check_real,
 )
-from .fbvp import FbvpProblem, picard_solve
 from .metric import Gauge
-from .problems import BUILTIN_NAMES, builtin_problem, load_problem
 from .serialize import json_dump, json_dumps, load_json, write_table
-from .verifier import verify_coincidence_hypotheses, verify_kamran_inequality
 
 EXIT_OK = 0
 EXIT_HYPOTHESIS = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
+
+# The names the runners take from the solver modules, each with its module.
+# A name is bound in this module's namespace on first use (module
+# ``__getattr__``, or ``_bind_solvers`` for a run), where the runners look it
+# up, and a name bound already, say by a wrapper put in its place, is kept.
+_SOLVER_NAMES = {
+    "BUILTIN_NAMES": "problems",
+    "builtin_problem": "problems",
+    "load_problem": "problems",
+    "verify_coincidence_hypotheses": "verifier",
+    "verify_kamran_inequality": "verifier",
+    "QParams": "bernstein",
+    "iterate_to_limit": "bernstein",
+    "FbvpProblem": "fbvp",
+    "picard_solve": "fbvp",
+}
+
+# the solver modules of each subcommand's runs
+_SOLVERS = {
+    "verify": ("problems", "verifier"),
+    "iterate": ("problems",),
+    "bernstein": ("bernstein",),
+    "fbvp": ("fbvp",),
+}
+
+# set by ``process_main``: freeze the heap once the run's modules are loaded
+_freeze_pending = False
+
+
+def __getattr__(name: str):
+    """A solver name, imported from its module on first access."""
+    module = _SOLVER_NAMES.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __package__), name)
+    return globals().setdefault(name, value)
+
+
+def _bind_solvers(*subcommands: str) -> None:
+    """Bind every solver name that runs of ``subcommands`` use, importing
+    their modules in the calling thread.  In a ``graphfix`` process the
+    first call then freezes the heap (``gc.freeze``)."""
+    global _freeze_pending
+    modules = {m for sub in subcommands for m in _SOLVERS.get(sub, ())}
+    for name, module in _SOLVER_NAMES.items():
+        if module in modules and name not in globals():
+            __getattr__(name)
+    if _freeze_pending:
+        _freeze_pending = False
+        gc.freeze()
 
 
 @dataclass
@@ -148,6 +201,7 @@ def _exit_code(outcome: IterationOutcome) -> int:
 # ---------------------------------------------------------------------------
 
 def run_verify(manifest: RunManifest) -> tuple[int, dict]:
+    _bind_solvers("verify")
     params = manifest.params
     # checked on every run, so that no bad value reaches a manifest unread
     kamran_gauge = Gauge.constant(check_real(params["kamran_sup"], "kamran_sup"))
@@ -180,6 +234,7 @@ _TRACE_HEADER = ["n", "w_label", "fw_label", "d_n", "D_n", "tail_bound_n", "edge
 
 
 def run_iterate(manifest: RunManifest) -> tuple[int, dict]:
+    _bind_solvers("iterate")
     params = manifest.params
     problem = _load(manifest.input, params["truncate"])
     replacements = {k: params[k] for k in ("w0", "p0") if params[k] is not None}
@@ -222,6 +277,7 @@ def _phi_from_file(path):
 
 
 def run_bernstein(manifest: RunManifest) -> tuple[int, dict]:
+    _bind_solvers("bernstein")
     params = manifest.params
     phi = _builtin_or_file(
         "phi", params["phi"], _PHI_BUILTINS, _PHI_BUILTINS.get, _phi_from_file
@@ -285,6 +341,7 @@ def _forcing_from_file(path):
 
 
 def run_fbvp(manifest: RunManifest) -> tuple[int, dict]:
+    _bind_solvers("fbvp")
     params = manifest.params
     g, sup = _builtin_or_file(
         "forcing", params["forcing"], _FORCING_BUILTINS, _FORCING_BUILTINS.get,
@@ -334,12 +391,15 @@ def run_sweep(manifest: RunManifest) -> tuple[int, dict]:
     jobs = load_json(manifest.input)
     if not isinstance(jobs, list) or not jobs:
         raise InputError("sweep file must be a non-empty array of runs")
+    jobs = [job if isinstance(job, dict) else {} for job in jobs]
+    # imported here, so that no two workers compile the same module at once
+    _bind_solvers(*(job["subcommand"] for job in jobs
+                    if isinstance(job.get("subcommand"), str)))
 
     def one(idx_job):
         idx, job = idx_job
-        job = job if isinstance(job, dict) else {}
         sub, params = job.get("subcommand"), job.get("params", {})
-        if sub not in _RUNNERS or not isinstance(params, dict):
+        if not isinstance(sub, str) or sub not in _RUNNERS or not isinstance(params, dict):
             error = (
                 f"error: sweep job {idx} needs a known subcommand (got {sub!r}) "
                 "and a params object"
@@ -462,5 +522,16 @@ def sweep(ctx, specfile, **params):
     _dispatch(ctx, run_sweep, specfile, params)
 
 
-if __name__ == "__main__":
+def process_main() -> None:
+    """Entry of a ``graphfix`` process: the console script and ``python -m
+    graphfix.cli``.  It runs ``main`` on the command line and freezes the
+    heap once the run's solver modules are loaded (``_bind_solvers``), so
+    that the collections of the run and of interpreter exit skip what
+    import left.  A call of ``main`` itself leaves the collector alone."""
+    global _freeze_pending
+    _freeze_pending = True
     main()
+
+
+if __name__ == "__main__":
+    process_main()

@@ -400,7 +400,6 @@ def picard_solve(problem: FbvpProblem) -> PicardReport:
     outcome = run_operator_iteration(
         T,
         np.zeros(problem.grid_m + 1),
-        lambda delta: True,
         rate,
         problem.config,
     )

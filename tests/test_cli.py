@@ -502,6 +502,21 @@ def test_sweep_isolates_a_failing_job(runner, tmp_path):
     assert json.loads(res.stdout) == summary
 
 
+def test_sweep_job_whose_subcommand_is_no_string_fails_alone(runner, tmp_path):
+    spec = [
+        {"subcommand": ["verify"], "input": "identity"},
+        {"subcommand": {"name": "fbvp"}, "params": {"beta": 2.0}},
+        {"subcommand": "verify", "input": "identity"},
+    ]
+    spec_path = tmp_path / "sweep.json"
+    spec_path.write_text(json.dumps(spec))
+    res = runner.invoke(main, ["--out", str(tmp_path), "sweep", str(spec_path)])
+    assert res.exit_code == 2, res.output
+    runs = _read_json(tmp_path / "sweep.json")["runs"]
+    assert [r["exit_code"] for r in runs] == [2, 2, 0]
+    assert all("needs a known subcommand" in r["error"] for r in runs[:2])
+
+
 def test_a_file_that_is_not_utf8_is_input_error(runner, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_bytes(b"\xff\xfe[[0,1]]")

@@ -1,5 +1,4 @@
 import dataclasses
-import itertools
 import math
 import random
 import struct
@@ -527,8 +526,7 @@ def cfg(tol=1e-12, max_iter=10_000):
 
 def test_operator_identity_converges_immediately():
     w0 = np.array([1.0, -2.0, 3.0])
-    out = run_operator_iteration(lambda u: u, w0, lambda d: True,
-                                 Gauge.constant(0.5), cfg())
+    out = run_operator_iteration(lambda u: u, w0, Gauge.constant(0.5), cfg())
     assert out.converged
     assert np.array_equal(out.status.w_star, w0)
     assert out.iterations == 0
@@ -536,8 +534,7 @@ def test_operator_identity_converges_immediately():
 
 def test_operator_halving_map_reaches_zero():
     w0 = np.linspace(-1.0, 1.0, 7)
-    out = run_operator_iteration(lambda u: u / 2.0, w0, lambda d: True,
-                                 Gauge.constant(0.5), cfg())
+    out = run_operator_iteration(lambda u: u / 2.0, w0, Gauge.constant(0.5), cfg())
     assert out.converged
     assert np.max(np.abs(out.status.w_star)) <= 2e-12
     # closed form: after n halvings the iterate is w0 / 2^n
@@ -547,30 +544,16 @@ def test_operator_halving_map_reaches_zero():
 
 def test_operator_displacement_violation_detected():
     out = run_operator_iteration(
-        lambda u: u * 2.0 + 1.0, np.array([1.0, 1.0]), lambda d: True,
-        Gauge.constant(0.5), cfg(),
+        lambda u: u * 2.0 + 1.0, np.array([1.0, 1.0]), Gauge.constant(0.5), cfg(),
     )
     assert isinstance(out.status, HypothesisViolated)
     assert out.status.condition == "i"
 
 
-def test_operator_subspace_gate():
-    out = run_operator_iteration(
-        lambda u: u / 2.0,
-        np.array([1.0, 0.0, 1.0]),
-        lambda d: abs(d[0]) < 1e-15,  # displacement must vanish at the left end
-        Gauge.constant(0.5),
-        cfg(),
-    )
-    assert isinstance(out.status, HypothesisViolated)
-    assert out.status.condition == "edge"
-    assert out.status.step == 0
-
-
 def test_operator_budget_exhaustion_keeps_history():
     out = run_operator_iteration(
-        lambda u: u * 0.99, np.array([1.0]), lambda d: True,
-        Gauge.constant(0.99), cfg(tol=1e-15, max_iter=5),
+        lambda u: u * 0.99, np.array([1.0]), Gauge.constant(0.99),
+        cfg(tol=1e-15, max_iter=5),
     )
     assert isinstance(out.status, MaxIterExceeded)
     assert out.status.last_point is not None
@@ -588,7 +571,6 @@ def test_operator_iteration_drives_bernstein_to_endpoint_line():
     out = run_operator_iteration(
         lambda u: B @ np.abs(u),
         w0,
-        lambda d: abs(d[0]) <= 1e-12 and abs(d[-1]) <= 1e-12,
         Gauge.constant(1.0 - contraction_constant(qp)),
         cfg(),
     )
@@ -599,7 +581,7 @@ def test_operator_iteration_drives_bernstein_to_endpoint_line():
 
 # --- the reference operator loop -------------------------------------------------
 
-def _reference_run_operator_iteration(T, w0, in_W0, gauge, config):
+def _reference_run_operator_iteration(T, w0, gauge, config):
     """The operator loop before it took one displacement per step: two
     subtractions per step, sups through ``np.max``, ``tail_bound`` per
     row, and every displacement kept in a list.  The contraction check's
@@ -612,11 +594,6 @@ def _reference_run_operator_iteration(T, w0, in_W0, gauge, config):
 
     w_cur = np.asarray(w0, dtype=float).copy()
     w_next = np.asarray(T(w_cur), dtype=float)
-    if not in_W0(w_cur - w_next):
-        trace.append(TraceRow(0, None, None, float("nan"), sup(w_cur - w_next),
-                              float("nan"), False))
-        return IterationOutcome(HypothesisViolated("edge", 0), trace, cert)
-
     ds = [sup(w_cur - w_next)]
     d1 = ds[0]
     n = 1
@@ -629,9 +606,6 @@ def _reference_run_operator_iteration(T, w0, in_W0, gauge, config):
         )
         if ds[-1] <= config.tol and resid <= config.residual_tol:
             status = Converged(w_next, w_next)
-            break
-        if not in_W0(w_next - w_after):
-            status = HypothesisViolated("edge", n)
             break
         d_prev, d_cur = ds[-1], resid
         limit = gauge(d_prev) * d_prev
@@ -646,11 +620,7 @@ def _reference_run_operator_iteration(T, w0, in_W0, gauge, config):
         w_cur, w_next = w_next, w_after
         n += 1
 
-    outcome = IterationOutcome(status, trace, cert)
-    if isinstance(status, Converged):
-        if not in_W0(np.asarray(w0, dtype=float) - status.w_star):
-            outcome.status = HypothesisViolated("edge", n)
-    return outcome
+    return IterationOutcome(status, trace, cert)
 
 
 def _bits(value):
@@ -667,28 +637,21 @@ def _bits(value):
     return value
 
 
-def _run_logged(run, T, w0, make_in_W0, gauge, config):
-    """One run with T and in_W0 wrapped to log every call: the outcome,
-    the T arguments and the in_W0 arguments, in call order."""
-    t_args, w0_args = [], []
-    in_W0 = make_in_W0()
+def _run_logged(run, T, w0, gauge, config):
+    """One run with T wrapped to log every call: the outcome and the T
+    arguments, in call order."""
+    t_args = []
 
     def logged_T(u):
         t_args.append(np.array(u))
         return T(u)
 
-    def logged_in_W0(delta):
-        w0_args.append(np.array(delta))
-        return in_W0(delta)
-
-    return run(logged_T, w0, logged_in_W0, gauge, config), t_args, w0_args
+    return run(logged_T, w0, gauge, config), t_args
 
 
-def _assert_matches_reference(T, w0, make_in_W0, gauge, config):
-    new, new_t, new_w0 = _run_logged(run_operator_iteration, T, w0, make_in_W0,
-                                     gauge, config)
-    ref, ref_t, ref_w0 = _run_logged(_reference_run_operator_iteration, T, w0,
-                                     make_in_W0, gauge, config)
+def _assert_matches_reference(T, w0, gauge, config):
+    new, new_t = _run_logged(run_operator_iteration, T, w0, gauge, config)
+    ref, ref_t = _run_logged(_reference_run_operator_iteration, T, w0, gauge, config)
     assert _bits(new.to_dict()) == _bits(ref.to_dict())
     assert type(new.status) is type(ref.status)
     assert _bits(new.point) == _bits(ref.point)
@@ -697,24 +660,7 @@ def _assert_matches_reference(T, w0, make_in_W0, gauge, config):
         assert _bits(dataclasses.astuple(got)) == _bits(dataclasses.astuple(want))
     assert _bits(new.certificate.alpha) == _bits(ref.certificate.alpha)
     assert _bits(new_t) == _bits(ref_t)
-    assert _bits(new_w0) == _bits(ref_w0)
     return new
-
-
-def _always():
-    return lambda delta: True
-
-
-def _endpoints_fixed():
-    return lambda delta: abs(delta[0]) <= 1e-12 and abs(delta[-1]) <= 1e-12
-
-
-def _fails_on_call(k):
-    """A fresh in_W0 that holds on its first k - 1 calls and fails on call k."""
-    def make():
-        calls = itertools.count(1)
-        return lambda delta: next(calls) < k
-    return make
 
 
 _PHIS = {
@@ -738,12 +684,10 @@ def test_operator_loop_matches_reference_on_bernstein(n):
                   Gauge.constant(0.3)]
         for phi in _PHIS.values():
             start = np.array([float(phi(t)) for t in nodes(qp)])
-            nonneg = start[0] >= 0.0 and start[-1] >= 0.0
-            make = _endpoints_fixed if nonneg else _always
             for gauge in gauges:
                 for max_iter in (0, 1, 7, 5000):
                     _assert_matches_reference(
-                        lambda u: B @ np.abs(u), start, make, gauge,
+                        lambda u: B @ np.abs(u), start, gauge,
                         IterationConfig(tol=1e-12, residual_tol=1e-12,
                                         max_iter=max_iter),
                     )
@@ -769,32 +713,17 @@ def test_operator_loop_matches_reference_on_fbvp(beta):
         assert K.norm_inf() < 1.0
         for max_iter in (0, 1, 7, 10_000):
             out = _assert_matches_reference(
-                lambda u: K @ problem.forcing_vector(u), np.zeros(41), _always,
-                gauge,
+                lambda u: K @ problem.forcing_vector(u), np.zeros(41), gauge,
                 IterationConfig(tol=1e-10, residual_tol=1e-9, max_iter=max_iter),
             )
             stops.append(getattr(out.status, "condition", None))
     assert stops.count("i") >= 4  # each false gauge fails condition (i)
 
 
-@pytest.mark.parametrize("fail_on, step", [(1, 0), (2, 1), (5, 4), (40, 39), (42, 41)])
-def test_operator_loop_matches_reference_when_in_W0_fails(fail_on, step):
-    # call 1 is the start displacement (step 0) and call k the displacement
-    # of step k - 1; the run converges at step 41 before its in_W0 call, so
-    # call 42 is the final check of the total displacement
-    w0 = np.linspace(-1.0, 2.0, 9)
-    out = _assert_matches_reference(
-        lambda u: 0.5 * u + 0.25, w0, _fails_on_call(fail_on), Gauge.constant(0.5),
-        cfg(),
-    )
-    assert isinstance(out.status, HypothesisViolated)
-    assert (out.status.condition, out.status.step) == ("edge", step)
-
-
 @pytest.mark.parametrize("max_iter", [0, 1, 7])
 def test_operator_loop_matches_reference_on_an_empty_vector(max_iter):
     out = _assert_matches_reference(
-        lambda u: 0.5 * u, np.zeros(0), _always, Gauge.constant(0.5),
+        lambda u: 0.5 * u, np.zeros(0), Gauge.constant(0.5),
         cfg(max_iter=max_iter),
     )
     assert out.converged and out.trace.rows[-1].residual == 0.0
@@ -810,7 +739,7 @@ def test_operator_loop_matches_reference_on_scaled_and_signed_maps():
         w0 = rng.normal(size=size) * 10.0 ** rng.integers(-8, 8)
         gauge = Gauge.constant(float(rng.uniform(0.0, 0.99)))
         max_iter = int(rng.choice([0, 1, 7, 300]))
-        _assert_matches_reference(lambda u: A @ u + c, w0, _always, gauge,
+        _assert_matches_reference(lambda u: A @ u + c, w0, gauge,
                                   cfg(tol=1e-9, max_iter=max_iter))
 
 
