@@ -28,8 +28,6 @@ _EXPORTS = {
     "MaxIterExceeded": "engine",
     "TraceRow": "engine",
     "run_coincidence_iteration": "engine",
-    "run_operator_iteration": "engine",
-    "tail_bound": "engine",
     "DomainError": "errors",
     "InputError": "errors",
     "ClosedSet": "metric",

@@ -328,9 +328,12 @@ def _forcing_from_file(path):
 
     def g(b, w):
         try:
-            return float(
+            value = float(
                 eval(code, {"__builtins__": {}}, {**_EVAL_NAMES, "b": b, "w": w})
             )
+            if not math.isfinite(value):
+                raise ValueError(f"the value {value} is not finite")
+            return value
         except (ArithmeticError, TypeError, ValueError) as exc:
             raise InputError(
                 f"forcing expression {data['expr']!r} fails at "

@@ -1,46 +1,32 @@
 """Graph-checked successor iteration with a geometric stopping certificate.
 
-Two drivers share the machinery here.  ``run_coincidence_iteration``
-walks a finite problem: from the pair (w_n, f(w_n)) it picks the nearest
-member of F(w_n), pulls it back through f, and re-checks the contraction
-and edge hypotheses at every step, so a conforming run terminates at a
-coincidence point and a non-conforming problem is flagged with the exact
-failing condition.  ``run_operator_iteration`` is the single-valued
-specialization for operator iterates w <- T(w) on vectors under the sup
-norm, with the displacement inequality
-
-    ||Tw - T^2 w|| <= k(||w - Tw||) ||w - Tw||
-
-checked each step.  A step costs one call of T plus one displacement:
-a vector subtraction, one sup-norm reduction and a few scalar operations
-on that sup.  The FBVP Picard solver is its caller; the q-Bernstein
-iterates are linear and reach their limit by matrix powers instead.
-
-Both drivers decide their contraction checks with ``metric.within``.
-The walk passes the bound as the scale, so no verdict changes when every
-distance is multiplied by a power of two.  The operator iteration adds a
-bound on the iterate's size, since the rounding of T and of a
-displacement grows with that size.
+``run_coincidence_iteration`` walks a finite problem: from the pair
+(w_n, f(w_n)) it picks the nearest member of F(w_n), pulls it back
+through f, and re-checks the contraction and edge hypotheses at every
+step, so a conforming run terminates at a coincidence point and a
+non-conforming problem is flagged with the exact failing condition.  Its
+contraction check is decided by ``metric.within`` with the bound as the
+scale, so no verdict changes when every distance is multiplied by a
+power of two.
 
 The certificate: once the gauge is globally bounded by alpha < 1, step
 distances shrink at least by sqrt(alpha) per step, so the distance from
 f(w_n) to the limit is at most  B alpha^(n/2) / (1 - sqrt(alpha)) * d1
 with B = alpha^(-1/2) (first step distance d1).  That closed form is
-written once, as ``ConvergenceCertificate.bound``, which both drivers
-and ``tail_bound`` call.  The walk stops on whichever of the
-a-posteriori test d_n <= tol and the certificate fires first, both
-gated on the residual; the operator iteration stops on d_n <= tol and
-residual <= residual_tol only, and records the tail bound without
-stopping on it.
+written once, as ``ConvergenceCertificate.bound``.  The walk stops on
+whichever of the a-posteriori test d_n <= tol and the certificate fires
+first, both gated on the residual.
+
+The result types here are shared by all three solvers: the q-Bernstein
+iterates and the FBVP Picard solver run their own loops and return
+subclasses of ``IterationOutcome``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
-
-import numpy as np
+from typing import Mapping
 
 from .errors import (
     DomainError,
@@ -100,24 +86,10 @@ class ConvergenceCertificate:
             raise DomainError("certificate rate alpha must lie in [0, 1)")
         object.__setattr__(self, "B", 1.0 if self.alpha == 0.0 else self.alpha ** -0.5)
 
-    @classmethod
-    def from_gauge(cls, gauge: Gauge) -> "ConvergenceCertificate":
-        return cls(gauge.certified_sup)
-
     def bound(self, d1: float, n: int) -> float:
         """B alpha^(n/2) / (1 - sqrt(alpha)) * d1: the distance from step n
         to the limit, for a first step distance d1."""
         return self.B * self.alpha ** (n / 2) / (1.0 - math.sqrt(self.alpha)) * d1
-
-
-def tail_bound(cert: ConvergenceCertificate, d0: float, n: int) -> float:
-    """Upper bound on d(f(w_n), f(w_{n+m})) for every m, hence to the limit,
-    for the first step distance d0 (see :meth:`ConvergenceCertificate.bound`)."""
-    if d0 < 0:
-        raise InputError("d0 must be nonnegative")
-    if n < 0:
-        raise InputError("n must be nonnegative")
-    return cert.bound(d0, n)
 
 
 @dataclass(slots=True)
@@ -190,16 +162,6 @@ class IterationOutcome:
     @property
     def final_residual(self) -> float:
         return self.trace.rows[-1].residual if self.trace.rows else float("nan")
-
-    @property
-    def point(self):
-        """Where the run stopped: w* when it converged, the last iterate
-        when the budget ran out, and None after a hypothesis failure."""
-        if isinstance(self.status, Converged):
-            return self.status.w_star
-        if isinstance(self.status, MaxIterExceeded):
-            return self.status.last_point
-        return None
 
     def _record(self) -> dict:
         """The solver's own keys of :meth:`to_dict`; subclasses replace it."""
@@ -306,7 +268,7 @@ def run_coincidence_iteration(problem: CoincidenceProblem) -> IterationOutcome:
     space = problem.space
     gauge = problem.gauge
     cfg = problem.config
-    cert = ConvergenceCertificate.from_gauge(gauge)
+    cert = ConvergenceCertificate(gauge.certified_sup)
     trace = IterationTrace()
 
     def outcome(status, common=None):
@@ -355,58 +317,3 @@ def run_coincidence_iteration(problem: CoincidenceProblem) -> IterationOutcome:
         d_prev, d_n = d_n, residual
         n += 1
 
-
-def run_operator_iteration(
-    T: Callable[[np.ndarray], np.ndarray],
-    w0,
-    gauge: Gauge,
-    config: IterationConfig,
-) -> IterationOutcome:
-    """Iterate w <- T(w) on vectors under the sup norm until displacement
-    and residual drop below the configured tolerances.
-
-    Each step re-checks the displacement contraction
-    ||w_n - w_{n+1}|| <= k(d) d with d the previous displacement, through
-    ``metric.within`` with scale k(d) d + ||w_0|| + the sum of the
-    displacements so far, a bound on ||w_{n+1}|| that costs no array
-    pass.  A violation aborts with the failing condition; an excess
-    within EPS of the iterate's size is rounding and passes.
-
-    A step pays for one call of T and one displacement w_n - w_{n+1},
-    whose sup is both the step's residual and the next step's d.
-    """
-    cert = ConvergenceCertificate.from_gauge(gauge)
-    trace = IterationTrace()
-    rows = trace.rows
-    tol, residual_tol, max_iter = config.tol, config.residual_tol, config.max_iter
-    reduce_max, absolute = np.maximum.reduce, np.abs
-
-    def sup(vec) -> float:
-        return float(reduce_max(absolute(vec))) if vec.size else 0.0
-
-    w_cur = np.asarray(w0, dtype=float).copy()
-    w_next = np.asarray(T(w_cur), dtype=float)
-    d1 = d_prev = sup(w_cur - w_next)
-    reach = sup(w_cur) + d1  # bounds ||w_n|| for every n reached so far
-
-    n = 1
-    while True:
-        w_after = np.asarray(T(w_next), dtype=float)
-        resid = sup(w_next - w_after)
-        rows.append(TraceRow(n, None, None, d_prev, resid, cert.bound(d1, n), True))
-        if d_prev <= tol and resid <= residual_tol:
-            status = Converged(w_next, w_next)
-            break
-        reach += resid
-        limit = gauge(d_prev) * d_prev
-        if not within(resid, limit, limit + reach):
-            status = HypothesisViolated("i", n)
-            break
-        if n >= max_iter:
-            status = MaxIterExceeded(w_next)
-            break
-        d_prev = resid
-        w_next = w_after
-        n += 1
-
-    return IterationOutcome(status, trace, cert)

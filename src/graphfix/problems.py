@@ -237,6 +237,10 @@ def problem_from_dict(data: Mapping) -> CoincidenceProblem:
             raise InputError(f"F({w!r}) must be a list of labels, not {image!r}")
     fmap = {str(k): str(v) for k, v in data["f"].items()}
     images = {str(k): ClosedSet.finite(v) for k, v in data["F"].items()}
+    for name, table in (("f", fmap), ("F", images)):
+        ghost = next((w for w in table if w not in space), None)
+        if ghost is not None:
+            raise InputError(f"{name} is defined at {ghost!r}, which is no point label")
     truncated = data.get("truncated", [])
     if not isinstance(truncated, list):
         raise InputError(f"'truncated' must be a list of labels, not {truncated!r}")

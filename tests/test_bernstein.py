@@ -468,7 +468,7 @@ def test_iterate_budget_report():
         assert res.iterations == iterations <= max_iter
         assert [r.n for r in res.trace.rows] == list(range(0, iterations + 1, 8))
         assert res.error_bound > 1e-12
-        assert res.point is res.values
+        assert res.status.last_point is res.values
 
 
 @pytest.mark.parametrize("n, q", [(5, 0.9), (20, 1.0), (40, 1.0)])

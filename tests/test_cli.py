@@ -771,20 +771,26 @@ def test_sweep_survives_jobs_beyond_the_double_range(runner, tmp_path):
 
 def test_forcing_that_divides_by_zero_at_a_node_is_input_error(runner, tmp_path):
     # the forcing gets Python floats: 1/b raises at b = 0 instead of
-    # making an inf with a numpy RuntimeWarning
+    # making an inf with a numpy RuntimeWarning; an inf or NaN that no
+    # operation raises is refused as well
     forcing = tmp_path / "forcing.json"
-    forcing.write_text(json.dumps({"expr": "1/b"}))
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        res = runner.invoke(
-            main,
-            ["--out", str(tmp_path), "fbvp", "--beta", "1.5", "--forcing", str(forcing)],
+    for expr, reason in (
+        ("1/b", "float division by zero"),
+        ("1e308*1e10", "the value inf is not finite"),
+        ("1e308*1e10 - 1e308*1e10", "the value nan is not finite"),
+    ):
+        forcing.write_text(json.dumps({"expr": expr}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            res = runner.invoke(
+                main,
+                ["--out", str(tmp_path), "fbvp", "--beta", "1.5", "--forcing", str(forcing)],
+            )
+        assert res.exit_code == 2, expr
+        assert res.stderr == (
+            f"error: forcing expression {expr!r} fails at b=0.0, w=0.0: {reason}\n"
         )
-    assert res.exit_code == 2
-    assert res.stderr == (
-        "error: forcing expression '1/b' fails at b=0.0, w=0.0: float division by zero\n"
-    )
-    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
 def test_verify_problem_file_with_two_labels_at_one_coordinate_is_input_error(

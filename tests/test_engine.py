@@ -17,8 +17,6 @@ from graphfix.engine import (
     MaxIterExceeded,
     TraceRow,
     run_coincidence_iteration,
-    run_operator_iteration,
-    tail_bound,
 )
 from graphfix.errors import DomainError, InputError
 from graphfix.fbvp import FbvpProblem, picard_solve
@@ -55,7 +53,7 @@ def _reference_walk(problem):
     space, f, F, gauge, cfg = (
         problem.space, problem.f, problem.F, problem.gauge, problem.config
     )
-    cert = ConvergenceCertificate.from_gauge(gauge)
+    cert = ConvergenceCertificate(gauge.certified_sup)
     trace = IterationTrace()
 
     def outcome(status, common=None):
@@ -79,7 +77,7 @@ def _reference_walk(problem):
     n = 1
     while True:
         residual = point_to_set_distance(fw, F[w], space)
-        bound = tail_bound(cert, d1, n)
+        bound = cert.bound(d1, n)
         edge_ok = problem.edges.contains(prev_fw, fw)
         trace.append(TraceRow(n, w, fw, d_n, residual, bound, edge_ok))
         if not edge_ok:
@@ -224,25 +222,25 @@ def test_select_zero_gauge_with_positive_residual():
     assert out.trace.rows[-1].d == 0.0 and out.trace.rows[-1].residual == 2.0
 
 
-# --- tail_bound -----------------------------------------------------------------
+# --- the tail bound -------------------------------------------------------------
 
 def test_tail_bound_closed_form():
     cert = ConvergenceCertificate(alpha=1.0 / 3.0)
     # oracle: direct evaluation of B * alpha^(n/2) / (1 - sqrt(alpha)) * d0
     expected = math.sqrt(3.0) * (2.0 / 9.0) / (1.0 - math.sqrt(1.0 / 3.0))
-    assert abs(tail_bound(cert, 2.0 / 9.0, 0) - expected) < TOL
-    assert abs(tail_bound(cert, 2.0 / 9.0, 0) - 0.9106836025229589) < 1e-15
+    assert abs(cert.bound(2.0 / 9.0, 0) - expected) < TOL
+    assert abs(cert.bound(2.0 / 9.0, 0) - 0.9106836025229589) < 1e-15
 
 
 def test_tail_bound_zero_first_step():
     cert = ConvergenceCertificate(alpha=0.5)
     for n in (0, 1, 5, 50):
-        assert tail_bound(cert, 0.0, n) == 0.0
+        assert cert.bound(0.0, n) == 0.0
 
 
 def test_tail_bound_quarter_rate():
     cert = ConvergenceCertificate(alpha=0.25)
-    assert abs(tail_bound(cert, 1.0, 4) - 0.25) < TOL
+    assert abs(cert.bound(1.0, 4) - 0.25) < TOL
 
 
 def test_tail_bound_dominates_observed_tail():
@@ -253,23 +251,18 @@ def test_tail_bound_dominates_observed_tail():
     positions = [sum(d0 * 0.25**j for j in range(n)) for n in range(30)]
     limit = d0 / (1 - 0.25)
     for n in range(25):
-        assert limit - positions[n] <= tail_bound(cert, d0, n) + 1e-12
+        assert limit - positions[n] <= cert.bound(d0, n) + 1e-12
 
 
 def test_certificate_validation():
     with pytest.raises(DomainError):
         ConvergenceCertificate(alpha=1.0)
-    cert = ConvergenceCertificate(alpha=0.5)
-    with pytest.raises(InputError):
-        tail_bound(cert, -1.0, 0)
-    with pytest.raises(InputError):
-        tail_bound(cert, 1.0, -1)
 
 
 def test_certificate_from_zero_gauge():
-    cert = ConvergenceCertificate.from_gauge(Gauge.constant(0.0))
-    assert tail_bound(cert, 0.7, 0) == 0.7  # 0^0 = 1 convention
-    assert tail_bound(cert, 0.7, 3) == 0.0
+    cert = ConvergenceCertificate(Gauge.constant(0.0).certified_sup)
+    assert cert.bound(0.7, 0) == 0.7  # 0^0 = 1 convention
+    assert cert.bound(0.7, 3) == 0.0
 
 
 def test_certificate_prefactor_is_derived_from_alpha():
@@ -295,7 +288,7 @@ def test_trace_bounds_are_tail_bound_bit_for_bit():
         assert len(rows) > 5 and rows[0].n == 1
         d1 = rows[0].d
         for row in rows:
-            bound = tail_bound(out.certificate, d1, row.n)
+            bound = out.certificate.bound(d1, row.n)
             assert struct.pack("<d", row.bound) == struct.pack("<d", bound)
 
 
@@ -516,231 +509,6 @@ def test_trace_strictly_decreasing_until_zero():
             assert b < a
         else:
             assert b == 0.0
-
-
-# --- run_operator_iteration --------------------------------------------------------
-
-def cfg(tol=1e-12, max_iter=10_000):
-    return IterationConfig(tol=tol, residual_tol=10 * tol, max_iter=max_iter)
-
-
-def test_operator_identity_converges_immediately():
-    w0 = np.array([1.0, -2.0, 3.0])
-    out = run_operator_iteration(lambda u: u, w0, Gauge.constant(0.5), cfg())
-    assert out.converged
-    assert np.array_equal(out.status.w_star, w0)
-    assert out.iterations == 0
-
-
-def test_operator_halving_map_reaches_zero():
-    w0 = np.linspace(-1.0, 1.0, 7)
-    out = run_operator_iteration(lambda u: u / 2.0, w0, Gauge.constant(0.5), cfg())
-    assert out.converged
-    assert np.max(np.abs(out.status.w_star)) <= 2e-12
-    # closed form: after n halvings the iterate is w0 / 2^n
-    n = len(out.trace.rows)
-    assert np.max(np.abs(out.status.w_star - w0 / 2.0**n)) <= 1e-12
-
-
-def test_operator_displacement_violation_detected():
-    out = run_operator_iteration(
-        lambda u: u * 2.0 + 1.0, np.array([1.0, 1.0]), Gauge.constant(0.5), cfg(),
-    )
-    assert isinstance(out.status, HypothesisViolated)
-    assert out.status.condition == "i"
-
-
-def test_operator_budget_exhaustion_keeps_history():
-    out = run_operator_iteration(
-        lambda u: u * 0.99, np.array([1.0]), Gauge.constant(0.99),
-        cfg(tol=1e-15, max_iter=5),
-    )
-    assert isinstance(out.status, MaxIterExceeded)
-    assert out.status.last_point is not None
-    assert len(out.trace.rows) == 5
-
-
-def test_operator_iteration_drives_bernstein_to_endpoint_line():
-    # the operator interpolates endpoint values, so displacements vanish
-    # there and the limit keeps the start's endpoint values
-    from graphfix.bernstein import QParams, contraction_constant, nodes, operator_matrix
-
-    qp = QParams(4, 0.8)
-    B = operator_matrix(qp)
-    w0 = nodes(qp) ** 2
-    out = run_operator_iteration(
-        lambda u: B @ np.abs(u),
-        w0,
-        Gauge.constant(1.0 - contraction_constant(qp)),
-        cfg(),
-    )
-    assert out.converged
-    assert abs(out.status.w_star[0] - w0[0]) <= 1e-12
-    assert abs(out.status.w_star[-1] - w0[-1]) <= 1e-12
-
-
-# --- the reference operator loop -------------------------------------------------
-
-def _reference_run_operator_iteration(T, w0, gauge, config):
-    """The operator loop before it took one displacement per step: two
-    subtractions per step, sups through ``np.max``, ``tail_bound`` per
-    row, and every displacement kept in a list.  The contraction check's
-    scale adds ||w0|| and every displacement to the bound."""
-    cert = ConvergenceCertificate.from_gauge(gauge)
-    trace = IterationTrace()
-
-    def sup(vec) -> float:
-        return float(np.max(np.abs(vec))) if np.size(vec) else 0.0
-
-    w_cur = np.asarray(w0, dtype=float).copy()
-    w_next = np.asarray(T(w_cur), dtype=float)
-    ds = [sup(w_cur - w_next)]
-    d1 = ds[0]
-    n = 1
-    status = None
-    while True:
-        w_after = np.asarray(T(w_next), dtype=float)
-        resid = sup(w_next - w_after)
-        trace.append(
-            TraceRow(n, None, None, ds[-1], resid, tail_bound(cert, d1, n), True)
-        )
-        if ds[-1] <= config.tol and resid <= config.residual_tol:
-            status = Converged(w_next, w_next)
-            break
-        d_prev, d_cur = ds[-1], resid
-        limit = gauge(d_prev) * d_prev
-        reach = sum(ds, sup(w0)) + d_cur
-        if not within(d_cur, limit, limit + reach):
-            status = HypothesisViolated("i", n)
-            break
-        if n >= config.max_iter:
-            status = MaxIterExceeded(w_next)
-            break
-        ds.append(d_cur)
-        w_cur, w_next = w_next, w_after
-        n += 1
-
-    return IterationOutcome(status, trace, cert)
-
-
-def _bits(value):
-    """``value`` with every float replaced by its bytes, so that == is bit
-    equality (NaN equals itself, -0.0 differs from 0.0)."""
-    if isinstance(value, dict):
-        return {k: _bits(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_bits(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return (value.dtype.str, value.shape, value.tobytes())
-    if isinstance(value, float):
-        return struct.pack("<d", value)
-    return value
-
-
-def _run_logged(run, T, w0, gauge, config):
-    """One run with T wrapped to log every call: the outcome and the T
-    arguments, in call order."""
-    t_args = []
-
-    def logged_T(u):
-        t_args.append(np.array(u))
-        return T(u)
-
-    return run(logged_T, w0, gauge, config), t_args
-
-
-def _assert_matches_reference(T, w0, gauge, config):
-    new, new_t = _run_logged(run_operator_iteration, T, w0, gauge, config)
-    ref, ref_t = _run_logged(_reference_run_operator_iteration, T, w0, gauge, config)
-    assert _bits(new.to_dict()) == _bits(ref.to_dict())
-    assert type(new.status) is type(ref.status)
-    assert _bits(new.point) == _bits(ref.point)
-    assert len(new.trace) == len(ref.trace)
-    for got, want in zip(new.trace.rows, ref.trace.rows):
-        assert _bits(dataclasses.astuple(got)) == _bits(dataclasses.astuple(want))
-    assert _bits(new.certificate.alpha) == _bits(ref.certificate.alpha)
-    assert _bits(new_t) == _bits(ref_t)
-    return new
-
-
-_PHIS = {
-    "square": lambda a: a * a,
-    "sin": lambda a: math.sin(math.pi * a),
-    "negative-ends": lambda a: 3.0 * a * (1.0 - a) - 0.25 - 0.5 * a,
-    "negative-left": lambda a: math.cos(3.0 * a) - 1.2,
-}
-
-
-@pytest.mark.parametrize("n", [1, 2, 5, 10, 20, 40])
-def test_operator_loop_matches_reference_on_bernstein(n):
-    from graphfix.bernstein import QParams, contraction_constant, nodes, operator_matrix
-
-    runs = 0
-    for q in (0.5, 0.9, 1.0, 2.0):
-        qp = QParams(n, q)
-        B = operator_matrix(qp)
-        # the paper's gauge wherever 1 - b_nq stays below 1, and a false one
-        gauges = [Gauge.constant(min(1.0 - contraction_constant(qp), 1.0 - 1e-9)),
-                  Gauge.constant(0.3)]
-        for phi in _PHIS.values():
-            start = np.array([float(phi(t)) for t in nodes(qp)])
-            for gauge in gauges:
-                for max_iter in (0, 1, 7, 5000):
-                    _assert_matches_reference(
-                        lambda u: B @ np.abs(u), start, gauge,
-                        IterationConfig(tol=1e-12, residual_tol=1e-12,
-                                        max_iter=max_iter),
-                    )
-                    runs += 1
-    assert runs == 4 * len(_PHIS) * 2 * 4
-
-
-@pytest.mark.parametrize("beta", [1.25, 1.5, 2.0])
-def test_operator_loop_matches_reference_on_fbvp(beta):
-    from graphfix.fbvp import FbvpProblem
-
-    forcings = [
-        (lambda b, w: 1.0, Gauge.constant(0.0)),  # const
-        (lambda b, w: 0.5 * w + 1.0, Gauge.constant(0.5)),  # linear-w
-        # false gauges: slopes 0.5 and 3 certified far below themselves
-        (lambda b, w: 0.5 * w + 1.0, Gauge.constant(1e-3)),
-        (lambda b, w: 3.0 * math.sin(w) + b, Gauge.constant(0.01)),
-    ]
-    stops = []
-    for g, gauge in forcings:
-        problem = FbvpProblem(beta=beta, g=g, gauge=gauge, grid_m=40)
-        K = problem.matrix
-        assert K.norm_inf() < 1.0
-        for max_iter in (0, 1, 7, 10_000):
-            out = _assert_matches_reference(
-                lambda u: K @ problem.forcing_vector(u), np.zeros(41), gauge,
-                IterationConfig(tol=1e-10, residual_tol=1e-9, max_iter=max_iter),
-            )
-            stops.append(getattr(out.status, "condition", None))
-    assert stops.count("i") >= 4  # each false gauge fails condition (i)
-
-
-@pytest.mark.parametrize("max_iter", [0, 1, 7])
-def test_operator_loop_matches_reference_on_an_empty_vector(max_iter):
-    out = _assert_matches_reference(
-        lambda u: 0.5 * u, np.zeros(0), Gauge.constant(0.5),
-        cfg(max_iter=max_iter),
-    )
-    assert out.converged and out.trace.rows[-1].residual == 0.0
-
-
-def test_operator_loop_matches_reference_on_scaled_and_signed_maps():
-    rng = np.random.default_rng(13)
-    for _ in range(60):
-        size = int(rng.integers(1, 12))
-        A = rng.normal(size=(size, size))
-        A *= rng.uniform(0.2, 1.2) / max(np.max(np.sum(np.abs(A), axis=1)), 1e-300)
-        c = rng.normal(size=size) * 10.0 ** rng.integers(-8, 8)
-        w0 = rng.normal(size=size) * 10.0 ** rng.integers(-8, 8)
-        gauge = Gauge.constant(float(rng.uniform(0.0, 0.99)))
-        max_iter = int(rng.choice([0, 1, 7, 300]))
-        _assert_matches_reference(lambda u: A @ u + c, w0, gauge,
-                                  cfg(tol=1e-9, max_iter=max_iter))
 
 
 def test_iteration_config_validation():

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import struct
 import tracemalloc
 
 import mpmath
@@ -6,17 +8,27 @@ import numpy as np
 import pytest
 
 from graphfix import fbvp
-from graphfix.engine import HypothesisViolated, IterationConfig, MaxIterExceeded
+from graphfix.engine import (
+    Converged,
+    ConvergenceCertificate,
+    HypothesisViolated,
+    IterationConfig,
+    IterationTrace,
+    MaxIterExceeded,
+    TraceRow,
+)
 from graphfix.errors import InputError
 from graphfix.fbvp import (
     FbvpProblem,
     GreenKernel,
+    GridFunction,
+    PicardReport,
     _panel_moments,
     build_operator_matrix,
     green_kernel,
     picard_solve,
 )
-from graphfix.metric import Gauge
+from graphfix.metric import Gauge, within
 
 TOL = 1e-12
 
@@ -488,6 +500,109 @@ def test_picard_budget_report():
     assert len(rep.trace.rows) >= 1
     u = rep.solution.values
     assert rep.residual == float(np.max(np.abs(u - prob.matrix @ prob.forcing_vector(u))))
+
+
+# --- the reference Picard loop ---------------------------------------------------------
+
+def _reference_picard(problem):
+    """The Picard loop written plainly: T(u) = K g(., u) from u_0 = 0, two
+    subtractions per step, sups through ``np.max``, every displacement
+    kept in a list and the check's scale summed afresh from them.  A
+    failed step gives the zero profile, with residual d_1."""
+    K, gauge, config = problem.matrix, problem.gauge, problem.config
+    kappa = K.norm_inf()
+    cert = ConvergenceCertificate(kappa * gauge.certified_sup)
+    trace = IterationTrace()
+
+    def T(u):
+        return K @ problem.forcing_vector(u)
+
+    def sup(vec):
+        return float(np.max(np.abs(vec)))
+
+    zero = np.zeros(problem.grid_m + 1)
+    u = T(zero)
+    ds = [sup(zero - u)]
+    n = 1
+    while True:
+        u_after = T(u)
+        resid = sup(u - u_after)
+        trace.append(TraceRow(n, None, None, ds[-1], resid, cert.bound(ds[0], n), True))
+        if ds[-1] <= config.tol and resid <= config.residual_tol:
+            status = Converged(u, u)
+            break
+        limit = kappa * gauge(ds[-1]) * ds[-1]
+        if not within(resid, limit, limit + sum(ds) + resid):
+            status = HypothesisViolated("i", n)
+            u, resid = zero, ds[0]
+            break
+        if n >= config.max_iter:
+            status = MaxIterExceeded(u)
+            break
+        ds.append(resid)
+        u = u_after
+        n += 1
+    return PicardReport(status, trace, cert, solution=GridFunction(u), residual=resid,
+                        kappa=kappa)
+
+
+def _bits(value):
+    """``value`` with every float and array replaced by its bytes, so that
+    == is bit equality (NaN equals itself, -0.0 differs from 0.0)."""
+    if isinstance(value, dict):
+        return {k: _bits(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_bits(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return (value.dtype.str, value.shape, value.tobytes())
+    if isinstance(value, float):
+        return struct.pack("<d", value)
+    return value
+
+
+def _run_logged(solve, problem, g):
+    """One run with the forcing g logging its arguments: the report and the
+    (b, w) of every call, in call order, as one array."""
+    calls = []
+
+    def logged(b, w):
+        calls.append((b, w))
+        return g(b, w)
+
+    problem.g = logged
+    return solve(problem), np.array(calls)
+
+
+@pytest.mark.parametrize("beta", [1.25, 1.5, 2.0])
+def test_picard_matches_reference_loop(beta):
+    forcings = [
+        (lambda b, w: 1.0, Gauge.constant(0.0)),  # const
+        (lambda b, w: 0.5 * w + 1.0, Gauge.constant(0.5)),  # linear-w
+        # false gauges: slopes 0.5 and 3 certified far below themselves
+        (lambda b, w: 0.5 * w + 1.0, Gauge.constant(1e-3)),
+        (lambda b, w: 3.0 * math.sin(w) + b, Gauge.constant(0.01)),
+    ]
+    # s w + c at extreme sizes: the check's scale must follow the iterate's
+    for s, c in ((0.5, 1e-8), (-0.9, 3e-4), (0.9, -2e3), (-0.5, 1e8)):
+        forcings.append((lambda b, w, s=s, c=c: s * w + c, Gauge.constant(abs(s))))
+    stops = []
+    for g, gauge in forcings:
+        for max_iter in (0, 1, 7, 10_000):
+            problem = FbvpProblem(beta=beta, g=g, gauge=gauge, grid_m=40, max_iter=max_iter)
+            new, new_calls = _run_logged(picard_solve, problem, g)
+            ref, ref_calls = _run_logged(_reference_picard, problem, g)
+            assert type(new.status) is type(ref.status)
+            assert _bits(vars(new.status)) == _bits(vars(ref.status))
+            assert _bits(new.to_dict()) == _bits(ref.to_dict())
+            assert [_bits(dataclasses.astuple(r)) for r in new.trace.rows] == [
+                _bits(dataclasses.astuple(r)) for r in ref.trace.rows]
+            assert _bits(new.solution.values) == _bits(ref.solution.values)
+            assert _bits([new.residual, new.kappa, new.certificate.alpha]) == _bits(
+                [ref.residual, ref.kappa, ref.certificate.alpha])
+            assert _bits(new_calls) == _bits(ref_calls)
+            stops.append(new.to_dict()["status"])
+    assert stops[8:16:4] == ["hypothesis-violated"] * 2  # the false gauges at max_iter 0
+    assert {"converged", "hypothesis-violated", "max-iter-exceeded"} == set(stops)
 
 
 def test_problem_validation():

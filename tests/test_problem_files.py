@@ -5,13 +5,15 @@ import json
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphfix.cli import main
 from graphfix.engine import CoincidenceProblem, IterationConfig
 from graphfix.errors import InputError
 from graphfix.metric import EdgeStructure, FiniteMetricSpace, Gauge
-from graphfix.problems import problem_from_dict, problem_to_dict
+from graphfix.problems import problem_from_dict, problem_to_dict, ternary_orbit_problem
 from graphfix.serialize import json_dumps
 from graphfix.verifier import verify_coincidence_hypotheses, verify_kamran_inequality
 
@@ -134,3 +136,17 @@ def test_any_number_written_as_a_string_is_an_input_error(problem, data):
     node[key] = data.draw(st.text(alphabet="0123456789.-+eEinfa x", max_size=5))
     with pytest.raises(InputError):
         problem_from_dict(tree)
+
+
+def test_f_or_F_defined_at_a_label_that_is_no_point_is_an_input_error(tmp_path):
+    for name, value in (("f", "0"), ("F", ["0"])):
+        data = json.loads(json_dumps(problem_to_dict(ternary_orbit_problem(4))))
+        data[name]["ghost"] = value
+        message = f"{name} is defined at 'ghost', which is no point label"
+        with pytest.raises(InputError, match=message):
+            problem_from_dict(data)
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(data))
+        for command in ("verify", "iterate"):
+            res = CliRunner().invoke(main, ["--out", str(tmp_path / "out"), command, str(path)])
+            assert (res.exit_code, res.stderr) == (2, f"error: {message}\n"), command
