@@ -354,6 +354,11 @@ class FbvpProblem:
         return np.fromiter(pairs, float, self.grid_m + 1)
 
 
+# The rounding floor of a Picard step, in units of 2^-52 (||u|| + kappa ||g(., u)||);
+# see ``picard_solve``.
+ROUNDING_UNITS = 16.0
+
+
 @dataclass(kw_only=True)
 class PicardReport(IterationOutcome):
     """The Picard iteration's outcome, with the coincidence profile and
@@ -361,6 +366,7 @@ class PicardReport(IterationOutcome):
 
     solution: GridFunction
     residual: float
+    rounding_floor: float
     kappa: float
 
     @property
@@ -373,6 +379,7 @@ class PicardReport(IterationOutcome):
             "converged": self.converged,
             "iterations": self.iterations,
             "residual": self.residual,
+            "rounding_floor": self.rounding_floor,
             "kappa": self.kappa,
             "effective_factor": self.effective_factor,
         }
@@ -397,8 +404,22 @@ def picard_solve(problem: FbvpProblem) -> PicardReport:
     that check.  The failure is not raised: the report comes back with a
     ``HypothesisViolated`` status naming condition "i" and the step, and
     the zero profile, whose residual is d_1.  The loop stops on d_n <= tol
-    and residual <= residual_tol, then on the check, then on the budget;
-    it records the certificate's tail bound without stopping on it.
+    and residual <= residual_tol, each plus the step's rounding floor,
+    then on the check, then on the budget; it records the certificate's
+    tail bound without stopping on it.
+
+    The floor is c 2^-52 (||u_n|| + kappa ||g(., u_n)||) with
+    c = ``ROUNDING_UNITS`` = 16, and the report gives the last one as
+    ``rounding_floor``.  Near the fixed point a step cannot move u by less
+    than its own rounding: the forcing's values carry 2^-53 of their size,
+    K @ g (its FFT convolution and dot products) a few units of 2^-52
+    kappa ||g||, and u_n - u_{n+1} 2^-53 ||u_n||.  Iterated past
+    convergence with tol 0, d_n stalled at no more than 3.7 units of
+    2^-52 (||u|| + kappa ||g||) over beta from 1.001 to 150, m from 2 to
+    8000 and forcings of sizes 1e-200 to 1e8; c = 16 is four times that.
+    Without the floor a tol below the rounding of u could never be met,
+    and the run would spend its whole budget; far above it, as with
+    iterates of size 1 and tol 1e-10, the floor changes no stop.
 
     A step costs the forcing at every node, one ``K @`` (an FFT
     convolution) and one displacement u_n - u_{n+1}, whose sup is both the
@@ -422,10 +443,12 @@ def picard_solve(problem: FbvpProblem) -> PicardReport:
 
     n = 1
     while True:
-        u_after = K @ problem.forcing_vector(u)
+        g = problem.forcing_vector(u)
+        u_after = K @ g
         resid = sup(u - u_after)
+        floor = ROUNDING_UNITS * 2.0**-52 * (sup(u) + kappa * sup(g))
         rows.append(TraceRow(n, None, None, d_prev, resid, cert.bound(d1, n), True))
-        if d_prev <= cfg.tol and resid <= cfg.residual_tol:
+        if d_prev <= cfg.tol + floor and resid <= cfg.residual_tol + floor:
             status = Converged(u, u)
             break
         reach += resid
@@ -442,5 +465,11 @@ def picard_solve(problem: FbvpProblem) -> PicardReport:
         n += 1
 
     return PicardReport(
-        status, trace, cert, solution=GridFunction(u), residual=resid, kappa=kappa
+        status,
+        trace,
+        cert,
+        solution=GridFunction(u),
+        residual=resid,
+        rounding_floor=floor,
+        kappa=kappa,
     )

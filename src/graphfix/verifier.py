@@ -18,12 +18,18 @@ with repeats of their first member, which min and max ignore), and
 D(f(w), F(w)) as its ``gap`` table.  The hypothesis check builds one
 n x n boolean table, of the pairs with f(w) in F(v), and evaluates its
 conditions on those pairs only, at most n k of them; the Kamran check is
-a few n x n array expressions.  Witnesses are built for failing pairs
-only, in the order of the label loops that define the reports (v, then
-w, then p).  Every comparison goes through ``metric.within`` with the
-right-hand side as its scale, so a verdict does not change when every
-distance is multiplied by a power of two.  The loop forms are kept in
-the test suite as oracles.
+a few n x n array expressions.  Every comparison goes through
+``metric.within`` with the right-hand side as its scale, so a verdict
+does not change when every distance is multiplied by a power of two.
+
+A report stays small however many pairs fail.  For each of (i), (ii)
+and Kamran's inequality it holds the number of failures, the margin
+(the largest relative excess (lhs - rhs)/rhs over the checked pairs,
+see ``_excess``), and at most two witnesses, each with its ``excess``:
+the first failing pair in the order of the label loops that define the
+checks (v, then w, then p) and, if it is another pair, the worst one
+(the largest excess, the first of equals).  The loop forms are kept in
+the test suite as oracles, which list every failure.
 ``verify_invariant_approx_hypotheses`` runs ``verify_coincidence_hypotheses``
 on the best-approximant set, so it has no pair loop of its own.
 """
@@ -37,6 +43,7 @@ import numpy as np
 
 from .errors import DomainError, InputError, check_nonnegative
 from .metric import (
+    EPS,
     EdgeStructure,
     FiniteMetricSpace,
     Gauge,
@@ -53,9 +60,50 @@ def _gauge_at(gauge: Gauge, t: np.ndarray) -> np.ndarray:
     return np.asarray(gauge.values)[pos]
 
 
+def _excess(lhs, rhs, checked):
+    """The relative excess (lhs - rhs)/rhs where ``checked``, and -inf
+    elsewhere.
+
+    For an inequality lhs <= rhs decided by ``within(lhs, rhs, rhs)``, a
+    value <= 0 means that it holds without the slack, one in (0, EPS]
+    that it holds only within the slack, and a larger one that it fails.
+    A zero rhs reads as 0 where lhs = 0 (it holds with equality) and as
+    inf where lhs > 0 (no slack saves it), so nothing is divided by zero;
+    an excess beyond the largest double, over a subnormal rhs, is inf too.
+    JSON writes inf as null.
+    """
+    diff = lhs - rhs
+    out = np.where(checked, np.where(diff > 0.0, np.inf, 0.0), -np.inf)
+    with np.errstate(over="ignore"):
+        np.divide(diff, rhs, out=out, where=checked & (rhs > 0.0))
+    return out
+
+
+def _first_and_worst(fail, excess) -> tuple[list[int], float | None]:
+    """The flat indices of the first failing entry and, if it is another
+    one, of the worst (the largest excess, the first of equals); and the
+    margin, the largest excess, None when no entry was checked."""
+    top = float(excess.max(initial=-np.inf))
+    margin = None if top == -np.inf else top
+    if not fail.any():
+        return [], margin
+    first = int(np.argmax(fail))
+    worst = int(np.argmax(np.where(fail, excess, -np.inf)))
+    return ([first] if worst == first else [first, worst]), margin
+
+
 @dataclass
 class HypothesisReport:
-    """Outcome of a hypothesis check, with a witness for every false flag."""
+    """Outcome of a hypothesis check, with a witness for every false flag.
+
+    ``failing`` and ``margin`` map "i" and "ii" to the number of failures
+    and the margin (see ``_excess``; None when no pair was checked).  (ii)
+    fails at a pair (v, w) once for each p that breaks it, and its excess
+    there reads lhs = d(f(v), f(w)) against rhs = the distance from f(w)
+    to the nearest f(p) in F(w) that is no edge's end: the condition asks
+    lhs < rhs, and its slack counts a near tie against it, so (ii) fails
+    from an excess of about -EPS on.
+    """
 
     condition_i_ok: bool = True
     condition_ii_ok: bool = True
@@ -63,6 +111,8 @@ class HypothesisReport:
     start_exists: bool = False
     witnesses: list = field(default_factory=list)
     admissible_start: tuple | None = None
+    failing: dict = field(default_factory=lambda: {"i": 0, "ii": 0})
+    margin: dict = field(default_factory=lambda: {"i": None, "ii": None})
 
     @property
     def all_ok(self) -> bool:
@@ -83,6 +133,8 @@ class HypothesisReport:
             "admissible_start": list(self.admissible_start)
             if self.admissible_start
             else None,
+            "failing": dict(self.failing),
+            "margin": dict(self.margin),
             "witnesses": self.witnesses,
         }
 
@@ -109,7 +161,9 @@ def verify_coincidence_hypotheses(
     ``truncated`` are skipped: their f/F entries stand in for points cut
     away when an infinite space was restricted to a finite one, so the
     checks would test truncation artifacts rather than the original data.
-    An all-false report is a valid result; nothing raises.
+    An all-false report is a valid result; nothing raises.  The report
+    counts the failures of (i) and (ii) and gives their margins and at
+    most two witnesses each (see ``HypothesisReport``).
     """
     pair = validate_pair(space, f, F)
     fmap, fi, members = pair.f, pair.fi, pair.members
@@ -144,41 +198,59 @@ def verify_coincidence_hypotheses(
     fail_ii = active & within(nearest[ws], d, d)
     report.condition_i_ok = not fail_i.any()
     report.condition_ii_ok = not fail_ii.any()
+    excess_i = _excess(D, bound, active)
+    picked_i, report.margin["i"] = _first_and_worst(fail_i, excess_i)
+    excess_ii = _excess(d, nearest[ws], active & (nearest[ws] < np.inf))
+    picked_ii, report.margin["ii"] = _first_and_worst(fail_ii, excess_ii)
+    report.failing["i"] = int(np.count_nonzero(fail_i))
 
-    row = np.searchsorted(vs, np.arange(n + 1))  # pairs row[w]:row[w + 1] have v = w
-    for j in np.flatnonzero(fail_i | fail_ii):
+    if fail_ii.any():
+        # one failure per breaking p: rank the no-edge distances, w major,
+        # and count those of row w up to the largest distance that
+        # ``within(., d, d)`` admits, d + EPS d
+        ranked = np.sort(d[broken])
+        size = ranked.size + 1
+        keys = np.sort(vs[broken] * size + np.searchsorted(ranked, d[broken]))
+        jj = np.flatnonzero(fail_ii)
+        start = ws[jj] * size
+        reach = np.searchsorted(ranked, d[jj] + EPS * d[jj], side="right")
+        counts = np.searchsorted(keys, start + reach) - np.searchsorted(keys, start)
+        report.failing["ii"] = int(counts.sum())
+
+    for j in picked_i:
         v, w = vs[j], ws[j]
-        dvw = float(d[j])
-        fv, fw = fmap[labels[v]], fmap[labels[w]]
-        if fail_i[j]:
-            report.witnesses.append(
-                {
-                    "condition": "i",
-                    "v": labels[v],
-                    "w": labels[w],
-                    "fv": fv,
-                    "fw": fw,
-                    "d": dvw,
-                    "D": float(D[j]),
-                    "bound": float(bound[j]),
-                }
-            )
-        if fail_ii[j]:
-            own = slice(row[w], row[w + 1])
-            near = broken[own] & within(d[own], d[j], d[j])
-            for p, dwp in zip(ws[own][near], d[own][near]):
-                report.witnesses.append(
-                    {
-                        "condition": "ii",
-                        "v": labels[v],
-                        "w": labels[w],
-                        "p": labels[p],
-                        "fw": fw,
-                        "fp": fmap[labels[p]],
-                        "d_fw_fp": float(dwp),
-                        "d": dvw,
-                    }
-                )
+        report.witnesses.append(
+            {
+                "condition": "i",
+                "v": labels[v],
+                "w": labels[w],
+                "fv": fmap[labels[v]],
+                "fw": fmap[labels[w]],
+                "d": float(d[j]),
+                "D": float(D[j]),
+                "bound": float(bound[j]),
+                "excess": float(excess_i[j]),
+            }
+        )
+    row = np.searchsorted(vs, np.arange(n + 1))  # pairs row[w]:row[w + 1] have v = w
+    for j in picked_ii:
+        v, w = vs[j], ws[j]
+        own = np.arange(row[w], row[w + 1])
+        k = own[broken[own] & within(d[own], d[j], d[j])][0]  # the first p in label order
+        p = ws[k]
+        report.witnesses.append(
+            {
+                "condition": "ii",
+                "v": labels[v],
+                "w": labels[w],
+                "p": labels[p],
+                "fw": fmap[labels[w]],
+                "fp": fmap[labels[p]],
+                "d_fw_fp": float(d[k]),
+                "d": float(d[j]),
+                "excess": float(excess_ii[j]),
+            }
+        )
 
     # first w0 in label order, then the first p0 in F(w0) member order
     starts = edges.adjacency[fi[:, None], members]
@@ -195,14 +267,24 @@ def verify_coincidence_hypotheses(
 
 @dataclass
 class KamranReport:
-    """Result of checking the Hausdorff-based inequality with constant M."""
+    """Result of checking the Hausdorff-based inequality with constant M:
+    the number of failing pairs, the margin (see ``_excess``) and at most
+    two witnesses, the first failing pair and the worst."""
 
     holds: bool
     M: float
+    failing: int = 0
+    margin: float | None = None
     witnesses: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {"holds": self.holds, "M": self.M, "witnesses": self.witnesses}
+        return {
+            "holds": self.holds,
+            "M": self.M,
+            "failing": self.failing,
+            "margin": self.margin,
+            "witnesses": self.witnesses,
+        }
 
 
 def verify_kamran_inequality(
@@ -217,6 +299,7 @@ def verify_kamran_inequality(
     pair = validate_pair(space, f, F)
     fi, members = pair.fi, pair.members
     labels = space.labels
+    n = len(labels)
     dist = space.matrix
     # P[u, w] = D(u, F(w)), one member slot at a time: temporaries stay n x n
     P = dist[:, members[:, 0]]
@@ -231,8 +314,12 @@ def verify_kamran_inequality(
     D = P[fi]  # D(f(v), F(w))
     rhs = _gauge_at(gauge, d) * d + M * D
     fail = ~within(H, rhs, rhs)
-    report = KamranReport(holds=not fail.any(), M=M)
-    for v, w in zip(*np.nonzero(fail)):
+    excess = _excess(H, rhs, True)
+    picked, margin = _first_and_worst(fail.ravel(), excess.ravel())
+    report = KamranReport(
+        holds=not picked, M=M, failing=int(np.count_nonzero(fail)), margin=margin
+    )
+    for v, w in (divmod(j, n) for j in picked):
         report.witnesses.append(
             {
                 "v": labels[v],
@@ -242,6 +329,7 @@ def verify_kamran_inequality(
                 "D": float(D[v, w]),
                 "lhs": float(H[v, w]),
                 "rhs": float(rhs[v, w]),
+                "excess": float(excess[v, w]),
             }
         )
     return report
@@ -311,10 +399,10 @@ def verify_invariant_approx_hypotheses(
     distance dist(z, Q) from z, so the invariance inequality
     sup_{u in Fp} ||u - z|| <= ||fp - z|| holds for u in Q exactly when u
     lies in B.  With both true, ``verify_coincidence_hypotheses`` on B with
-    complete edges gives ``condition_i_ok``, the (i) witnesses and the
-    admissible start, in coordinates (otherwise ``start_exists`` is
-    false); on an all-true report the coincidence iteration on B from that
-    start reaches a coincidence point.
+    complete edges gives ``condition_i_ok``, the (i) witnesses, the counts
+    and margins and the admissible start, in coordinates (otherwise
+    ``start_exists`` is false); on an all-true report the coincidence
+    iteration on B from that start reaches a coincidence point.
     """
     B = best_approximant_set(Q, z, norm)
     best = set(B)
@@ -358,6 +446,7 @@ def verify_invariant_approx_hypotheses(
     )
     # on complete edges with F(B) in B = f(B) only (i) can fail
     report.condition_i_ok = on_B.condition_i_ok
+    report.failing, report.margin = on_B.failing, on_B.margin
     report.start_exists = on_B.start_exists
     report.admissible_start = tuple(B[int(s)] for s in on_B.admissible_start)
     report.witnesses = [

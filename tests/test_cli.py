@@ -21,6 +21,7 @@ import graphfix
 from graphfix.bernstein import iterate_to_limit
 from graphfix.cli import main
 from graphfix.fbvp import FbvpProblem
+from graphfix.metric import EPS
 from graphfix.problems import (
     builtin_problem,
     problem_to_dict,
@@ -148,7 +149,39 @@ def test_verify_truncate_at_the_last_normal_depth(runner, tmp_path):
     res = runner.invoke(main, ["--out", str(tmp_path), "verify", "example-3-3",
                                "--truncate", "644"])
     assert res.exit_code == 0, res.output
-    assert _read_json(tmp_path / "report.json")["hypotheses"]["all_ok"] is True
+    report = _read_json(tmp_path / "report.json")["hypotheses"]
+    assert report["all_ok"] is True
+    # D = d/3 exactly, and the float data exceed it by rounding only
+    assert 0.0 < report["margin"]["i"] <= EPS
+
+
+def test_verify_condition_i_margin_shows_the_slack(runner, tmp_path):
+    # at gauge 1/3 condition (i) holds with equality in exact arithmetic,
+    # so its float margin lies within the slack; a gauge of 0.34 leaves room
+    res = runner.invoke(main, ["--out", str(tmp_path / "a"), "verify", "example-3-3",
+                               "--truncate", "20"])
+    assert res.exit_code == 0, res.output
+    margin = _read_json(tmp_path / "a" / "report.json")["hypotheses"]["margin"]["i"]
+    assert 0.0 < margin <= EPS
+    data = problem_to_dict(ternary_orbit_problem(20))
+    data["gauge"] = {"form": "constant", "value": 0.34}
+    path = tmp_path / "gauge.json"
+    path.write_text(json.dumps(data))
+    res = runner.invoke(main, ["--out", str(tmp_path / "b"), "verify", str(path)])
+    assert res.exit_code == 0, res.output
+    assert _read_json(tmp_path / "b" / "report.json")["hypotheses"]["margin"]["i"] <= 0.0
+
+
+def test_verify_kamran_report_stays_small_at_the_last_normal_depth(runner, tmp_path):
+    # each of the 416,664 failing pairs once had its own witness: 221 MB
+    res = runner.invoke(main, ["--out", str(tmp_path), "verify", "example-3-3",
+                               "--truncate", "644", "--kamran", "--kamran-sup", "0"])
+    assert res.exit_code == 1
+    path = tmp_path / "report.json"
+    assert path.stat().st_size < 50_000
+    kamran = _read_json(path)["kamran"]
+    assert kamran["failing"] == 416_664
+    assert (kamran["witnesses"][0]["v"], kamran["witnesses"][0]["w"]) == ("0", "1")
 
 
 def test_sweep_job_truncate_past_the_normal_doubles_is_input_error(runner, tmp_path):
@@ -904,8 +937,8 @@ _RECORD_KEYS = {
     "summary.json": {"n", "q", "iterations", "final_displacement", "b_nq", "power",
                      "rate", "spectral_bound", "error_bound", "converged",
                      "endpoint_nonneg", "status"},
-    "report.json": {"beta", "m", "converged", "iterations", "residual", "kappa",
-                    "effective_factor", "status"},
+    "report.json": {"beta", "m", "converged", "iterations", "residual", "rounding_floor",
+                    "kappa", "effective_factor", "status"},
 }
 
 _STATUS = {0: "converged", 1: "hypothesis-violated", 3: "max-iter-exceeded"}

@@ -81,7 +81,7 @@ class _Args:
         self.ok = self.ok and kind == "inside"
         return value
 
-    def problem(self, files, deep=True):
+    def problem(self, files):
         """PROBLEM and --truncate: a builtin or a metric problem file, and a
         depth of 3..644 for a ternary builtin only.  Returns the ternary
         depth the problem stands for, None for the identity problem."""
@@ -90,9 +90,7 @@ class _Args:
         self.words.append(str(files / name) if name.endswith(".json") else name)
         self.ok = self.ok and name in _GOOD_PROBLEMS
         if name in _TERNARY_DEPTH:
-            inside = st.integers(3, 50)
-            if deep:
-                inside = st.one_of(inside, st.integers(640, 644))
+            inside = st.one_of(st.integers(3, 50), st.integers(640, 644))
             outside = st.one_of(st.integers(645, 650), st.just(9013))
             depth = self.option("--truncate", inside, outside)
             return _TERNARY_DEPTH[name] if depth is None else depth
@@ -140,10 +138,7 @@ def _start_ok(depth, w0: str, p0: str) -> bool:
 def _verify(draw, files):
     args = _Args(draw, "verify")
     kamran = draw(st.booleans())
-    # --kamran writes one witness per failing pair: at depth 644 with
-    # --kamran-sup 0 that is 221 MB of JSON and 14 s, so the property, whose
-    # runs must be short, draws --kamran with depths up to 50 only
-    args.problem(files, deep=not kamran)
+    args.problem(files)
     if kamran:
         args.words.append("--kamran")
     args.option("--M", st.floats(0.0, 1e300), st.sampled_from([-1e-300, -1.0, _NAN, _INF]))

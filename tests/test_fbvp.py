@@ -507,28 +507,29 @@ def test_picard_budget_report():
 def _reference_picard(problem):
     """The Picard loop written plainly: T(u) = K g(., u) from u_0 = 0, two
     subtractions per step, sups through ``np.max``, every displacement
-    kept in a list and the check's scale summed afresh from them.  A
-    failed step gives the zero profile, with residual d_1."""
+    kept in a list and the check's scale summed afresh from them.  The
+    stop allows each tolerance the step's rounding floor,
+    16 * 2^-52 (||u|| + kappa ||g(., u)||).  A failed step gives the zero
+    profile, with residual d_1."""
     K, gauge, config = problem.matrix, problem.gauge, problem.config
     kappa = K.norm_inf()
     cert = ConvergenceCertificate(kappa * gauge.certified_sup)
     trace = IterationTrace()
 
-    def T(u):
-        return K @ problem.forcing_vector(u)
-
     def sup(vec):
         return float(np.max(np.abs(vec)))
 
     zero = np.zeros(problem.grid_m + 1)
-    u = T(zero)
+    u = K @ problem.forcing_vector(zero)
     ds = [sup(zero - u)]
     n = 1
     while True:
-        u_after = T(u)
+        g = problem.forcing_vector(u)
+        u_after = K @ g
         resid = sup(u - u_after)
+        floor = 16.0 * 2.0**-52 * (sup(u) + kappa * sup(g))
         trace.append(TraceRow(n, None, None, ds[-1], resid, cert.bound(ds[0], n), True))
-        if ds[-1] <= config.tol and resid <= config.residual_tol:
+        if ds[-1] <= config.tol + floor and resid <= config.residual_tol + floor:
             status = Converged(u, u)
             break
         limit = kappa * gauge(ds[-1]) * ds[-1]
@@ -543,7 +544,7 @@ def _reference_picard(problem):
         u = u_after
         n += 1
     return PicardReport(status, trace, cert, solution=GridFunction(u), residual=resid,
-                        kappa=kappa)
+                        rounding_floor=floor, kappa=kappa)
 
 
 def _bits(value):
@@ -582,7 +583,9 @@ def test_picard_matches_reference_loop(beta):
         (lambda b, w: 0.5 * w + 1.0, Gauge.constant(1e-3)),
         (lambda b, w: 3.0 * math.sin(w) + b, Gauge.constant(0.01)),
     ]
-    # s w + c at extreme sizes: the check's scale must follow the iterate's
+    # s w + c at extreme sizes: the check's scale must follow the iterate's,
+    # and at c = 1e8 the stop must allow for the iterate's rounding (a few
+    # 1e-8, above tol 1e-10), or the run spends its whole budget
     for s, c in ((0.5, 1e-8), (-0.9, 3e-4), (0.9, -2e3), (-0.5, 1e8)):
         forcings.append((lambda b, w, s=s, c=c: s * w + c, Gauge.constant(abs(s))))
     stops = []
@@ -597,11 +600,12 @@ def test_picard_matches_reference_loop(beta):
             assert [_bits(dataclasses.astuple(r)) for r in new.trace.rows] == [
                 _bits(dataclasses.astuple(r)) for r in ref.trace.rows]
             assert _bits(new.solution.values) == _bits(ref.solution.values)
-            assert _bits([new.residual, new.kappa, new.certificate.alpha]) == _bits(
-                [ref.residual, ref.kappa, ref.certificate.alpha])
+            assert _bits([new.residual, new.rounding_floor, new.kappa, new.certificate.alpha]) \
+                == _bits([ref.residual, ref.rounding_floor, ref.kappa, ref.certificate.alpha])
             assert _bits(new_calls) == _bits(ref_calls)
             stops.append(new.to_dict()["status"])
     assert stops[8:16:4] == ["hypothesis-violated"] * 2  # the false gauges at max_iter 0
+    assert stops[-1] == "converged"  # c = 1e8 at the full budget
     assert {"converged", "hypothesis-violated", "max-iter-exceeded"} == set(stops)
 
 
