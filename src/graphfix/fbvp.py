@@ -356,7 +356,7 @@ class FbvpProblem:
 
 # The rounding floor of a Picard step, in units of 2^-52 (||u|| + kappa ||g(., u)||);
 # see ``picard_solve``.
-ROUNDING_UNITS = 16.0
+_ROUNDING_UNITS = 16.0
 
 
 @dataclass(kw_only=True)
@@ -409,7 +409,7 @@ def picard_solve(problem: FbvpProblem) -> PicardReport:
     tail bound without stopping on it.
 
     The floor is c 2^-52 (||u_n|| + kappa ||g(., u_n)||) with
-    c = ``ROUNDING_UNITS`` = 16, and the report gives the last one as
+    c = ``_ROUNDING_UNITS`` = 16, and the report gives the last one as
     ``rounding_floor``.  Near the fixed point a step cannot move u by less
     than its own rounding: the forcing's values carry 2^-53 of their size,
     K @ g (its FFT convolution and dot products) a few units of 2^-52
@@ -446,7 +446,7 @@ def picard_solve(problem: FbvpProblem) -> PicardReport:
         g = problem.forcing_vector(u)
         u_after = K @ g
         resid = sup(u - u_after)
-        floor = ROUNDING_UNITS * 2.0**-52 * (sup(u) + kappa * sup(g))
+        floor = _ROUNDING_UNITS * 2.0**-52 * (sup(u) + kappa * sup(g))
         rows.append(TraceRow(n, None, None, d_prev, resid, cert.bound(d1, n), True))
         if d_prev <= cfg.tol + floor and resid <= cfg.residual_tol + floor:
             status = Converged(u, u)

@@ -316,9 +316,8 @@ def verify_kamran_inequality(
     fail = ~within(H, rhs, rhs)
     excess = _excess(H, rhs, True)
     picked, margin = _first_and_worst(fail.ravel(), excess.ravel())
-    report = KamranReport(
-        holds=not picked, M=M, failing=int(np.count_nonzero(fail)), margin=margin
-    )
+    failing = int(np.count_nonzero(fail))
+    report = KamranReport(holds=failing == 0, M=M, failing=failing, margin=margin)
     for v, w in (divmod(j, n) for j in picked):
         report.witnesses.append(
             {

@@ -48,8 +48,9 @@ def _excess(lhs, rhs):
     return float("inf") if lhs > 0 else 0.0
 
 
-def _raise_margin(margin, key, excess):
-    margin[key] = excess if margin[key] is None else max(margin[key], excess)
+def _top(margin, excess):
+    """The margin after one more checked pair (None before the first)."""
+    return excess if margin is None else max(margin, excess)
 
 
 def _reference_hypotheses(space, f, F, edges, gauge, truncated=frozenset(), holds=within):
@@ -75,7 +76,7 @@ def _reference_hypotheses(space, f, F, edges, gauge, truncated=frozenset(), hold
             D = point_to_set_distance(fw, sets[w], space)
             bound = gauge(d) * d
             excess = _excess(D, bound)
-            _raise_margin(report.margin, "i", excess)
+            report.margin["i"] = _top(report.margin["i"], excess)
             if not holds(D, bound, bound):
                 report.condition_i_ok = False
                 report.witnesses.append(
@@ -88,7 +89,7 @@ def _reference_hypotheses(space, f, F, edges, gauge, truncated=frozenset(), hold
             if not others:
                 continue
             excess = _excess(d, min(space.distance(fw, fmap[p]) for p in others))
-            _raise_margin(report.margin, "ii", excess)
+            report.margin["ii"] = _top(report.margin["ii"], excess)
             for p in others:
                 fp = fmap[p]
                 if holds(space.distance(fw, fp), d, d):
@@ -118,7 +119,6 @@ def _reference_kamran(space, f, F, gauge, M=0.0, holds=within):
     pair = validate_pair(space, f, F)
     fmap, images = pair.f, pair.F
     report = KamranReport(holds=True, M=float(M))
-    margin = {"kamran": None}
     for v in space.labels:
         for w in space.labels:
             H = hausdorff_distance(images[v], images[w], space)
@@ -126,14 +126,13 @@ def _reference_kamran(space, f, F, gauge, M=0.0, holds=within):
             D = point_to_set_distance(fmap[v], images[w], space)
             rhs = gauge(d) * d + M * D
             excess = _excess(H, rhs)
-            _raise_margin(margin, "kamran", excess)
+            report.margin = _top(report.margin, excess)
             if not holds(H, rhs, rhs):
                 report.holds = False
                 report.witnesses.append(
                     {"v": v, "w": w, "H": H, "d": d, "D": D, "lhs": H, "rhs": rhs,
                      "excess": excess}
                 )
-    report.margin = margin["kamran"]
     return report
 
 
