@@ -195,7 +195,6 @@ class IterateResult(IterationOutcome):
     endpoint_nonneg: bool
     power: int
     rate: float
-    error_bound: float
 
     @property
     def iterations(self) -> int:
@@ -270,10 +269,10 @@ def iterate_to_limit(
     the per-step loop, and only one power is kept.  Every entry of P is
     >= 0, so c_p is its largest row sum with relative rounding, and
     c_p^(1/p) bounds the spectral radius of B_int.  Blocks of P then run
-    until ||u_k - L||, plus the rounding of u_k = L + e, is at most tol;
-    that sum is the reported ``error_bound``.  b_{n,q} is the paper's
-    bound, the per-step rate 1 - b_{n,q}; it is reported, not used, since
-    1 - b_{n,q} rounds to 1 in double precision for most (n, q).
+    until ``IterationConfig.reached`` holds for ||u_k - L|| plus the
+    rounding of u_k = L + e, the ``error_bound`` each trace row records.
+    b_{n,q} is the paper's bound, the per-step rate 1 - b_{n,q}; reported,
+    not used, since 1 - b_{n,q} rounds to 1 in double precision for most (n, q).
 
     ``iterations`` counts operator applications, p per block, and never
     exceeds ``max_iter``: a run whose certificate needs p > max_iter, or
@@ -316,11 +315,11 @@ def iterate_to_limit(
     def bound() -> float:
         return d + _LINE_ROUNDING * (height + d)
 
-    trace = IterationTrace()
+    rows = []
     edge_ok = not (isinstance(stopped, HypothesisViolated) and stopped.condition == "edge")
-    trace.append(TraceRow(0, None, None, d, d, bound(), edge_ok))
+    rows.append(TraceRow(0, None, None, d, d, bound(), edge_ok))
     while stopped is None:
-        if bound() <= config.tol:
+        if config.reached(bound(), d):
             stopped = "converged"
         elif k + p > max_iter:
             stopped = "budget"
@@ -329,7 +328,7 @@ def iterate_to_limit(
             e = P @ e
             d = _sup(e)
             k += p
-            trace.append(TraceRow(k, None, None, d, d, bound(), True))
+            rows.append(TraceRow(k, None, None, d, d, bound(), True))
             if not within(d, limit, limit + size):
                 stopped = HypothesisViolated("i", k)
 
@@ -346,7 +345,7 @@ def iterate_to_limit(
             stopped = HypothesisViolated("edge", k)
     return IterateResult(
         stopped,
-        trace,
+        IterationTrace(rows),
         ConvergenceCertificate(c) if 0.0 <= c <= 0.5 else None,
         params=params,
         values=values,
@@ -354,5 +353,4 @@ def iterate_to_limit(
         endpoint_nonneg=bool(start[0] >= 0.0 and start[-1] >= 0.0),
         power=p,
         rate=c,
-        error_bound=bound(),
     )

@@ -1,4 +1,4 @@
-"""Graph-checked successor iteration with a geometric stopping certificate.
+"""Graph-checked successor iteration and the one stop rule of all three solvers.
 
 ``run_coincidence_iteration`` walks a finite problem: from the pair
 (w_n, f(w_n)) it picks the nearest member of F(w_n), pulls it back
@@ -9,13 +9,12 @@ contraction check is decided by ``metric.within`` with the bound as the
 scale, so no verdict changes when every distance is multiplied by a
 power of two.
 
-The certificate: once the gauge is globally bounded by alpha < 1, step
-distances shrink at least by sqrt(alpha) per step, so the distance from
-f(w_n) to the limit is at most  B alpha^(n/2) / (1 - sqrt(alpha)) * d1
-with B = alpha^(-1/2) (first step distance d1).  That closed form is
-written once, as ``ConvergenceCertificate.bound``.  The walk stops on
-whichever of the a-posteriori test d_n <= tol and the certificate fires
-first, both gated on the residual.
+The certificate: once every checked step is at most rho < 1 times the one
+before, a run is within ``ConvergenceCertificate.error_bound(d_n)`` =
+rho/(1 - rho) d_n of its limit after a step d_n (Banach's a-posteriori
+estimate); rho is sqrt(sup k) for the walk, kappa sup k for the FBVP Picard
+step and c_p per block of p q-Bernstein steps.  All three stop by
+``IterationConfig.reached``.
 
 The result types here are shared by all three solvers: the q-Bernstein
 iterates and the FBVP Picard solver run their own loops and return
@@ -47,7 +46,7 @@ from .metric import (
 
 @dataclass(frozen=True)
 class IterationConfig:
-    """Stopping control: step tolerance, residual tolerance, step budget.
+    """Stopping control: error-bound tolerance, residual tolerance, budget.
 
     ``max_iter`` counts successor selections; 0 is allowed so a budget
     probe can demonstrate exhaustion without running.
@@ -68,33 +67,33 @@ class IterationConfig:
         if self.max_iter < 0:
             raise InputError("max_iter must be nonnegative")
 
+    def reached(self, error_bound: float, residual: float, floor: float = 0.0) -> bool:
+        """The one stop rule: the certified distance to the limit within ``tol``
+        and the residual within ``residual_tol``, each plus the rounding ``floor``."""
+        return error_bound <= self.tol + floor and residual <= self.residual_tol + floor
+
 
 @dataclass(frozen=True)
 class ConvergenceCertificate:
-    """Geometric tail certificate of rate alpha.
+    """Geometric certificate of per-step rate ``rate`` in [0, 1): each
+    checked step is at most ``rate`` times the one before."""
 
-    With a globally certified gauge the bound holds from the first step,
-    with the prefactor B = alpha^(-1/2) derived from alpha; alpha = 0
-    degenerates to a one-step bound, B = 1 and the 0^0 = 1 convention.
-    """
-
-    alpha: float
-    B: float = field(init=False)
+    rate: float
 
     def __post_init__(self):
-        if not (0.0 <= self.alpha < 1.0):
-            raise DomainError("certificate rate alpha must lie in [0, 1)")
-        object.__setattr__(self, "B", 1.0 if self.alpha == 0.0 else self.alpha ** -0.5)
+        if not (0.0 <= self.rate < 1.0):
+            raise DomainError("certificate rate must lie in [0, 1)")
 
-    def bound(self, d1: float, n: int) -> float:
-        """B alpha^(n/2) / (1 - sqrt(alpha)) * d1: the distance from step n
-        to the limit, for a first step distance d1."""
-        return self.B * self.alpha ** (n / 2) / (1.0 - math.sqrt(self.alpha)) * d1
+    def error_bound(self, d: float) -> float:
+        """rate/(1 - rate) d: the distance to the limit after a step of
+        length d, since the steps that follow sum to at most that."""
+        return self.rate / (1.0 - self.rate) * d
 
 
 @dataclass(slots=True)
 class TraceRow:
-    """One recorded step; labels are None for operator (vector) runs."""
+    """One recorded step; labels are None for operator (vector) runs, and
+    ``bound`` is the distance to the limit certified at the step."""
 
     n: int
     w_label: str | None
@@ -108,12 +107,6 @@ class TraceRow:
 @dataclass
 class IterationTrace:
     rows: list[TraceRow] = field(default_factory=list)
-
-    def append(self, row: TraceRow) -> None:
-        self.rows.append(row)
-
-    def __len__(self) -> int:
-        return len(self.rows)
 
 
 @dataclass
@@ -163,6 +156,11 @@ class IterationOutcome:
     def final_residual(self) -> float:
         return self.trace.rows[-1].residual if self.trace.rows else float("nan")
 
+    @property
+    def error_bound(self) -> float:
+        """The distance to the limit certified at the last step."""
+        return self.trace.rows[-1].bound if self.trace.rows else float("nan")
+
     def _record(self) -> dict:
         """The solver's own keys of :meth:`to_dict`; subclasses replace it."""
         return {
@@ -171,6 +169,7 @@ class IterationOutcome:
             "common_fixed_point": self.common_fixed_point,
             "iterations": self.iterations,
             "final_residual": self.final_residual,
+            "error_bound": self.error_bound,
             "exact_coincidence": getattr(self.status, "exact", None),
         }
 
@@ -257,22 +256,21 @@ def run_coincidence_iteration(problem: CoincidenceProblem) -> IterationOutcome:
     edge, (b) the step distances satisfy d_{n+1} <= sqrt(k(d_n)) d_n, up
     to ``metric.within``'s relative slack, and (c) the gauge is not zero
     while the residual is positive, which the contraction hypothesis
-    rules out.  It stops when the step distance
-    falls below ``tol`` and the residual D(f(w_n), F(w_n)) below
-    ``residual_tol``, or when the tail bound certifies the distance to
-    the limit is below ``tol`` (again residual gated, so a Converged
-    outcome always has a small residual, and says whether f(w*) lies in
-    F(w*) exactly).  At the limit it also reports the common fixed point
+    rules out.  Check (b) makes sqrt(sup k) the certificate's rate; the
+    walk stops by ``IterationConfig.reached``, with no rounding floor, on
+    ``error_bound(d_n)`` (the certified distance from f(w_n) to the limit)
+    and the residual D(f(w_n), F(w_n)).  A Converged outcome says whether
+    f(w*) lies in F(w*) exactly, and names the common fixed point
     a = f(w*) whenever f(a) = a and f(a) in F(a).
     """
     space = problem.space
     gauge = problem.gauge
     cfg = problem.config
-    cert = ConvergenceCertificate(gauge.certified_sup)
-    trace = IterationTrace()
+    cert = ConvergenceCertificate(math.sqrt(gauge.certified_sup))
+    rows = []
 
     def outcome(status, common=None):
-        return IterationOutcome(status, trace, cert, common)
+        return IterationOutcome(status, IterationTrace(rows), cert, common)
 
     labels = space.labels
     adjacency = problem.edges.adjacency
@@ -282,29 +280,26 @@ def run_coincidence_iteration(problem: CoincidenceProblem) -> IterationOutcome:
     p0 = space.index(problem.p0)
     fw0 = fi[w0]
     # construction checked that (f(w0), p0) is an edge
-    trace.append(
-        TraceRow(0, labels[w0], labels[fw0], float("nan"), gap[w0], float("nan"), True)
-    )
+    rows.append(TraceRow(0, labels[w0], labels[fw0], float("nan"), gap[w0], float("nan"), True))
     w = inverse[p0]
     prev_fw = fw0
     fw = fi[w]
-    d1 = float(space.matrix[fw0, p0])
-    d_n = d1
+    d_n = float(space.matrix[fw0, p0])
     d_prev = None
     n = 1
 
     while True:
         residual = gap[w]
-        bound = cert.bound(d1, n)
+        bound = cert.error_bound(d_n)
         edge_ok = bool(adjacency[prev_fw, fw])
-        trace.append(TraceRow(n, labels[w], labels[fw], d_n, residual, bound, edge_ok))
+        rows.append(TraceRow(n, labels[w], labels[fw], d_n, residual, bound, edge_ok))
         if not edge_ok:
             return outcome(HypothesisViolated("edge", n))
         if d_prev is not None:
             limit = math.sqrt(gauge(d_prev)) * d_prev
             if not within(d_n, limit, limit):
                 return outcome(HypothesisViolated("i", n))
-        if residual <= cfg.residual_tol and (d_n <= cfg.tol or bound <= cfg.tol):
+        if cfg.reached(bound, residual):
             # distinct labels sit at a positive distance: f(w) in F(w) iff gap 0
             common = labels[fw] if fi[fw] == fw and gap[fw] == 0.0 else None
             return outcome(Converged(labels[w], labels[fw], gap[w] == 0.0), common)

@@ -10,7 +10,7 @@ class InputError(ValueError):
 
 
 class DomainError(ValueError):
-    """Operation applied outside its mathematical domain (empty sets, alpha >= 1, ...)."""
+    """Operation applied outside its mathematical domain (empty sets, a rate >= 1, ...)."""
 
 
 def check_real(value, name: str) -> float:

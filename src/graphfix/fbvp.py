@@ -354,7 +354,7 @@ class FbvpProblem:
         return np.fromiter(pairs, float, self.grid_m + 1)
 
 
-# The rounding floor of a Picard step, in units of 2^-52 (||u|| + kappa ||g(., u)||);
+# The rounding of a Picard step, in units of 2^-52 (||u|| + kappa ||g(., u)||);
 # see ``picard_solve``.
 _ROUNDING_UNITS = 16.0
 
@@ -369,25 +369,21 @@ class PicardReport(IterationOutcome):
     rounding_floor: float
     kappa: float
 
-    @property
-    def effective_factor(self) -> float:
-        """kappa * sup k, the rate the run certified."""
-        return self.certificate.alpha
-
     def _record(self) -> dict:
         return {
             "converged": self.converged,
             "iterations": self.iterations,
             "residual": self.residual,
             "rounding_floor": self.rounding_floor,
+            "error_bound": self.error_bound,
             "kappa": self.kappa,
-            "effective_factor": self.effective_factor,
+            "effective_factor": self.certificate.rate,
         }
 
 
 def picard_solve(problem: FbvpProblem) -> PicardReport:
-    """Iterate u <- T(u) = K g(., u) from u_0 = 0 until the sup-change
-    reaches tol.
+    """Iterate u <- T(u) = K g(., u) from u_0 = 0 until the distance to
+    the fixed point is certified within tol.
 
     Returns the coincidence profile u* (= f(w*)) with the discrete
     integral-equation residual ||u* - T(u*)||, the quadrature constant
@@ -403,12 +399,12 @@ def picard_solve(problem: FbvpProblem) -> PicardReport:
     breaks its gauge by more than a factor of about kappa / rho(K) fails
     that check.  The failure is not raised: the report comes back with a
     ``HypothesisViolated`` status naming condition "i" and the step, and
-    the zero profile, whose residual is d_1.  The loop stops on d_n <= tol
-    and residual <= residual_tol, each plus the step's rounding floor,
-    then on the check, then on the budget; it records the certificate's
-    tail bound without stopping on it.
+    the zero profile, whose residual is d_1.  The loop stops by
+    ``IterationConfig.reached`` on ``error_bound(d_n)`` >= ||u_n - u*||
+    (d_n the step into u_n) and the residual, each tolerance plus the
+    step's rounding floor, then on the check, then on the budget.
 
-    The floor is c 2^-52 (||u_n|| + kappa ||g(., u_n)||) with
+    The floor is c 2^-52 (||u_n|| + kappa ||g(., u_n)||) / (1 - rho) with
     c = ``_ROUNDING_UNITS`` = 16, and the report gives the last one as
     ``rounding_floor``.  Near the fixed point a step cannot move u by less
     than its own rounding: the forcing's values carry 2^-53 of their size,
@@ -417,6 +413,8 @@ def picard_solve(problem: FbvpProblem) -> PicardReport:
     convergence with tol 0, d_n stalled at no more than 3.7 units of
     2^-52 (||u|| + kappa ||g||) over beta from 1.001 to 150, m from 2 to
     8000 and forcings of sizes 1e-200 to 1e8; c = 16 is four times that.
+    The 1/(1 - rho) sums a step's rounding over the tail, below which no bound on
+    ||u_n - u*|| can fall (at rho = 0.98 a stalled step's bound is 49 d_n).
     Without the floor a tol below the rounding of u could never be met,
     and the run would spend its whole budget; far above it, as with
     iterates of size 1 and tol 1e-10, the floor changes no stop.
@@ -430,8 +428,7 @@ def picard_solve(problem: FbvpProblem) -> PicardReport:
     gauge = problem.gauge
     cfg = problem.config
     cert = ConvergenceCertificate(kappa * gauge.certified_sup)
-    trace = IterationTrace()
-    rows = trace.rows
+    rows = []
     reduce_max, absolute = np.maximum.reduce, np.abs
 
     def sup(vec) -> float:
@@ -446,9 +443,10 @@ def picard_solve(problem: FbvpProblem) -> PicardReport:
         g = problem.forcing_vector(u)
         u_after = K @ g
         resid = sup(u - u_after)
-        floor = _ROUNDING_UNITS * 2.0**-52 * (sup(u) + kappa * sup(g))
-        rows.append(TraceRow(n, None, None, d_prev, resid, cert.bound(d1, n), True))
-        if d_prev <= cfg.tol + floor and resid <= cfg.residual_tol + floor:
+        floor = _ROUNDING_UNITS * 2.0**-52 * (sup(u) + kappa * sup(g)) / (1.0 - cert.rate)
+        bound = cert.error_bound(d_prev)
+        rows.append(TraceRow(n, None, None, d_prev, resid, bound, True))
+        if cfg.reached(bound, resid, floor):
             status = Converged(u, u)
             break
         reach += resid
@@ -466,7 +464,7 @@ def picard_solve(problem: FbvpProblem) -> PicardReport:
 
     return PicardReport(
         status,
-        trace,
+        IterationTrace(rows),
         cert,
         solution=GridFunction(u),
         residual=resid,

@@ -182,27 +182,30 @@ def _scan_blocks(m: np.ndarray, starts: list, found: list) -> None:
     n = len(m)
     size = min(n, _TRIANGLE_BLOCK)
     try:
-        slab, chunk = np.empty((size, n)), np.empty((size, n))
-        sums = np.empty((_TRIANGLE_ROWS, size, n))
-        least = np.empty((size, size))
-        for i0 in starts:
-            rows = m[i0 : i0 + size]
-            block = np.multiply(rows, 1.0 + EPS, out=slab[: len(rows)])
-            for j0 in range(i0, n, size):
-                if found:
-                    return
-                cols = m[j0 : j0 + size]
-                grown = np.multiply(cols, 1.0 + EPS, out=chunk[: len(cols)])
-                best = least[: len(cols), : len(block)]
-                for r0 in range(0, len(cols), _TRIANGLE_ROWS):
-                    few = grown[r0 : r0 + _TRIANGLE_ROWS]
-                    out = sums[: len(few), : len(block)]
-                    np.add(block, few[:, None, :], out=out)
-                    np.minimum.reduce(out, axis=2, out=best[r0 : r0 + _TRIANGLE_ROWS])
-                # best[r, i] bounds d(j0 + r, i0 + i), which is d(i0 + i, j0 + r)
-                if np.greater(cols[:, i0 : i0 + len(block)], best).any():
-                    found.append(True)
-                    return
+        # overflow to inf only loosens a bound that holds anyway, so it warns
+        # of nothing; np.errstate is thread-local, so each thread sets it
+        with np.errstate(over="ignore"):
+            slab, chunk = np.empty((size, n)), np.empty((size, n))
+            sums = np.empty((_TRIANGLE_ROWS, size, n))
+            least = np.empty((size, size))
+            for i0 in starts:
+                rows = m[i0 : i0 + size]
+                block = np.multiply(rows, 1.0 + EPS, out=slab[: len(rows)])
+                for j0 in range(i0, n, size):
+                    if found:
+                        return
+                    cols = m[j0 : j0 + size]
+                    grown = np.multiply(cols, 1.0 + EPS, out=chunk[: len(cols)])
+                    best = least[: len(cols), : len(block)]
+                    for r0 in range(0, len(cols), _TRIANGLE_ROWS):
+                        few = grown[r0 : r0 + _TRIANGLE_ROWS]
+                        out = sums[: len(few), : len(block)]
+                        np.add(block, few[:, None, :], out=out)
+                        np.minimum.reduce(out, axis=2, out=best[r0 : r0 + _TRIANGLE_ROWS])
+                    # best[r, i] bounds d(j0 + r, i0 + i), which is d(i0 + i, j0 + r)
+                    if np.greater(cols[:, i0 : i0 + len(block)], best).any():
+                        found.append(True)
+                        return
     except BaseException as exc:  # raised again in the caller's thread
         found.append(exc)
 
@@ -211,16 +214,17 @@ def _raise_first_violation(labels: tuple[str, ...], m: np.ndarray) -> None:
     """Raise the InputError of :func:`_check_triangle` for a matrix known to
     break the triangle inequality: the first k through which some pair
     breaks it, and the pair that breaks it most for that k."""
-    grown = m * (1.0 + EPS)
-    bound = np.empty_like(m)
-    for k in range(len(labels)):
-        np.add(grown[:, k : k + 1], grown[k : k + 1, :], out=bound)
-        if np.greater(m, bound).any():
-            i, j = np.unravel_index(np.argmax(m - bound), m.shape)
-            raise InputError(
-                f"triangle inequality fails: d({labels[i]},{labels[j]}) > "
-                f"d({labels[i]},{labels[k]}) + d({labels[k]},{labels[j]})"
-            )
+    with np.errstate(over="ignore"):
+        grown = m * (1.0 + EPS)
+        bound = np.empty_like(m)
+        for k in range(len(labels)):
+            np.add(grown[:, k : k + 1], grown[k : k + 1, :], out=bound)
+            if np.greater(m, bound).any():
+                i, j = np.unravel_index(np.argmax(m - bound), m.shape)
+                raise InputError(
+                    f"triangle inequality fails: d({labels[i]},{labels[j]}) > "
+                    f"d({labels[i]},{labels[k]}) + d({labels[k]},{labels[j]})"
+                )
 
 
 @dataclass(frozen=True)

@@ -102,8 +102,8 @@ def _escape_surrogates(text: str) -> str:
 
 
 def load_json(path) -> Any:
-    """Parse a UTF-8 JSON input file; unreadable, undecodable or malformed
-    files raise InputError."""
+    """Parse a UTF-8 JSON input file; unreadable, undecodable, malformed
+    or too deeply nested files raise InputError."""
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
@@ -113,6 +113,8 @@ def load_json(path) -> Any:
         raise InputError(f"{path} is not UTF-8 text: {exc}") from None
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise InputError(f"{path} nests its JSON too deeply to parse") from None
 
 
 def json_dump(obj: Any, path) -> None:

@@ -512,7 +512,7 @@ def test_iterate_reports_a_certificate_that_bounds_the_spectral_radius():
             assert abs(rho - (1.0 - 1.0 / n)) <= 1e-10
         assert 0.0 <= res.rate <= 0.5 and res.power & (res.power - 1) == 0
         assert rho <= res.spectral_bound < 1.0
-        assert res.certificate.alpha == res.rate
+        assert res.certificate.rate == res.rate
         assert np.max(np.sum(np.linalg.matrix_power(B_int, res.power), axis=1)) == \
             pytest.approx(res.rate, rel=1e-12)
         record = res.to_dict()

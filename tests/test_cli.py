@@ -20,6 +20,7 @@ from click.testing import CliRunner
 import graphfix
 from graphfix.bernstein import iterate_to_limit
 from graphfix.cli import main
+from graphfix.engine import IterationConfig
 from graphfix.fbvp import FbvpProblem
 from graphfix.metric import EPS
 from graphfix.problems import (
@@ -272,6 +273,13 @@ def test_iterate_says_whether_the_stop_is_an_exact_coincidence(runner, tmp_path)
     assert outcome["w_star"] == f"1/{3**19}"
     assert outcome["final_residual"] == pytest.approx(2.868e-10, rel=1e-3)
     assert outcome["exact_coincidence"] is False
+    # the record states the distance to the limit it certified: sqrt(1/3)
+    # / (1 - sqrt(1/3)) times the last step, within the default tol 1e-9
+    assert outcome["iterations"] == 17
+    assert outcome["error_bound"] == pytest.approx(7.835e-10, rel=1e-3)
+    with open(tmp_path / "trace.csv") as fh:
+        last = list(csv.DictReader(fh))[-1]
+    assert float(last["tail_bound_n"]) == outcome["error_bound"]
 
 
 def test_iterate_budget_zero(runner, tmp_path):
@@ -383,7 +391,10 @@ def test_fbvp_sin_forcing(runner, tmp_path):
     assert err <= 1e-5
     report = _read_json(tmp_path / "report.json")
     assert report["converged"] is True
-    assert report["iterations"] == 1
+    # sin-pi does not depend on u, so the rate is 0: the first iterate is
+    # certified exact and no further step is taken
+    assert report["iterations"] == 0
+    assert report["error_bound"] == 0.0
 
 
 def test_fbvp_linear_w(runner, tmp_path):
@@ -533,6 +544,35 @@ def test_sweep_isolates_a_failing_job(runner, tmp_path):
     assert os.path.exists(tmp_path / "run-002" / "report.json")
     # stdout carries the sweep summary only, not the jobs' reports
     assert json.loads(res.stdout) == summary
+
+
+def _deeply_nested_file(path):
+    """A JSON file of 100,000 nested arrays, too deep for the parser."""
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    return str(path)
+
+
+def test_verify_of_a_too_deeply_nested_file_is_input_error(runner, tmp_path):
+    deep = _deeply_nested_file(tmp_path / "deep.json")
+    res = runner.invoke(main, ["--out", str(tmp_path), "verify", deep])
+    assert res.exit_code == 2
+    assert res.stderr == f"error: {deep} nests its JSON too deeply to parse\n"
+
+
+def test_sweep_job_of_a_too_deeply_nested_file_fails_alone(runner, tmp_path):
+    deep = _deeply_nested_file(tmp_path / "deep.json")
+    spec = [
+        {"subcommand": "verify", "input": deep},
+        {"subcommand": "iterate", "input": "example-3-3"},
+    ]
+    spec_path = tmp_path / "sweep.json"
+    spec_path.write_text(json.dumps(spec))
+    res = runner.invoke(main, ["--out", str(tmp_path), "sweep", str(spec_path)])
+    assert res.exit_code == 2
+    runs = _read_json(tmp_path / "sweep.json")["runs"]
+    assert [r["exit_code"] for r in runs] == [2, 0]
+    assert runs[0]["error"] == f"error: {deep} nests its JSON too deeply to parse"
+    assert os.path.exists(tmp_path / "run-001" / "outcome.json")
 
 
 def test_sweep_job_whose_subcommand_is_no_string_fails_alone(runner, tmp_path):
@@ -933,12 +973,12 @@ def test_sweep_job_with_a_mistyped_solver_option_is_input_error(runner, tmp_path
 # "condition" and "step" join them exactly when a hypothesis fails.
 _RECORD_KEYS = {
     "outcome.json": {"status", "w_star", "fw_star", "common_fixed_point",
-                     "iterations", "final_residual", "exact_coincidence"},
+                     "iterations", "final_residual", "error_bound", "exact_coincidence"},
     "summary.json": {"n", "q", "iterations", "final_displacement", "b_nq", "power",
                      "rate", "spectral_bound", "error_bound", "converged",
                      "endpoint_nonneg", "status"},
     "report.json": {"beta", "m", "converged", "iterations", "residual", "rounding_floor",
-                    "kappa", "effective_factor", "status"},
+                    "error_bound", "kappa", "effective_factor", "status"},
 }
 
 _STATUS = {0: "converged", 1: "hypothesis-violated", 3: "max-iter-exceeded"}
@@ -978,6 +1018,9 @@ def test_run_record_keys_and_stop(runner, tmp_path, case):
     assert record["status"] == _STATUS[code]
     stop = {"condition", "step"} if code == 1 else set()
     assert set(record) == {"manifest"} | _RECORD_KEYS[name] | stop
+    if code == 0:  # a converged run certified its distance to the limit
+        tol = record["manifest"]["params"]["tol"] or IterationConfig().tol
+        assert record["error_bound"] <= tol + record.get("rounding_floor", 0.0)
 
 
 def _sweep_job(args):

@@ -5,6 +5,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphfix.engine import (
     CoincidenceProblem,
@@ -49,11 +51,14 @@ def ternary_space(depth=6):
 def _reference_walk(problem):
     """The label-loop walk: the nearest member of F(w_n) found by
     ``space.distance`` over its labels, ties to the lowest label index,
-    with every distance, residual and edge looked up by label."""
+    with every distance, residual and edge looked up by label.  It stops
+    once rho/(1 - rho) d_n, rho = sqrt(sup k), is within tol and the
+    residual within residual_tol."""
     space, f, F, gauge, cfg = (
         problem.space, problem.f, problem.F, problem.gauge, problem.config
     )
-    cert = ConvergenceCertificate(gauge.certified_sup)
+    rho = math.sqrt(gauge.certified_sup)
+    cert = ConvergenceCertificate(rho)
     trace = IterationTrace()
 
     def outcome(status, common=None):
@@ -65,28 +70,28 @@ def _reference_walk(problem):
     w0 = problem.w0
     fw0 = f[w0]
     start_edge = problem.edges.contains(fw0, problem.p0)
-    trace.append(TraceRow(0, w0, fw0, float("nan"),
-                          point_to_set_distance(fw0, F[w0], space), float("nan"),
-                          start_edge))
+    trace.rows.append(TraceRow(0, w0, fw0, float("nan"),
+                               point_to_set_distance(fw0, F[w0], space), float("nan"),
+                               start_edge))
     if not start_edge:
         return outcome(HypothesisViolated("edge", 0))
     w = preimage(problem.p0)
     prev_fw, fw = fw0, f[w]
-    d1 = d_n = space.distance(fw0, problem.p0)
+    d_n = space.distance(fw0, problem.p0)
     d_prev = None
     n = 1
     while True:
         residual = point_to_set_distance(fw, F[w], space)
-        bound = cert.bound(d1, n)
+        bound = rho / (1.0 - rho) * d_n
         edge_ok = problem.edges.contains(prev_fw, fw)
-        trace.append(TraceRow(n, w, fw, d_n, residual, bound, edge_ok))
+        trace.rows.append(TraceRow(n, w, fw, d_n, residual, bound, edge_ok))
         if not edge_ok:
             return outcome(HypothesisViolated("edge", n))
         if d_prev is not None:
             limit = math.sqrt(gauge(d_prev)) * d_prev
             if not within(d_n, limit, limit):
                 return outcome(HypothesisViolated("i", n))
-        if residual <= cfg.residual_tol and (d_n <= cfg.tol or bound <= cfg.tol):
+        if bound <= cfg.tol and residual <= cfg.residual_tol:
             common = fw if f[fw] == fw and fw in F[fw] else None
             return outcome(Converged(w, fw, fw in F[w]), common)
         if n > cfg.max_iter:
@@ -225,71 +230,94 @@ def test_select_zero_gauge_with_positive_residual():
 # --- the tail bound -------------------------------------------------------------
 
 def test_tail_bound_closed_form():
-    cert = ConvergenceCertificate(alpha=1.0 / 3.0)
-    # oracle: direct evaluation of B * alpha^(n/2) / (1 - sqrt(alpha)) * d0
-    expected = math.sqrt(3.0) * (2.0 / 9.0) / (1.0 - math.sqrt(1.0 / 3.0))
-    assert abs(cert.bound(2.0 / 9.0, 0) - expected) < TOL
-    assert abs(cert.bound(2.0 / 9.0, 0) - 0.9106836025229589) < 1e-15
+    cert = ConvergenceCertificate(rate=1.0 / 3.0)
+    # oracle: direct evaluation of rate / (1 - rate) * d, here (1/2) (2/9)
+    assert abs(cert.error_bound(2.0 / 9.0) - 1.0 / 9.0) < TOL
+    assert cert.error_bound(2.0 / 9.0) == 0.11111111111111109
+    # the steps after d, rate d + rate^2 d + ..., sum to the bound
+    tail = math.fsum((2.0 / 9.0) * (1.0 / 3.0) ** j for j in range(1, 60))
+    assert abs(cert.error_bound(2.0 / 9.0) - tail) < TOL
 
 
 def test_tail_bound_zero_first_step():
-    cert = ConvergenceCertificate(alpha=0.5)
-    for n in (0, 1, 5, 50):
-        assert cert.bound(0.0, n) == 0.0
+    for rate in (0.0, 0.5, 1.0 - 2.0**-53):
+        assert ConvergenceCertificate(rate).error_bound(0.0) == 0.0
+    # a walk that starts on the common fixed point takes a zero first step,
+    # which certifies it at once
+    out = run_coincidence_iteration(dataclasses.replace(ternary_orbit_problem(12), w0="0", p0="0"))
+    assert out.converged and out.iterations == 0
+    assert out.trace.rows[-1].d == out.trace.rows[-1].bound == out.error_bound == 0.0
 
 
 def test_tail_bound_quarter_rate():
-    cert = ConvergenceCertificate(alpha=0.25)
-    assert abs(cert.bound(1.0, 4) - 0.25) < TOL
+    cert = ConvergenceCertificate(rate=0.25)
+    assert abs(cert.error_bound(1.0) - 1.0 / 3.0) < TOL
+    assert abs(cert.error_bound(3.0) - 1.0) < TOL
 
 
 def test_tail_bound_dominates_observed_tail():
-    # alpha = 1/4, B = 2 bound must dominate distances to the limit in any
+    # the rate 1/4 bound must dominate distances to the limit in any
     # conforming trace; use an exact quarter-ladder as that trace
-    cert = ConvergenceCertificate(alpha=0.25)
+    cert = ConvergenceCertificate(rate=0.25)
     d0 = 1.0
     positions = [sum(d0 * 0.25**j for j in range(n)) for n in range(30)]
     limit = d0 / (1 - 0.25)
-    for n in range(25):
-        assert limit - positions[n] <= cert.bound(d0, n) + 1e-12
+    for n in range(1, 25):
+        step = positions[n] - positions[n - 1]
+        assert limit - positions[n] <= cert.error_bound(step) + 1e-12
 
 
 def test_certificate_validation():
-    with pytest.raises(DomainError):
-        ConvergenceCertificate(alpha=1.0)
+    for rate in (1.0, -0.1, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            ConvergenceCertificate(rate=rate)
+    # the rate is the whole certificate: no prefactor can be given
+    with pytest.raises(TypeError):
+        ConvergenceCertificate(rate=0.25, B=0.01)
 
 
 def test_certificate_from_zero_gauge():
-    cert = ConvergenceCertificate(Gauge.constant(0.0).certified_sup)
-    assert cert.bound(0.7, 0) == 0.7  # 0^0 = 1 convention
-    assert cert.bound(0.7, 3) == 0.0
-
-
-def test_certificate_prefactor_is_derived_from_alpha():
-    # a settable B let ConvergenceCertificate(alpha=0.25, B=0.01) bound the
-    # tail 200 times too low
-    with pytest.raises(TypeError):
-        ConvergenceCertificate(alpha=0.25, B=0.01)
-    for alpha in (1e-300, 1e-9, 0.25, 1.0 / 3.0, 0.5, 0.9, 1.0 - 2.0**-53):
-        cert = ConvergenceCertificate(alpha)
-        assert cert.B == alpha ** -0.5
-        assert dataclasses.replace(cert, alpha=0.25).B == 2.0
-    assert ConvergenceCertificate(0.0).B == 1.0
-    assert ConvergenceCertificate(0.25).bound(1.0, 0) == 4.0
+    cert = ConvergenceCertificate(math.sqrt(Gauge.constant(0.0).certified_sup))
+    assert cert.error_bound(0.7) == 0.0
 
 
 def test_trace_bounds_are_tail_bound_bit_for_bit():
+    # each row's bound (trace column tail_bound_n) is the certificate's
+    # error bound of that row's step, and the record's error_bound the last
     walk = run_coincidence_iteration(ternary_orbit_problem(20))
     operator = picard_solve(
         FbvpProblem(beta=1.5, g=lambda b, w: 0.5 * w + 1.0, gauge=Gauge.constant(0.5))
     )
+    assert walk.certificate.rate == math.sqrt(1.0 / 3.0)
+    assert operator.certificate.rate == operator.kappa * 0.5
     for out in (walk, operator):
         rows = [row for row in out.trace.rows if row.n >= 1]
         assert len(rows) > 5 and rows[0].n == 1
-        d1 = rows[0].d
         for row in rows:
-            bound = out.certificate.bound(d1, row.n)
+            bound = out.certificate.error_bound(row.d)
             assert struct.pack("<d", row.bound) == struct.pack("<d", bound)
+        assert struct.pack("<d", out.to_dict()["error_bound"]) == struct.pack("<d", rows[-1].bound)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_every_trace_bound_covers_the_distance_to_where_the_walk_ends(seed):
+    # the bound at row n certifies d(f(w_n), limit); the limit is where the
+    # same walk stops when only a zero step can meet its tol, an enumerated
+    # coincidence point
+    problem = random_ladder_problem(random.Random(seed))
+    exhaustive = dataclasses.replace(problem.config, tol=1e-300)
+    coincidences = enumerate_coincidence_points(problem.space, problem.f, problem.F).coincidence
+    for w0, p0 in _admissible_starts(problem):
+        start = dataclasses.replace(problem, w0=w0, p0=p0)
+        out = run_coincidence_iteration(start)
+        end = run_coincidence_iteration(dataclasses.replace(start, config=exhaustive))
+        assert out.converged and end.converged
+        assert end.trace.rows[-1].d == 0.0 and end.status.w_star in coincidences
+        fw_end = end.status.f_w_star
+        for row in out.trace.rows[1:]:
+            assert problem.space.distance(row.fw_label, fw_end) <= row.bound
+        assert out.error_bound <= problem.config.tol
 
 
 # --- run_coincidence_iteration ----------------------------------------------------

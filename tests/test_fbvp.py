@@ -6,6 +6,8 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphfix import fbvp
 from graphfix.engine import (
@@ -434,7 +436,9 @@ def test_picard_w_independent_single_iteration():
     )
     rep = picard_solve(prob)
     assert rep.converged
-    assert rep.iterations == 1
+    # a forcing free of w has rate 0, so u_1 = K g is certified exact and
+    # the run stops without a further step
+    assert rep.iterations == 0 and rep.error_bound == 0.0
     assert np.max(np.abs(rep.solution.values - np.sin(math.pi * prob.grid))) <= 1e-5
 
 
@@ -449,7 +453,7 @@ def test_picard_linear_matches_direct_elimination():
     assert rep.residual <= 1e-8
     u = rep.solution.values
     assert rep.residual == float(np.max(np.abs(u - prob.matrix @ prob.forcing_vector(u))))
-    assert abs(rep.effective_factor - rep.kappa * 0.5) < TOL
+    assert abs(rep.certificate.rate - rep.kappa * 0.5) < TOL
 
 
 def test_picard_fractional_self_consistency():
@@ -490,6 +494,38 @@ def test_picard_catches_a_gauge_of_half_the_slope(beta):
             assert picard_solve(prob).converged, slope
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.floats(1.01, 4.0), st.integers(1, 20), st.floats(-0.95, 0.95),
+       st.floats(-8.0, 8.0), st.sampled_from([-1.0, 1.0]), st.floats(-14.0, -6.0))
+def test_picard_error_bound_covers_the_distance_to_the_fixed_point(beta, half_m, s, log_c,
+                                                                   sign, log_tol):
+    # g = s w + c makes the fixed point the solution of (I - s K) u = K c,
+    # solved densely with K's own entries; a converged run is within its
+    # error_bound of it, up to the rounding floor of its stop
+    m, c = 2 * half_m, sign * 10.0**log_c
+    problem = FbvpProblem(beta=beta, g=lambda b, w: s * w + c, gauge=Gauge.constant(abs(s)),
+                          grid_m=m, tol=10.0**log_tol)
+    rep = picard_solve(problem)
+    assert rep.converged
+    K = problem.matrix.entries(*np.indices((m + 1, m + 1)))
+    fixed = np.linalg.solve(np.eye(m + 1) - s * K, K @ np.full(m + 1, c))
+    distance = float(np.max(np.abs(rep.solution.values - fixed)))
+    assert rep.error_bound <= problem.tol + rep.rounding_floor
+    assert distance <= rep.error_bound + rep.rounding_floor
+
+
+def test_picard_certifies_down_to_the_rounding_at_a_rate_near_one():
+    # at beta = 1.001 kappa is near 1, so rho = kappa 0.99 is about 0.98: the
+    # bound rho/(1 - rho) d_n magnifies a step stalled at its rounding 48-fold,
+    # and only a floor that carries the same 1/(1 - rho) lets the run stop
+    for m, s, c in ((200, -0.99, 1e8), (2000, 0.99, 1e8), (200, -0.99, -2e3)):
+        problem = FbvpProblem(beta=1.001, g=lambda b, w: s * w + c, gauge=Gauge.constant(0.99),
+                              grid_m=m, tol=1e-14, max_iter=3000)
+        rep = picard_solve(problem)
+        assert rep.converged and rep.certificate.rate > 0.97, (m, s, c)
+        assert rep.error_bound <= problem.tol + rep.rounding_floor
+
+
 def test_picard_budget_report():
     prob = FbvpProblem(beta=1.5, g=lambda b, w: 0.5 * w + 1.0,
                        gauge=Gauge.constant(0.5), grid_m=40,
@@ -508,12 +544,14 @@ def _reference_picard(problem):
     """The Picard loop written plainly: T(u) = K g(., u) from u_0 = 0, two
     subtractions per step, sups through ``np.max``, every displacement
     kept in a list and the check's scale summed afresh from them.  The
-    stop allows each tolerance the step's rounding floor,
-    16 * 2^-52 (||u|| + kappa ||g(., u)||).  A failed step gives the zero
+    stop needs rho/(1 - rho) d_n, rho = kappa sup k, within tol and the
+    residual within residual_tol, each plus the step's rounding floor,
+    16 * 2^-52 (||u|| + kappa ||g(., u)||) / (1 - rho).  A failed step gives the zero
     profile, with residual d_1."""
     K, gauge, config = problem.matrix, problem.gauge, problem.config
     kappa = K.norm_inf()
-    cert = ConvergenceCertificate(kappa * gauge.certified_sup)
+    rho = kappa * gauge.certified_sup
+    cert = ConvergenceCertificate(rho)
     trace = IterationTrace()
 
     def sup(vec):
@@ -527,9 +565,10 @@ def _reference_picard(problem):
         g = problem.forcing_vector(u)
         u_after = K @ g
         resid = sup(u - u_after)
-        floor = 16.0 * 2.0**-52 * (sup(u) + kappa * sup(g))
-        trace.append(TraceRow(n, None, None, ds[-1], resid, cert.bound(ds[0], n), True))
-        if ds[-1] <= config.tol + floor and resid <= config.residual_tol + floor:
+        floor = 16.0 * 2.0**-52 * (sup(u) + kappa * sup(g)) / (1.0 - rho)
+        bound = rho / (1.0 - rho) * ds[-1]
+        trace.rows.append(TraceRow(n, None, None, ds[-1], resid, bound, True))
+        if bound <= config.tol + floor and resid <= config.residual_tol + floor:
             status = Converged(u, u)
             break
         limit = kappa * gauge(ds[-1]) * ds[-1]
@@ -600,8 +639,8 @@ def test_picard_matches_reference_loop(beta):
             assert [_bits(dataclasses.astuple(r)) for r in new.trace.rows] == [
                 _bits(dataclasses.astuple(r)) for r in ref.trace.rows]
             assert _bits(new.solution.values) == _bits(ref.solution.values)
-            assert _bits([new.residual, new.rounding_floor, new.kappa, new.certificate.alpha]) \
-                == _bits([ref.residual, ref.rounding_floor, ref.kappa, ref.certificate.alpha])
+            assert _bits([new.residual, new.rounding_floor, new.kappa, new.certificate.rate]) \
+                == _bits([ref.residual, ref.rounding_floor, ref.kappa, ref.certificate.rate])
             assert _bits(new_calls) == _bits(ref_calls)
             stops.append(new.to_dict()["status"])
     assert stops[8:16:4] == ["hypothesis-violated"] * 2  # the false gauges at max_iter 0
@@ -652,7 +691,7 @@ def test_problem_builds_its_stop_rule_and_operator_once(monkeypatch):
     rep = picard_solve(prob)
     assert calls == [(1.5, 40)]
     assert rep.kappa == prob.matrix.norm_inf()
-    assert rep.effective_factor == rep.certificate.alpha == 0.0
+    assert rep.to_dict()["effective_factor"] == rep.certificate.rate == 0.0
 
 
 def test_problem_rejects_non_numeric_parameters():

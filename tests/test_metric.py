@@ -4,6 +4,7 @@ import random
 import sys
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -566,6 +567,22 @@ def test_triangle_check_leaves_no_thread_behind(monkeypatch, detours):
     verdict = _triangle_verdict(_check_triangle, m)
     assert (verdict is None) == (not detours)
     assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("size", [1e308, np.finfo(float).max])
+def test_triangle_check_near_the_largest_double_warns_of_nothing(monkeypatch, size):
+    # d(i, k) + d(k, j), and d (1 + EPS) itself, overflow to inf there, which
+    # only loosens a bound: the verdicts stand, and no thread warns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        space = FiniteMetricSpace.from_matrix(["a", "b", "c"], size * (1.0 - np.eye(3)))
+        assert space.distance("a", "c") == size
+        monkeypatch.setattr(metric, "_triangle_workers", lambda n: 3)
+        for detours, verdict in (([], None), ([(150, 3, 90)], "d(p90,p150) > d(p90,p3)")):
+            m = _ladder_with_detours(200, detours)
+            m *= size / m.max()
+            message = _triangle_verdict(_check_triangle, m)
+            assert (message is None) if verdict is None else (verdict in message)
 
 
 def test_triangle_workers_follow_the_cpus_and_the_matrix_size(monkeypatch):

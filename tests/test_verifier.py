@@ -805,9 +805,11 @@ def test_verdicts_do_not_change_when_every_distance_is_scaled_by_two_to_the_k(
     assert _unscaled(big_hyp, c) == hyp
     assert {**_unscaled(big_kam, c), "M": big_kam["M"]} == kam
     assert len(big_walks) == len(walks)
+    distances = {"final_residual": None, "error_bound": None}
     for big, walk in zip(big_walks, walks):
         assert big["final_residual"] == walk["final_residual"] * c
-        assert {**big, "final_residual": None} == {**walk, "final_residual": None}
+        assert big["error_bound"] == walk["error_bound"] * c
+        assert {**big, **distances} == {**walk, **distances}
 
 
 class _ExactSpace:
