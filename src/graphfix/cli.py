@@ -39,6 +39,7 @@ from .engine import (
 from .errors import (
     DomainError,
     InputError,
+    brief,
     check_integer,
     check_nonnegative,
     check_real,
@@ -168,9 +169,9 @@ def _manifest(command: click.Command, input_ref, params: dict, out: str, fmt: st
     if unknown:
         raise InputError(f"unknown parameter(s) for {command.name}: {', '.join(unknown)}")
     if input_ref is not None and len(options) == len(command.params):
-        raise InputError(f"{command.name} takes no input, got {input_ref!r}")
+        raise InputError(f"{command.name} takes no input, got {brief(input_ref)}")
     if not isinstance(input_ref, (str, type(None))):
-        raise InputError(f"input must be a string, got {input_ref!r}")
+        raise InputError(f"input must be a string, got {brief(input_ref)}")
     missing = [p.name for p in options if p.required and params.get(p.name) is None]
     if missing:
         raise InputError(f"missing required parameter(s): {', '.join(missing)}")
@@ -178,10 +179,10 @@ def _manifest(command: click.Command, input_ref, params: dict, out: str, fmt: st
     for p in options:
         value = resolved[p.name]
         if p.is_flag and type(value) is not bool:
-            raise InputError(f"{p.name} must be true or false, got {value!r}")
+            raise InputError(f"{p.name} must be true or false, got {brief(value)}")
         is_text = isinstance(p.type, click.types.StringParamType)
         if is_text and not isinstance(value, (str, type(None))):
-            raise InputError(f"{p.name} must be a string, got {value!r}")
+            raise InputError(f"{p.name} must be a string, got {brief(value)}")
     return RunManifest(command.name, input_ref, resolved, out, fmt)
 
 
@@ -404,7 +405,7 @@ def run_sweep(manifest: RunManifest) -> tuple[int, dict]:
         sub, params = job.get("subcommand"), job.get("params", {})
         if not isinstance(sub, str) or sub not in _RUNNERS or not isinstance(params, dict):
             error = (
-                f"error: sweep job {idx} needs a known subcommand (got {sub!r}) "
+                f"error: sweep job {idx} needs a known subcommand (got {brief(sub)}) "
                 "and a params object"
             )
             return {"index": idx, "exit_code": EXIT_INPUT, "error": error}

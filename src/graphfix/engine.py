@@ -30,6 +30,7 @@ from typing import Mapping
 from .errors import (
     DomainError,
     InputError,
+    brief,
     check_integer,
     check_real,
 )
@@ -225,7 +226,7 @@ class CoincidenceProblem:
             if pair.misses:
                 w, y = pair.misses[0]
                 raise InputError(
-                    f"range condition fails: {y!r} in F({w!r}) is not an f-image"
+                    f"range condition fails: {brief(y)} in F({brief(w)}) is not an f-image"
                 )
             object.__setattr__(self, "pair", pair)
             object.__setattr__(self, "f", pair.f)

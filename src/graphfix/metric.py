@@ -8,8 +8,10 @@ non-void finite closed sets, the one validation path for a pair (f, F)
 on a finite space, and :func:`within`, the one slack rule of every
 inequality the package checks on floats.
 
-All types are immutable after construction and every operation is a pure
-function, so instances can be shared freely across threads.
+All types are immutable after construction (a space's distance matrix is
+read-only) and every operation is a pure function, so instances can be
+shared freely across threads; ``validate_pair`` only remembers, weakly,
+the pairs it made, so that a pair is checked once.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import bisect
 import os
 import threading
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
@@ -25,7 +28,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DomainError, InputError, check_real
+from .errors import DomainError, InputError, brief, check_real
 
 # The relative slack of :func:`within`; its docstring says why it suffices.
 EPS = 1e-9
@@ -88,8 +91,8 @@ def within(lhs, rhs, scale):
 
 def _norm_ord(norm: str):
     """The ``numpy.linalg.norm`` order of a named norm."""
-    if norm not in _NORM_ORDS:
-        raise InputError(f"unknown norm {norm!r}; expected one of {sorted(_NORM_ORDS)}")
+    if not isinstance(norm, str) or norm not in _NORM_ORDS:
+        raise InputError(f"unknown norm {brief(norm)}; expected one of {sorted(_NORM_ORDS)}")
     return _NORM_ORDS[norm]
 
 
@@ -237,7 +240,8 @@ class FiniteMetricSpace:
     triangle inequality within the relative slack of
     :func:`within` (taken as given for spaces built by
     :meth:`from_coords`); violations raise :class:`InputError` at
-    construction time.  A :meth:`from_coords`
+    construction time.  The space's ``matrix`` is read-only, a copy where
+    the caller passed an array of its own.  A :meth:`from_coords`
     space keeps its read-only ``coords`` (one row per label) and its
     ``norm``; both are None for a space given by its matrix.
     """
@@ -249,9 +253,9 @@ class FiniteMetricSpace:
     norm: str | None = field(default=None, init=False, compare=False)
 
     def __post_init__(self):
-        self._validate(triangle=True)
+        self._validate(from_coords=False)
 
-    def _validate(self, triangle: bool) -> None:
+    def _validate(self, from_coords: bool) -> None:
         labels = tuple(str(s) for s in self.labels)
         object.__setattr__(self, "labels", labels)
         if len(set(labels)) != len(labels):
@@ -260,10 +264,13 @@ class FiniteMetricSpace:
             try:
                 label.encode("utf-8")
             except UnicodeEncodeError:  # a lone surrogate, as a "\ud800" escape gives
-                raise InputError(f"point label {label!r} is not valid Unicode text") from None
+                raise InputError(f"point label {brief(label)} is not valid Unicode text") from None
         if not labels:
             raise InputError("a metric space needs at least one point")
         m = _real_array(self.matrix, "distances")
+        if not from_coords and (m is self.matrix or not m.flags.owndata):
+            m = m.copy()  # the caller's array, which the caller could still change
+        m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
         n = len(labels)
         if m.shape != (n, n):
@@ -286,7 +293,7 @@ class FiniteMetricSpace:
             why = (f"below the smallest normal double {_TINY!r}" if d
                    else "distinct points must be at a positive distance")
             raise InputError(f"d({labels[i]},{labels[j]}) = {d!r}: {why}")
-        if triangle:
+        if not from_coords:
             _check_triangle(labels, m)
         object.__setattr__(self, "_index", {s: i for i, s in enumerate(labels)})
 
@@ -318,7 +325,7 @@ class FiniteMetricSpace:
         object.__setattr__(space, "matrix", matrix)
         object.__setattr__(space, "coords", pts)
         object.__setattr__(space, "norm", norm)
-        space._validate(triangle=False)
+        space._validate(from_coords=True)
         return space
 
     def __len__(self) -> int:
@@ -331,7 +338,7 @@ class FiniteMetricSpace:
         try:
             return self._index[label]
         except KeyError:
-            raise InputError(f"unknown point label {label!r}") from None
+            raise InputError(f"unknown point label {brief(label)}") from None
 
     def distance(self, u: str, v: str) -> float:
         return float(self.matrix[self.index(u), self.index(v)])
@@ -396,6 +403,11 @@ class ValidatedPair:
         return tuple(a.tolist() for a in (self.fi, self.inverse, self.nearest, self.gap))
 
 
+# Every live pair validate_pair made, by the identities of its space and its
+# own f and F.  A pair holds all three, so no key outlives its objects.
+_PAIRS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
 def validate_pair(space: FiniteMetricSpace, f: Mapping, F: Mapping) -> ValidatedPair:
     """Check a pair (f, F) on ``space``: the one validation path for (f, F),
     and the only code that turns its labels into indices.
@@ -405,7 +417,14 @@ def validate_pair(space: FiniteMetricSpace, f: Mapping, F: Mapping) -> Validated
     non-empty set (an iterable of labels, or a ClosedSet, which is reused
     as it is).  The range condition is left to the caller, to enforce or
     to report from ``misses``.
+
+    Called with the read-only ``f`` and ``F`` of a pair it made on the
+    same space, as a problem's parts are, it returns that pair, which
+    nothing can have changed; any other maps are validated anew.
     """
+    pair = _PAIRS.get((id(space), id(f), id(F)))
+    if pair is not None and pair.space is space and pair.f is f and pair.F is F:
+        return pair
     labels = space.labels
     index = space.index
     fmap: dict[str, str] = {}
@@ -414,9 +433,9 @@ def validate_pair(space: FiniteMetricSpace, f: Mapping, F: Mapping) -> Validated
     rows = []
     for w in labels:
         if w not in f:
-            raise InputError(f"f is not defined at {w!r}")
+            raise InputError(f"f is not defined at {brief(w)}")
         if w not in F:
-            raise InputError(f"F is not defined at {w!r}")
+            raise InputError(f"F is not defined at {brief(w)}")
         fi.append(index(f[w]))
         fmap[w] = f[w]
         Z = F[w]
@@ -436,10 +455,12 @@ def validate_pair(space: FiniteMetricSpace, f: Mapping, F: Mapping) -> Validated
     misses = tuple(
         (w, labels[j]) for w, r in zip(labels, rows) for j in r if not has_preimage[j]
     )
-    return ValidatedPair(
+    pair = ValidatedPair(
         space, MappingProxyType(fmap), MappingProxyType(images), misses,
         fi, members, inverse, nearest, to_members.min(axis=1),
     )
+    _PAIRS[id(space), id(pair.f), id(pair.F)] = pair
+    return pair
 
 
 _PAIRS_ERROR = "edges must be [u, v] pairs of point labels"

@@ -22,7 +22,7 @@ from dataclasses import asdict, fields
 from typing import Mapping
 
 from .engine import CoincidenceProblem, IterationConfig
-from .errors import InputError, check_integer
+from .errors import InputError, brief, check_integer
 from .metric import ClosedSet, EdgeStructure, FiniteMetricSpace, Gauge
 from .serialize import load_json
 
@@ -200,7 +200,7 @@ def edges_from_dict(data: Mapping, space: FiniteMetricSpace) -> EdgeStructure:
         if not isinstance(pairs, list):
             raise InputError("list edges need a 'pairs' array")
         return EdgeStructure.from_pairs(space, pairs)
-    raise InputError(f"unknown edge mode {mode!r}")
+    raise InputError(f"unknown edge mode {brief(mode)}")
 
 
 def gauge_from_dict(data: Mapping) -> Gauge:
@@ -220,7 +220,7 @@ def gauge_from_dict(data: Mapping) -> Gauge:
         if not isinstance(breakpoints, list) or not isinstance(values, list):
             raise InputError("piecewise gauge breakpoints and values must be arrays")
         return Gauge.piecewise(breakpoints, values, sup)
-    raise InputError(f"unknown gauge form {form!r}")
+    raise InputError(f"unknown gauge form {brief(form)}")
 
 
 def problem_from_dict(data: Mapping) -> CoincidenceProblem:
@@ -234,16 +234,16 @@ def problem_from_dict(data: Mapping) -> CoincidenceProblem:
         raise InputError("problem file 'f' and 'F' must be objects keyed by label")
     for w, image in data["F"].items():
         if not isinstance(image, list):
-            raise InputError(f"F({w!r}) must be a list of labels, not {image!r}")
+            raise InputError(f"F({brief(w)}) must be a list of labels, not {brief(image)}")
     fmap = {str(k): str(v) for k, v in data["f"].items()}
     images = {str(k): ClosedSet.finite(v) for k, v in data["F"].items()}
     for name, table in (("f", fmap), ("F", images)):
         ghost = next((w for w in table if w not in space), None)
         if ghost is not None:
-            raise InputError(f"{name} is defined at {ghost!r}, which is no point label")
+            raise InputError(f"{name} is defined at {brief(ghost)}, which is no point label")
     truncated = data.get("truncated", [])
     if not isinstance(truncated, list):
-        raise InputError(f"'truncated' must be a list of labels, not {truncated!r}")
+        raise InputError(f"'truncated' must be a list of labels, not {brief(truncated)}")
     cfg = data.get("config", {})
     if not isinstance(cfg, Mapping):
         raise InputError("problem file 'config' must be an object")

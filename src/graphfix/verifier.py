@@ -15,12 +15,16 @@ matrix, the edge adjacency matrix and the arrays of the validated pair
 (``metric.ValidatedPair``): f as the vector ``fi`` of image indices, F
 as the n x k array ``members`` of member indices (shorter rows padded
 with repeats of their first member, which min and max ignore), and
-D(f(w), F(w)) as its ``gap`` table.  The hypothesis check builds one
-n x n boolean table, of the pairs with f(w) in F(v), and evaluates its
-conditions on those pairs only, at most n k of them; the Kamran check is
-a few n x n array expressions.  Every comparison goes through
-``metric.within`` with the right-hand side as its scale, so a verdict
-does not change when every distance is multiplied by a power of two.
+D(f(w), F(w)) as its ``gap`` table.  The hypothesis check finds the
+pairs with f(w) in F(v), at most n k of them, by expanding each member of
+each F(v) into its preimages under f (``_checked_pairs``), and evaluates
+its conditions on those pairs only, so it builds nothing n x n; the
+Kamran check, whose H runs over every pair, is a few n x n array
+expressions.  Called with a problem's own ``f`` and ``F``, both reuse the
+problem's validated pair (see ``metric.validate_pair``).  Every
+comparison goes through ``metric.within`` with the right-hand side as its
+scale, so a verdict does not change when every distance is multiplied by
+a power of two.
 
 A report stays small however many pairs fail.  For each of (i), (ii)
 and Kamran's inequality it holds the number of failures, the margin
@@ -90,6 +94,31 @@ def _first_and_worst(fail, excess) -> tuple[list[int], float | None]:
     first = int(np.argmax(fail))
     worst = int(np.argmax(np.where(fail, excess, -np.inf)))
     return ([first] if worst == first else [first, worst]), margin
+
+
+def _checked_pairs(pair) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs (v, w) with f(w) in F(v), as index arrays in row-major
+    order (v, then w), from the member table of a validated pair.
+
+    Each member y of F(v) (the padding repeats of a row's first member
+    dropped) expands into the preimages of y, found by grouping the
+    labels by their f-image; so the work is O(n k + P log P) for P pairs.
+    """
+    fi, members = pair.fi, pair.members
+    n = len(fi)
+    slot = members != members[:, :1]
+    slot[:, 0] = True
+    owner, col = np.nonzero(slot)
+    ys = members[owner, col]
+    by_image = np.argsort(fi, kind="stable")
+    images = fi[by_image]
+    lo = np.searchsorted(images, ys, side="left")
+    count = np.searchsorted(images, ys, side="right") - lo
+    # the t-th pair of member slot s has w = by_image[lo[s] + t]
+    run_start = np.cumsum(count) - count
+    at = np.arange(count.sum()) + np.repeat(lo - run_start, count)
+    keys = np.sort(np.repeat(owner, count) * n + by_image[at])
+    return np.divmod(keys, n)
 
 
 @dataclass
@@ -174,11 +203,9 @@ def verify_coincidence_hypotheses(
     for u, y in pair.misses:
         report.witnesses.append({"condition": "range", "u": u, "member": y})
 
-    # The pairs (v, w) with f(w) in F(v), in row-major order, with the edge
-    # (f(v), f(w)) and d(f(v), f(w)) of each: every check reads only these.
-    in_image = np.zeros((n, n), dtype=bool)
-    in_image[np.arange(n)[:, None], members] = True
-    vs, ws = np.nonzero(in_image[:, fi])
+    # The pairs (v, w) with f(w) in F(v), with the edge (f(v), f(w)) and
+    # d(f(v), f(w)) of each: every check reads only these.
+    vs, ws = _checked_pairs(pair)
     edge = edges.adjacency[fi[vs], fi[ws]]
     d = dist[fi[vs], fi[ws]]
     cut = frozenset(truncated)

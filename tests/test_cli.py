@@ -443,6 +443,70 @@ def test_fbvp_malformed_forcing_file_is_input_error(runner, tmp_path):
         assert res.stderr.startswith("error:")
 
 
+_DEEP = "@nested@"
+
+
+def _deep_json(data):
+    """``data`` as JSON text, with every string _DEEP written as a number
+    in 500 nested lists, which the parser reads under the test runner's
+    stack (json.dumps would recurse too deeply)."""
+    return json.dumps(data).replace(f'"{_DEEP}"', "[" * 500 + "0" + "]" * 500)
+
+
+def test_error_lines_that_echo_input_stay_short(runner, tmp_path):
+    # a value 500 lists deep or 10^5 characters long is shown abbreviated; the line keeps its prefix and exit code
+    forcing = tmp_path / "forcing.json"
+    forcing.write_text(_deep_json({"expr": "b", "gauge_sup": _DEEP}))
+    res = runner.invoke(
+        main, ["--out", str(tmp_path), "fbvp", "--beta", "1.5", "--forcing", str(forcing)]
+    )
+    assert res.exit_code == 2
+    assert res.stderr == (
+        f"error: malformed forcing file {forcing}: gauge_sup must be a number, got [[...]]\n"
+    )
+    problem = tmp_path / "problem.json"
+    for key, value, start in (
+        ("F", {"1": {"x" * 100_000: _DEEP}}, "error: F('1') must be a list of labels"),
+        ("F", {"y" * 100_000: "z" * 100_000}, "error: F('yyyyy"),
+        ("truncated", {"a": _DEEP, "b": "b" * 100_000, "c": 1},
+         "error: 'truncated' must be a list of labels"),
+        ("norm", _DEEP, "error: unknown norm [[...]]"),
+        ("norm", "n" * 100_000, "error: unknown norm 'nnnn"),
+        ("edges", {"mode": _DEEP}, "error: unknown edge mode [[...]]"),
+        ("w0", "w" * 100_000, "error: unknown point label 'wwww"),
+    ):
+        data = problem_to_dict(ternary_orbit_problem(6))
+        data[key] = {**data[key], **value} if key == "F" else value
+        problem.write_text(_deep_json(data))
+        res = runner.invoke(main, ["--out", str(tmp_path), "verify", str(problem)])
+        assert res.exit_code == 2, (key, res.output)
+        assert res.stderr.startswith(start), res.stderr[:300]
+        assert res.stderr.count("\n") == 1 and len(res.stderr) <= 200, res.stderr[:300]
+
+
+def test_sweep_job_error_that_echoes_input_stays_short(runner, tmp_path):
+    forcing = tmp_path / "forcing.json"
+    forcing.write_text(_deep_json({"expr": "b", "gauge_sup": _DEEP}))
+    spec = [
+        {"subcommand": "fbvp", "params": {"beta": 1.5, "forcing": str(forcing)}},
+        {"subcommand": "fbvp", "params": {"beta": _DEEP}},
+        {"subcommand": _DEEP},
+        {"subcommand": "verify", "input": _DEEP},
+        {"subcommand": "fbvp", "params": {"beta": 2.0}},
+    ]
+    spec_path = tmp_path / "sweep.json"
+    spec_path.write_text(_deep_json(spec))
+    res = runner.invoke(main, ["--out", str(tmp_path), "sweep", str(spec_path)])
+    assert res.exit_code == 2
+    runs = _read_json(tmp_path / "sweep.json")["runs"]
+    assert [r["exit_code"] for r in runs] == [2, 2, 2, 2, 0]
+    assert runs[0]["error"].endswith("gauge_sup must be a number, got [[...]]")
+    assert runs[1]["error"] == "error: beta must be a number, got [[...]]"
+    assert runs[2]["error"].startswith("error: sweep job 2 needs a known subcommand (got [[...]])")
+    assert runs[3]["error"] == "error: input must be a string, got [[...]]"
+    assert all(len(r["error"]) <= 200 for r in runs[:4])
+
+
 def test_fbvp_report_says_why_it_stopped(runner, tmp_path):
     # exp has slope e^w > 0.5 near the start, so condition (i) fails at once
     forcing = tmp_path / "forcing.json"

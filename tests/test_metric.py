@@ -771,6 +771,116 @@ def test_validated_pair_index_form_is_read_only():
         validate_pair(space, {**f, "a": "z"}, F)
 
 
+def test_validate_pair_returns_the_pair_it_made_for_its_own_maps():
+    space = FiniteMetricSpace.from_coords(["a", "b", "c"], [0.0, 1.0, 3.0])
+    f = {"a": "b", "b": "c", "c": "c"}
+    F = {"a": ["c"], "b": ["c", "b"], "c": ["c"]}
+    pair = validate_pair(space, f, F)
+    assert validate_pair(space, pair.f, pair.F) is pair
+    # the caller's maps, copies of the pair's own, or another space with the
+    # same labels and distances are validated anew
+    twin = FiniteMetricSpace.from_matrix(space.labels, space.matrix)
+    for args in ((space, f, F), (space, dict(pair.f), pair.F),
+                 (space, pair.f, dict(pair.F)), (twin, pair.f, pair.F)):
+        other = validate_pair(*args)
+        assert other is not pair
+        assert other.fi.tolist() == pair.fi.tolist()
+        assert other.members.tolist() == pair.members.tolist()
+    assert validate_pair(twin, pair.f, pair.F).space is twin
+    # a problem hands its own maps on, so its verifiers reuse its pair
+    problem = ternary_orbit_problem(6)
+    assert validate_pair(problem.space, problem.f, problem.F) is problem.pair
+
+
+def test_validate_pair_forgets_a_pair_that_nothing_holds():
+    import gc
+
+    space = FiniteMetricSpace.from_coords(["a", "b"], [0.0, 1.0])
+    pair = validate_pair(space, {"a": "a", "b": "b"}, {"a": ["a"], "b": ["a"]})
+    key = (id(space), id(pair.f), id(pair.F))
+    assert metric._PAIRS[key] is pair
+    alive = len(metric._PAIRS)
+    del pair
+    gc.collect()
+    assert key not in metric._PAIRS
+    assert len(metric._PAIRS) == alive - 1
+
+
+def test_validate_pair_under_racing_threads():
+    # 6 threads on 2 cores, switching often: hits on a problem's pair race
+    # with misses that store and drop pairs of fresh maps; a hit must return
+    # that very pair, and a miss a pair equal to a lone check's
+    p = ternary_orbit_problem(40)
+    f, F = dict(p.f), {w: list(Z.members) for w, Z in p.F.items()}
+    want = validate_pair(p.space, f, F)
+    hits, misses = [], []
+
+    def work():
+        for _ in range(30):
+            hits.append(validate_pair(p.space, p.f, p.F))
+            fresh = validate_pair(p.space, dict(f), F)
+            misses.append(fresh)
+            hits.append(validate_pair(p.space, fresh.f, fresh.F) is fresh)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(hits) == 360 and len(misses) == 180
+    assert all(x is p.pair or x is True for x in hits)
+    assert len({id(x) for x in misses}) == 180
+    for x in misses:
+        assert x.f == want.f and x.F == want.F and x.misses == want.misses
+        for name in ("fi", "members", "inverse", "nearest", "gap"):
+            assert getattr(x, name).tobytes() == getattr(want, name).tobytes()
+
+
+def test_space_matrix_is_read_only_and_a_copy_of_the_callers_array():
+    m = np.array([[0, 1, 2], [1, 0, 1], [2, 1, 0]], float)
+    s = FiniteMetricSpace.from_matrix("abc", m)
+    assert s.matrix is not m
+    m[0, 2] = m[2, 0] = 50.0  # would break the triangle inequality of s
+    assert s.matrix.tolist() == [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
+    with pytest.raises(ValueError):
+        s.matrix[0, 1] = 7.0
+    # views of the caller's memory are copied as well
+    base = np.array([[0, 1, 2], [1, 0, 1], [2, 1, 0]], float)
+    for given in (base, base[:, :], base.T):
+        space = FiniteMetricSpace.from_matrix("abc", given)
+        assert not np.shares_memory(space.matrix, base)
+        assert not space.matrix.flags.writeable
+    base[0, 1] = base[1, 0] = 1.5
+    assert space.distance("a", "b") == 1.0
+
+
+def test_space_matrix_of_a_list_or_of_coordinates_is_not_copied(monkeypatch):
+    made = []
+
+    def recording(function):
+        def wrapped(*args):
+            made.append(function(*args))
+            return made[-1]
+        return wrapped
+
+    monkeypatch.setattr(metric, "_real_array", recording(metric._real_array))
+    listed = FiniteMetricSpace.from_matrix("abc", [[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+    assert listed.matrix is made[-1]
+    monkeypatch.setattr(metric, "_norms", recording(metric._norms))
+    coords = FiniteMetricSpace.from_coords("abc", [0.0, 1.0, 3.0])
+    assert coords.matrix is made[-1]
+    for space in (listed, coords):
+        assert not space.matrix.flags.writeable
+        with pytest.raises(ValueError):
+            space.matrix[0, 1] = 7.0
+
+
 def test_closed_set_dedups_and_rejects_empty():
     fin = ClosedSet.finite(["a", "b", "a"])
     assert fin.members == ("a", "b")  # duplicates collapse

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +12,7 @@ from graphfix.engine import CoincidenceProblem, IterationConfig, run_coincidence
 from graphfix.errors import DomainError, InputError
 from graphfix.metric import (
     EPS,
+    ClosedSet,
     EdgeStructure,
     FiniteMetricSpace,
     Gauge,
@@ -21,6 +23,7 @@ from graphfix.problems import identity_problem, ternary_orbit_problem
 from graphfix.serialize import json_dumps
 from graphfix.verifier import (
     HypothesisReport,
+    _checked_pairs,
     KamranReport,
     best_approximant_set,
     enumerate_coincidence_points,
@@ -333,6 +336,46 @@ def test_verifiers_match_oracles_on_unstructured_problems():
         rep = verify_coincidence_hypotheses(space, f, F, edges, gauge, truncated)
         kinds.update(w["condition"] for w in rep.witnesses)
     assert kinds == {"range", "i", "ii"}
+
+
+@st.composite
+def pair_instances(draw):
+    """(space, f, F, edges, gauge, truncated) on up to 10 points: f drawn
+    with repeats (so not injective and missing part of the range), F(w)
+    rows of 1 to n members (ragged, with range misses), list or ball
+    edges, and some truncated owners."""
+    n = draw(st.integers(1, 10))
+    labels = [f"p{i}" for i in range(n)]
+    spots = draw(st.lists(st.integers(0, 40), min_size=n, max_size=n, unique=True))
+    space = FiniteMetricSpace.from_coords(labels, [x / 10.0 for x in spots])
+    index = st.integers(0, n - 1)
+    f = {s: labels[draw(index)] for s in labels}
+    F = {s: [labels[i] for i in draw(st.lists(index, min_size=1, max_size=n, unique=True))]
+         for s in labels}
+    if draw(st.booleans()):
+        pairs = draw(st.lists(st.tuples(index, index), max_size=n * n))
+        edges = EdgeStructure.from_pairs(space, [(labels[u], labels[v]) for u, v in pairs])
+    else:
+        edges = EdgeStructure.ball(space, draw(st.floats(0.0, 4.5)))
+    gauge = Gauge.constant(draw(st.floats(0.0, 0.99)))
+    truncated = frozenset(draw(st.lists(st.sampled_from(labels), max_size=2)))
+    return space, f, F, edges, gauge, truncated
+
+
+@settings(max_examples=150, deadline=None)
+@given(pair_instances())
+def test_checked_pairs_are_the_row_major_pairs_of_the_image_table(instance):
+    space, f, F, edges, gauge, truncated = instance
+    pair = validate_pair(space, f, F)
+    n = len(space)
+    # the n x n reference: in_image[v, y] says y is in F(v)
+    in_image = np.zeros((n, n), dtype=bool)
+    in_image[np.arange(n)[:, None], pair.members] = True
+    want_vs, want_ws = np.nonzero(in_image[:, pair.fi])
+    vs, ws = _checked_pairs(pair)
+    assert vs.tolist() == want_vs.tolist()
+    assert ws.tolist() == want_ws.tolist()
+    _assert_matches_oracles(space, f, F, edges, gauge, truncated, Ms=(0.0,))
 
 
 # --- verify_kamran_inequality -------------------------------------------------
@@ -918,3 +961,87 @@ def test_float_verdicts_match_exact_fraction_oracle_beyond_the_slack():
     assert decided >= 100 and undecided >= 5
     assert {v[0] for v in verdicts} == {v[1] for v in verdicts} == {True, False}
     assert {v[2] for v in verdicts} == {True, False}
+
+
+# --- cost: nothing n x n in the hypothesis check --------------------------------
+
+def _line_problem(n):
+    """f = id and F(w) = {w, w + 1} on the points 0, 1, ..., n - 1."""
+    labels = [str(i) for i in range(n)]
+    space = FiniteMetricSpace.from_coords(labels, np.arange(n, dtype=float))
+    F = {s: ClosedSet.finite([s, labels[min(i + 1, n - 1)]]) for i, s in enumerate(labels)}
+    return CoincidenceProblem(space, {s: s for s in labels}, F, EdgeStructure.ball(space, 1.5),
+                              Gauge.constant(0.5), "0", "0")
+
+
+def test_hypothesis_check_builds_no_n_by_n_table():
+    # the 2n pairs are found from F's members: an n x n boolean table alone
+    # would take n^2 bytes, 4 times the bound
+    n = 2000
+    p = _line_problem(n)
+    tracemalloc.start()
+    try:
+        rep = verify_coincidence_hypotheses(p.space, p.f, p.F, p.edges, p.gauge)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.all_ok
+    assert peak < n * n / 4, peak
+
+
+# --- Jachymski's Banach G-contractions ------------------------------------------
+# A map T of a space with a graph G is a Banach G-contraction if it keeps
+# every edge an edge and shrinks it by a factor alpha < 1 (Jachymski, Proc.
+# Amer. Math. Soc. 136 (2008), 1359-1373).  With f = id and F(w) = {T w} the
+# checked pairs are (v, T v), and the hypotheses hold on G with gauge alpha.
+
+def _invariant_graph(T, space, alpha):
+    """The largest edge set on which T is a Banach G-contraction with rate
+    alpha: the pairs whose every T-image pair shrinks by alpha."""
+    n = len(T)
+    d = space.matrix
+    T = np.array(T)
+    edge = d[T[:, None], T[None, :]] <= alpha * d
+    while True:
+        kept = edge & edge[T[:, None], T[None, :]]
+        if (kept == edge).all():
+            return edge
+        edge = kept
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 10), st.integers(0, 2**32 - 1))
+def test_banach_g_contraction_passes_and_a_near_miss_fails(n, seed):
+    # T moves each rung r^i of a geometric ladder to the next and the end 0
+    # to itself, which shrinks every pair by r/(1 - r) at most; some random
+    # images keep pairs out of G
+    rng = random.Random(seed)
+    r = rng.uniform(0.05, 0.45)
+    alpha = r / (1 - r) * rng.uniform(1.001, 1.2)
+    labels = [f"x{i}" for i in range(n)]
+    space = FiniteMetricSpace.from_coords(labels, [r**i for i in range(n - 1)] + [0.0])
+    T = [min(i + 1, n - 1) if rng.random() < 0.8 else rng.randrange(n) for i in range(n)]
+    T[-1] = n - 1  # a fixed point, so (0, T 0) is an edge and a start exists
+    adjacency = _invariant_graph(T, space, alpha)
+    edges = EdgeStructure(space, adjacency=adjacency)
+    f = {s: s for s in labels}
+    F = {s: [labels[T[i]]] for i, s in enumerate(labels)}
+    rep = verify_coincidence_hypotheses(space, f, F, edges, Gauge.constant(alpha))
+    assert rep.all_ok, rep.witnesses
+    # the checked steps v -> T v -> T^2 v that move
+    moving = [v for v in range(n)
+              if adjacency[v, T[v]] and T[v] != v and T[T[v]] != T[v]]
+    if not moving:
+        return
+    # (i) fails for a gauge just below the largest checked ratio
+    ratio = max(space.matrix[T[v], T[T[v]]] / space.matrix[v, T[v]] for v in moving)
+    below = verify_coincidence_hypotheses(space, f, F, edges, Gauge.constant(ratio * (1 - 1e-6)))
+    assert not below.condition_i_ok and below.condition_ii_ok
+    # (ii) fails once G loses the image (T v, T^2 v) of a checked edge
+    v = rng.choice(moving)
+    cut = adjacency.copy()
+    cut[T[v], T[T[v]]] = False
+    broken = verify_coincidence_hypotheses(
+        space, f, F, EdgeStructure(space, adjacency=cut), Gauge.constant(alpha))
+    assert not broken.condition_ii_ok
+    assert any(w["condition"] == "ii" and w["w"] == labels[T[v]] for w in broken.witnesses)
