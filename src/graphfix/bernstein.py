@@ -337,10 +337,10 @@ def iterate_to_limit(
         values = line.copy()
         values[1:-1] += e
         if stopped == "budget":
-            stopped = MaxIterExceeded(values)
+            stopped = MaxIterExceeded()
         # the total displacement u_0 - u vanishes at both endpoints
         elif within(np.abs(u0[[0, -1]] - values[[0, -1]]), 0.0, size).all():
-            stopped = Converged(values, values)
+            stopped = Converged()
         else:
             stopped = HypothesisViolated("edge", k)
     return IterateResult(

@@ -24,6 +24,7 @@ import gc
 import importlib
 import math
 import os
+import reprlib
 import sys
 from dataclasses import dataclass, field
 
@@ -312,6 +313,10 @@ _EVAL_NAMES = {
         "sinh", "cosh", "tanh", "pi", "e",
     )
 }
+# an error line echoes a forcing expression whole up to 80 characters, more than
+# ``brief`` keeps, as a formula cut short says little, and cuts it in the middle beyond
+_EXPR = reprlib.Repr()
+_EXPR.maxstring = 80
 
 
 def _forcing_from_file(path):
@@ -337,7 +342,7 @@ def _forcing_from_file(path):
             return value
         except (ArithmeticError, TypeError, ValueError) as exc:
             raise InputError(
-                f"forcing expression {data['expr']!r} fails at "
+                f"forcing expression {_EXPR.repr(data['expr'])} fails at "
                 f"b={float(b)}, w={float(w)}: {exc}"
             ) from None
 

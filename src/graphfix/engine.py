@@ -18,7 +18,7 @@ step and c_p per block of p q-Bernstein steps.  All three stop by
 
 The result types here are shared by all three solvers: the q-Bernstein
 iterates and the FBVP Picard solver run their own loops and return
-subclasses of ``IterationOutcome``.
+subclasses of ``IterationOutcome``, whose status holds nothing the result holds.
 """
 
 from __future__ import annotations
@@ -112,8 +112,8 @@ class IterationTrace:
 
 @dataclass
 class Converged:
-    w_star: object
-    f_w_star: object
+    w_star: str | None = None
+    f_w_star: str | None = None
     exact: bool | None = None  # f(w*) in F(w*); None for operator iterates
 
 
@@ -125,7 +125,7 @@ class HypothesisViolated:
 
 @dataclass
 class MaxIterExceeded:
-    last_point: object | None = None
+    """The budget ran out; the trace's last row holds the last point."""
 
 
 @dataclass
@@ -202,8 +202,8 @@ class CoincidenceProblem:
     those points.
 
     ``pair`` is the validated (f, F), whose read-only f and F replace
-    the given ones.  It is reused while ``space``, ``f`` and ``F`` are its
-    own, so ``dataclasses.replace`` to a new start checks only the start.
+    the given ones.  ``metric.validate_pair`` returns it again for its own
+    f and F, so ``dataclasses.replace`` to a new start checks only the start.
     """
 
     space: FiniteMetricSpace
@@ -215,22 +215,18 @@ class CoincidenceProblem:
     p0: str
     config: IterationConfig = IterationConfig()
     truncated: frozenset = frozenset()
-    pair: ValidatedPair | None = field(default=None, repr=False, compare=False)
+    pair: ValidatedPair = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        pair = self.pair
-        if pair is None or not (
-            pair.space is self.space and pair.f is self.f and pair.F is self.F
-        ):
-            pair = validate_pair(self.space, self.f, self.F)
-            if pair.misses:
-                w, y = pair.misses[0]
-                raise InputError(
-                    f"range condition fails: {brief(y)} in F({brief(w)}) is not an f-image"
-                )
-            object.__setattr__(self, "pair", pair)
-            object.__setattr__(self, "f", pair.f)
-            object.__setattr__(self, "F", pair.F)
+        pair = validate_pair(self.space, self.f, self.F)
+        if pair.misses:
+            w, y = pair.misses[0]
+            raise InputError(
+                f"range condition fails: {brief(y)} in F({brief(w)}) is not an f-image"
+            )
+        object.__setattr__(self, "pair", pair)
+        object.__setattr__(self, "f", pair.f)
+        object.__setattr__(self, "F", pair.F)
         object.__setattr__(self, "truncated", frozenset(self.truncated))
         for label in (self.w0, self.p0, *sorted(self.truncated)):
             self.space.index(label)
@@ -305,7 +301,7 @@ def run_coincidence_iteration(problem: CoincidenceProblem) -> IterationOutcome:
             common = labels[fw] if fi[fw] == fw and gap[fw] == 0.0 else None
             return outcome(Converged(labels[w], labels[fw], gap[w] == 0.0), common)
         if n > cfg.max_iter:
-            return outcome(MaxIterExceeded(labels[w]))
+            return outcome(MaxIterExceeded())
         if residual > 0 and (d_n == 0 or gauge(d_n) == 0.0):
             return outcome(HypothesisViolated("i", n))
         prev_fw, w = fw, inverse[nearest[w]]

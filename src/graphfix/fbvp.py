@@ -447,7 +447,7 @@ def picard_solve(problem: FbvpProblem) -> PicardReport:
         bound = cert.error_bound(d_prev)
         rows.append(TraceRow(n, None, None, d_prev, resid, bound, True))
         if cfg.reached(bound, resid, floor):
-            status = Converged(u, u)
+            status = Converged()
             break
         reach += resid
         limit = kappa * gauge(d_prev) * d_prev
@@ -456,7 +456,7 @@ def picard_solve(problem: FbvpProblem) -> PicardReport:
             u, resid = np.zeros(problem.grid_m + 1), d1
             break
         if n >= cfg.max_iter:
-            status = MaxIterExceeded(u)
+            status = MaxIterExceeded()
             break
         d_prev = resid
         u = u_after

@@ -11,7 +11,7 @@ inequality the package checks on floats.
 All types are immutable after construction (a space's distance matrix is
 read-only) and every operation is a pure function, so instances can be
 shared freely across threads; ``validate_pair`` only remembers, weakly,
-the pairs it made, so that a pair is checked once.
+the pairs it made, so that a pair is checked once, by it alone.
 """
 
 from __future__ import annotations
@@ -55,8 +55,8 @@ def _real_array(value, name: str) -> np.ndarray:
         raise InputError(f"{name} must be a rectangular array of numbers") from None
     # numpy reads bools among numbers as 1 and 0, integers beyond 64 bits as
     # objects; so the entries' types are read, from nested lists at C speed
-    if isinstance(value, np.ndarray):
-        entries = value.flat if value.dtype.kind == "O" else ()
+    if isinstance(value, (np.ndarray, memoryview)):
+        entries = arr.flat if arr.dtype.kind == "O" else ()
     else:
         entries = [value]
         for _ in range(arr.ndim):
@@ -349,11 +349,14 @@ class ClosedSet:
     """A non-void closed subset of a finite metric space, as its labels.
 
     Members are converted to strings and deduplicated in first-seen order.
+    A bare string (or bytes) is refused, not split into its characters.
     """
 
     members: tuple[str, ...]
 
     def __post_init__(self):
+        if isinstance(self.members, (str, bytes)):
+            raise InputError(f"a closed set takes labels, not the string {brief(self.members)}")
         members = tuple(dict.fromkeys(str(s) for s in self.members))
         if not members:
             raise DomainError("a closed set must be non-empty")
@@ -361,7 +364,7 @@ class ClosedSet:
 
     @classmethod
     def finite(cls, members: Iterable[str]) -> "ClosedSet":
-        return cls(tuple(members))
+        return cls(members)
 
     def __contains__(self, label: str) -> bool:
         return label in self.members
@@ -412,11 +415,11 @@ def validate_pair(space: FiniteMetricSpace, f: Mapping, F: Mapping) -> Validated
     """Check a pair (f, F) on ``space``: the one validation path for (f, F),
     and the only code that turns its labels into indices.
 
-    f and F must be defined at every label, every f(w) and every member
-    of F(w) must be a label of the space, and every F(w) must be a
-    non-empty set (an iterable of labels, or a ClosedSet, which is reused
-    as it is).  The range condition is left to the caller, to enforce or
-    to report from ``misses``.
+    f and F must be defined at every label and at nothing else, every f(w)
+    and every member of F(w) must be a label of the space, and every F(w)
+    must be a non-empty set (a collection of labels, or a ClosedSet, which
+    is reused as it is).  The range condition is left to the caller, to
+    enforce or to report from ``misses``.
 
     Called with the read-only ``f`` and ``F`` of a pair it made on the
     same space, as a problem's parts are, it returns that pair, which
@@ -425,6 +428,10 @@ def validate_pair(space: FiniteMetricSpace, f: Mapping, F: Mapping) -> Validated
     pair = _PAIRS.get((id(space), id(f), id(F)))
     if pair is not None and pair.space is space and pair.f is f and pair.F is F:
         return pair
+    for name, table in (("f", f), ("F", F)):
+        ghost = next((w for w in table if w not in space._index), None)
+        if ghost is not None:
+            raise InputError(f"{name} is defined at {brief(ghost)}, which is no point label")
     labels = space.labels
     index = space.index
     fmap: dict[str, str] = {}

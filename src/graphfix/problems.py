@@ -237,10 +237,6 @@ def problem_from_dict(data: Mapping) -> CoincidenceProblem:
             raise InputError(f"F({brief(w)}) must be a list of labels, not {brief(image)}")
     fmap = {str(k): str(v) for k, v in data["f"].items()}
     images = {str(k): ClosedSet.finite(v) for k, v in data["F"].items()}
-    for name, table in (("f", fmap), ("F", images)):
-        ghost = next((w for w in table if w not in space), None)
-        if ghost is not None:
-            raise InputError(f"{name} is defined at {brief(ghost)}, which is no point label")
     truncated = data.get("truncated", [])
     if not isinstance(truncated, list):
         raise InputError(f"'truncated' must be a list of labels, not {brief(truncated)}")

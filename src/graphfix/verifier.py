@@ -32,15 +32,16 @@ and Kamran's inequality it holds the number of failures, the margin
 see ``_excess``), and at most two witnesses, each with its ``excess``:
 the first failing pair in the order of the label loops that define the
 checks (v, then w, then p) and, if it is another pair, the worst one
-(the largest excess, the first of equals).  The loop forms are kept in
-the test suite as oracles, which list every failure.
+(the largest excess, the first of equals).  Its verdicts are read from
+those counts, not stored beside them.  The loop forms are kept in the
+test suite as oracles, which count every failure and list its witness.
 ``verify_invariant_approx_hypotheses`` runs ``verify_coincidence_hypotheses``
 on the best-approximant set, so it has no pair loop of its own.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -134,10 +135,7 @@ class HypothesisReport:
     from an excess of about -EPS on.
     """
 
-    condition_i_ok: bool = True
-    condition_ii_ok: bool = True
     range_ok: bool = True
-    start_exists: bool = False
     witnesses: list = field(default_factory=list)
     admissible_start: tuple | None = None
     failing: dict = field(default_factory=lambda: {"i": 0, "ii": 0})
@@ -146,18 +144,17 @@ class HypothesisReport:
     @property
     def all_ok(self) -> bool:
         return (
-            self.condition_i_ok
-            and self.condition_ii_ok
+            not any(self.failing.values())
             and self.range_ok
-            and self.start_exists
+            and self.admissible_start is not None
         )
 
     def to_dict(self) -> dict:
         return {
-            "condition_i_ok": self.condition_i_ok,
-            "condition_ii_ok": self.condition_ii_ok,
+            "condition_i_ok": self.failing["i"] == 0,
+            "condition_ii_ok": self.failing["ii"] == 0,
             "range_ok": self.range_ok,
-            "start_exists": self.start_exists,
+            "start_exists": self.admissible_start is not None,
             "all_ok": self.all_ok,
             "admissible_start": list(self.admissible_start)
             if self.admissible_start
@@ -223,8 +220,6 @@ def verify_coincidence_hypotheses(
     nearest = np.full(n, np.inf)
     np.minimum.at(nearest, vs[broken], d[broken])
     fail_ii = active & within(nearest[ws], d, d)
-    report.condition_i_ok = not fail_i.any()
-    report.condition_ii_ok = not fail_ii.any()
     excess_i = _excess(D, bound, active)
     picked_i, report.margin["i"] = _first_and_worst(fail_i, excess_i)
     excess_ii = _excess(d, nearest[ws], active & (nearest[ws] < np.inf))
@@ -283,7 +278,6 @@ def verify_coincidence_hypotheses(
     starts = edges.adjacency[fi[:, None], members]
     if starts.any():
         w0, j = divmod(int(np.argmax(starts)), members.shape[1])
-        report.start_exists = True
         report.admissible_start = (labels[w0], labels[members[w0, j]])
     else:
         report.witnesses.append(
@@ -298,20 +292,17 @@ class KamranReport:
     the number of failing pairs, the margin (see ``_excess``) and at most
     two witnesses, the first failing pair and the worst."""
 
-    holds: bool
     M: float
     failing: int = 0
     margin: float | None = None
     witnesses: list = field(default_factory=list)
 
+    @property
+    def holds(self) -> bool:
+        return self.failing == 0
+
     def to_dict(self) -> dict:
-        return {
-            "holds": self.holds,
-            "M": self.M,
-            "failing": self.failing,
-            "margin": self.margin,
-            "witnesses": self.witnesses,
-        }
+        return {"holds": self.holds, **asdict(self)}
 
 
 def verify_kamran_inequality(
@@ -343,8 +334,7 @@ def verify_kamran_inequality(
     fail = ~within(H, rhs, rhs)
     excess = _excess(H, rhs, True)
     picked, margin = _first_and_worst(fail.ravel(), excess.ravel())
-    failing = int(np.count_nonzero(fail))
-    report = KamranReport(holds=failing == 0, M=M, failing=failing, margin=margin)
+    report = KamranReport(M=M, failing=int(np.count_nonzero(fail)), margin=margin)
     for v, w in (divmod(j, n) for j in picked):
         report.witnesses.append(
             {
@@ -420,15 +410,16 @@ def verify_invariant_approx_hypotheses(
     """Check the invariant best-approximation hypotheses on a finite Q.
 
     ``f`` and ``F`` are keyed by coordinate tuples and read on the
-    best-approximant set B only.  ``condition_ii_ok`` is f(B) = B.
-    ``range_ok`` is F(B) subset of B: once f(B) = B, every fp lies at
-    distance dist(z, Q) from z, so the invariance inequality
+    best-approximant set B only.  (ii) is f(B) = B, and ``failing["ii"]``
+    counts the points of f(B) and B that are not in both.  ``range_ok``
+    is F(B) subset of B: once f(B) = B, every fp lies at distance
+    dist(z, Q) from z, so the invariance inequality
     sup_{u in Fp} ||u - z|| <= ||fp - z|| holds for u in Q exactly when u
     lies in B.  With both true, ``verify_coincidence_hypotheses`` on B with
-    complete edges gives ``condition_i_ok``, the (i) witnesses, the counts
-    and margins and the admissible start, in coordinates (otherwise
-    ``start_exists`` is false); on an all-true report the coincidence
-    iteration on B from that start reaches a coincidence point.
+    complete edges gives the (i) count, margin and witnesses and the
+    admissible start, in coordinates (otherwise there is no start); on an
+    all-true report the coincidence iteration on B from that start
+    reaches a coincidence point.
     """
     B = best_approximant_set(Q, z, norm)
     best = set(B)
@@ -438,8 +429,8 @@ def verify_invariant_approx_hypotheses(
         FB = [[_point(u) for u in F[p]] for p in B]
     except KeyError as exc:
         raise InputError(f"f and F must be defined at {exc.args[0]!r}") from None
-    if set(fB) != best:
-        report.condition_ii_ok = False
+    report.failing["ii"] = len(best.symmetric_difference(fB))
+    if report.failing["ii"]:
         report.witnesses.append(
             {
                 "condition": "ii",
@@ -455,7 +446,7 @@ def verify_invariant_approx_hypotheses(
             report.witnesses.append(
                 {"condition": "invariance", "p": p, "outside": outside}
             )
-    if not (report.condition_ii_ok and report.range_ok):
+    if report.failing["ii"] or not report.range_ok:
         report.witnesses.append(
             {"condition": "start", "detail": "not checked: B is not invariant"}
         )
@@ -471,9 +462,7 @@ def verify_invariant_approx_hypotheses(
         gauge,
     )
     # on complete edges with F(B) in B = f(B) only (i) can fail
-    report.condition_i_ok = on_B.condition_i_ok
     report.failing, report.margin = on_B.failing, on_B.margin
-    report.start_exists = on_B.start_exists
     report.admissible_start = tuple(B[int(s)] for s in on_B.admissible_start)
     report.witnesses = [
         {k: B[int(x)] if k in ("v", "w", "fv", "fw") else x for k, x in w.items()}

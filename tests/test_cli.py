@@ -464,6 +464,13 @@ def test_error_lines_that_echo_input_stay_short(runner, tmp_path):
     assert res.stderr == (
         f"error: malformed forcing file {forcing}: gauge_sup must be a number, got [[...]]\n"
     )
+    forcing.write_text(json.dumps({"expr": "1/b" + " " * 100_000}))
+    res = runner.invoke(
+        main, ["--out", str(tmp_path), "fbvp", "--beta", "1.5", "--forcing", str(forcing)]
+    )
+    assert res.exit_code == 2
+    assert res.stderr.startswith("error: forcing expression '1/b  "), res.stderr[:300]
+    assert res.stderr.count("\n") == 1 and len(res.stderr) <= 200, res.stderr[:300]
     problem = tmp_path / "problem.json"
     for key, value, start in (
         ("F", {"1": {"x" * 100_000: _DEEP}}, "error: F('1') must be a list of labels"),

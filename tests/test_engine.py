@@ -95,7 +95,7 @@ def _reference_walk(problem):
             common = fw if f[fw] == fw and fw in F[fw] else None
             return outcome(Converged(w, fw, fw in F[w]), common)
         if n > cfg.max_iter:
-            return outcome(MaxIterExceeded(w))
+            return outcome(MaxIterExceeded())
         y = min(F[w].members, key=lambda y: (space.distance(fw, y), space.index(y)))
         D = space.distance(fw, y)
         if D > 0 and (d_n == 0 or gauge(d_n) == 0.0):
@@ -394,12 +394,12 @@ def test_construction_rejects_edges_over_other_labels():
 
 
 def test_restart_does_not_revalidate_the_pair(monkeypatch):
-    import graphfix.engine as engine
+    from graphfix.metric import ValidatedPair
 
-    calls = []
-    validate = engine.validate_pair
+    calls = []  # one entry per ValidatedPair built
+    post_init = ValidatedPair.__post_init__
     monkeypatch.setattr(
-        engine, "validate_pair", lambda *args: calls.append(args) or validate(*args)
+        ValidatedPair, "__post_init__", lambda self: calls.append(None) or post_init(self)
     )
     p = ternary_orbit_problem(8)
     assert len(calls) == 1
@@ -423,6 +423,9 @@ def test_restart_does_not_revalidate_the_pair(monkeypatch):
     with pytest.raises(InputError, match="range condition"):
         dataclasses.replace(p, F=bad_F)
     assert len(calls) == 2
+    # the pair is no argument: only validate_pair makes one
+    with pytest.raises(TypeError):
+        CoincidenceProblem(p.space, p.f, p.F, p.edges, p.gauge, p.w0, p.p0, pair=p.pair)
 
 
 def test_restarts_match_fresh_builds():

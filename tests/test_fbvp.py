@@ -569,7 +569,7 @@ def _reference_picard(problem):
         bound = rho / (1.0 - rho) * ds[-1]
         trace.rows.append(TraceRow(n, None, None, ds[-1], resid, bound, True))
         if bound <= config.tol + floor and resid <= config.residual_tol + floor:
-            status = Converged(u, u)
+            status = Converged()
             break
         limit = kappa * gauge(ds[-1]) * ds[-1]
         if not within(resid, limit, limit + sum(ds) + resid):
@@ -577,7 +577,7 @@ def _reference_picard(problem):
             u, resid = zero, ds[0]
             break
         if n >= config.max_iter:
-            status = MaxIterExceeded(u)
+            status = MaxIterExceeded()
             break
         ds.append(resid)
         u = u_after

@@ -344,6 +344,14 @@ def test_a_row_nested_deeper_or_ragged_is_refused():
             _real_array(rows, "distances")
 
 
+def test_a_buffer_reads_as_the_array_of_its_format():
+    # a 2-D memoryview has no rows to walk; its format gives the entries' type
+    coords = FiniteMetricSpace.from_coords("abc", memoryview(np.array([[0.0], [1.0], [3.0]])))
+    assert coords.distance("a", "c") == 3.0
+    with pytest.raises(InputError, match="rectangular array of numbers"):
+        FiniteMetricSpace.from_matrix("ab", memoryview(np.eye(2, dtype=bool)))
+
+
 def test_an_integer_beyond_64_bits_is_read_wherever_it_lies():
     arr = _real_array(_rows_ending_in(2**70), "distances")
     assert arr[-1, -1] == 2.0**70 and arr[0, 1] == 1.0 and arr.dtype == float
@@ -771,6 +779,14 @@ def test_validated_pair_index_form_is_read_only():
         validate_pair(space, {**f, "a": "z"}, F)
 
 
+def test_validate_pair_refuses_a_map_defined_at_no_point_label():
+    space = FiniteMetricSpace.from_coords(["a", "b"], [0.0, 1.0])
+    f, F = {"a": "a", "b": "b"}, {"a": ["a"], "b": ["b"]}
+    for name, args in (("f", ({**f, "ghost": "a"}, F)), ("F", (f, {**F, "ghost": ["a"]}))):
+        with pytest.raises(InputError, match=f"{name} is defined at 'ghost', which is no point label"):
+            validate_pair(space, *args)
+
+
 def test_validate_pair_returns_the_pair_it_made_for_its_own_maps():
     space = FiniteMetricSpace.from_coords(["a", "b", "c"], [0.0, 1.0, 3.0])
     f = {"a": "b", "b": "c", "c": "c"}
@@ -850,9 +866,9 @@ def test_space_matrix_is_read_only_and_a_copy_of_the_callers_array():
     assert s.matrix.tolist() == [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
     with pytest.raises(ValueError):
         s.matrix[0, 1] = 7.0
-    # views of the caller's memory are copied as well
+    # views of the caller's memory are copied as well; a buffer reads as an array
     base = np.array([[0, 1, 2], [1, 0, 1], [2, 1, 0]], float)
-    for given in (base, base[:, :], base.T):
+    for given in (base, base[:, :], base.T, memoryview(base)):
         space = FiniteMetricSpace.from_matrix("abc", given)
         assert not np.shares_memory(space.matrix, base)
         assert not space.matrix.flags.writeable
@@ -886,3 +902,14 @@ def test_closed_set_dedups_and_rejects_empty():
     assert fin.members == ("a", "b")  # duplicates collapse
     with pytest.raises(DomainError):
         ClosedSet.finite([])
+
+
+def test_closed_set_refuses_a_bare_string():
+    # "ab" would split into the members a and b, b"ab" into 97 and 98
+    for bare in ("ab", b"ab"):
+        with pytest.raises(InputError, match=f"not the string {bare!r}"):
+            ClosedSet.finite(bare)
+    space = FiniteMetricSpace.from_coords(["a", "b", "ab"], [0.0, 1.0, 2.0])
+    with pytest.raises(InputError, match="not the string 'ab'"):
+        validate_pair(space, {"a": "a", "b": "b", "ab": "ab"},
+                      {"a": ["a"], "b": ["b"], "ab": "ab"})

@@ -41,8 +41,8 @@ TOL = 1e-12
 # --- loop oracles: the checks as label loops, the form that defines them -------
 # ``holds(lhs, rhs, scale)`` decides each inequality: the package's slack
 # rule by default, an exact comparison for the Fraction oracle below.  The
-# oracles list a witness for every failure; ``_bounded`` cuts a list to
-# the verifiers' count, first and worst witness.
+# oracles count every failure and list a witness for each; ``_bounded``
+# cuts a list to the verifiers' first and worst witness.
 
 def _excess(lhs, rhs):
     """(lhs - rhs)/rhs, with a zero rhs read as 0 (lhs = 0) or inf."""
@@ -81,7 +81,7 @@ def _reference_hypotheses(space, f, F, edges, gauge, truncated=frozenset(), hold
             excess = _excess(D, bound)
             report.margin["i"] = _top(report.margin["i"], excess)
             if not holds(D, bound, bound):
-                report.condition_i_ok = False
+                report.failing["i"] += 1
                 report.witnesses.append(
                     {"condition": "i", "v": v, "w": w, "fv": fv, "fw": fw,
                      "d": d, "D": D, "bound": bound, "excess": excess}
@@ -96,7 +96,7 @@ def _reference_hypotheses(space, f, F, edges, gauge, truncated=frozenset(), hold
             for p in others:
                 fp = fmap[p]
                 if holds(space.distance(fw, fp), d, d):
-                    report.condition_ii_ok = False
+                    report.failing["ii"] += 1
                     report.witnesses.append(
                         {"condition": "ii", "v": v, "w": w, "p": p, "fw": fw,
                          "fp": fp, "d_fw_fp": space.distance(fw, fp), "d": d,
@@ -106,12 +106,11 @@ def _reference_hypotheses(space, f, F, edges, gauge, truncated=frozenset(), hold
     for w0 in space.labels:
         for p0 in images[w0]:
             if edges.contains(fmap[w0], p0):
-                report.start_exists = True
                 report.admissible_start = (w0, p0)
                 break
-        if report.start_exists:
+        if report.admissible_start:
             break
-    if not report.start_exists:
+    if not report.admissible_start:
         report.witnesses.append(
             {"condition": "start", "detail": "no admissible (w0, p0) pair"}
         )
@@ -121,7 +120,7 @@ def _reference_hypotheses(space, f, F, edges, gauge, truncated=frozenset(), hold
 def _reference_kamran(space, f, F, gauge, M=0.0, holds=within):
     pair = validate_pair(space, f, F)
     fmap, images = pair.f, pair.F
-    report = KamranReport(holds=True, M=float(M))
+    report = KamranReport(M=float(M))
     for v in space.labels:
         for w in space.labels:
             H = hausdorff_distance(images[v], images[w], space)
@@ -131,7 +130,7 @@ def _reference_kamran(space, f, F, gauge, M=0.0, holds=within):
             excess = _excess(H, rhs)
             report.margin = _top(report.margin, excess)
             if not holds(H, rhs, rhs):
-                report.holds = False
+                report.failing += 1
                 report.witnesses.append(
                     {"v": v, "w": w, "H": H, "d": d, "D": D, "lhs": H, "rhs": rhs,
                      "excess": excess}
@@ -151,15 +150,13 @@ def _first_and_worst(witnesses):
 
 def _bounded(report):
     """An oracle's report with every witness list cut to the verifiers'
-    form: the number of failures and the first and worst witness."""
+    form, the first and worst witness."""
     report = dataclasses.replace(report)
     if isinstance(report, KamranReport):
-        report.failing = len(report.witnesses)
         report.witnesses = _first_and_worst(report.witnesses)
         return report
     kind = {c: [w for w in report.witnesses if w["condition"] == c]
             for c in ("range", "i", "ii", "start")}
-    report.failing = {"i": len(kind["i"]), "ii": len(kind["ii"])}
     report.witnesses = [*kind["range"], *_first_and_worst(kind["i"]),
                         *_first_and_worst(kind["ii"]), *kind["start"]]
     return report
@@ -203,7 +200,7 @@ def test_tiny_gauge_breaks_condition_i():
     rep = verify_coincidence_hypotheses(
         p.space, p.f, p.F, p.edges, Gauge.constant(0.01), truncated=p.truncated
     )
-    assert not rep.condition_i_ok
+    assert rep.failing["i"]
     hits = [
         w
         for w in rep.witnesses
@@ -235,7 +232,7 @@ def _range_miss_case():
 
 def test_condition_ii_detects_missing_edge():
     rep = verify_coincidence_hypotheses(*_missing_edge_case())
-    assert not rep.condition_ii_ok
+    assert rep.failing["ii"]
     assert any(w["condition"] == "ii" for w in rep.witnesses)
 
 
@@ -592,7 +589,9 @@ def test_invariant_approx_detects_f_escape():
     f = {(0.0,): (1.0,), (1.0,): (1.0,), (3.0,): (3.0,)}
     F = {q: [q] for q in f}
     rep = verify_invariant_approx_hypotheses(Q, (0.1,), f, F, Gauge.constant(0.5))
-    assert not rep.condition_ii_ok
+    # f(B) = {1} against B = {0}: both points are in one set only
+    assert rep.failing == {"i": 0, "ii": 2}
+    assert rep.to_dict()["condition_ii_ok"] is False and not rep.all_ok
     assert any(w["condition"] == "ii" for w in rep.witnesses)
 
 
@@ -646,8 +645,7 @@ def test_invariant_approx_condition_i_witness_in_coordinates():
     f = {q: q for q in Q}
     F = {(-1.0,): [(1.0,)], (1.0,): [(-1.0,)]}
     rep = verify_invariant_approx_hypotheses(Q, (0.0,), f, F, Gauge.constant(0.5))
-    assert rep.condition_ii_ok and rep.range_ok and rep.start_exists
-    assert not rep.condition_i_ok
+    assert rep.range_ok
     assert rep.admissible_start == ((-1.0,), (1.0,))
     # both pairs fail by the same excess, so the first is also the worst
     assert rep.failing == {"i": 2, "ii": 0}
@@ -748,8 +746,7 @@ def _walk_records(space, f, F, edges, gauge, config):
               if edges.contains(pair.f[w0], p0)]
     return [
         run_coincidence_iteration(
-            CoincidenceProblem(space, pair.f, pair.F, edges, gauge, w0, p0, config,
-                               pair=pair)
+            CoincidenceProblem(space, pair.f, pair.F, edges, gauge, w0, p0, config)
         ).to_dict()
         for w0, p0 in starts
     ]
@@ -956,7 +953,7 @@ def test_float_verdicts_match_exact_fraction_oracle_beyond_the_slack():
         assert got_kamran.failing == len(want_kamran.witnesses)
         assert ([(w["v"], w["w"]) for w in got_kamran.witnesses[:1]]
                 == [(w["v"], w["w"]) for w in want_kamran.witnesses[:1]])
-        verdicts.add((got.condition_i_ok, got.condition_ii_ok, got_kamran.holds))
+        verdicts.add((got.failing["i"] == 0, got.failing["ii"] == 0, got_kamran.holds))
     # both kinds of instance occur, and every verdict of (i), (ii) and Kamran
     assert decided >= 100 and undecided >= 5
     assert {v[0] for v in verdicts} == {v[1] for v in verdicts} == {True, False}
@@ -1036,12 +1033,12 @@ def test_banach_g_contraction_passes_and_a_near_miss_fails(n, seed):
     # (i) fails for a gauge just below the largest checked ratio
     ratio = max(space.matrix[T[v], T[T[v]]] / space.matrix[v, T[v]] for v in moving)
     below = verify_coincidence_hypotheses(space, f, F, edges, Gauge.constant(ratio * (1 - 1e-6)))
-    assert not below.condition_i_ok and below.condition_ii_ok
+    assert below.failing["i"] and not below.failing["ii"]
     # (ii) fails once G loses the image (T v, T^2 v) of a checked edge
     v = rng.choice(moving)
     cut = adjacency.copy()
     cut[T[v], T[T[v]]] = False
     broken = verify_coincidence_hypotheses(
         space, f, F, EdgeStructure(space, adjacency=cut), Gauge.constant(alpha))
-    assert not broken.condition_ii_ok
+    assert broken.failing["ii"]
     assert any(w["condition"] == "ii" and w["w"] == labels[T[v]] for w in broken.witnesses)
