@@ -33,11 +33,16 @@ from .errors import DomainError, InputError, brief, check_real
 # The relative slack of :func:`within`; its docstring says why it suffices.
 EPS = 1e-9
 # The triangle check's blocking.  A thread takes the scaled rows in blocks
-# of 32 and adds 4 other rows to a block per numpy call: 128 x n sums, 1 MB
-# at n = 1000, which stay in a 2 MB L2 cache.  numpy releases the GIL for
-# each call, and taking it back can cost a thread switch, so fewer, larger
-# calls pay: on a 2-core Xeon two threads scan 500 points in 47-53 ms, and
-# took about 80 ms adding one row to a block of 64 per call.
+# of 32, and the k axis is cut into chunks of 32 for the bounds that prune
+# it.  Each numpy call adds rows of another block to a block until the
+# sums would fill 4 x 32 rows of n at full span, 1 MB at n = 1000, which
+# stays in a 2 MB L2 cache; a shorter span takes more rows per call, since
+# numpy releases the GIL for each call and taking it back can cost a thread
+# switch.  Sums laid out as (rows, k, block) and reduced over the middle
+# axis took twice as long at full span.  On a 2-core Xeon shared with other
+# load, 500 random points of the plane, where nothing is pruned, take 45-70
+# ms on two threads and 80 ms on one; perfbench's 500-rung geometric ladder,
+# where 17% of the k are kept, takes 17-30 ms on two and 30 ms on one.
 _TRIANGLE_BLOCK = 32
 _TRIANGLE_ROWS = 4
 
@@ -133,101 +138,169 @@ def _check_triangle(labels: tuple[str, ...], m: np.ndarray) -> None:
     That is :func:`within` with scale = rhs, the factor 1 + EPS
     distributed over the two summands and folded into the scaled matrix
     g = d (1 + EPS), so that the O(n^3) scan is additions and minima only.
-    The scan takes the rows of g in blocks of ``_TRIANGLE_BLOCK`` and, for
-    each block starting at row i0, only the columns j >= i0: adding row j
-    to the block gives g[i, k] + g[k, j] for every i in the block and
-    every k, and a minimum over k leaves the least bound on d(i, j).  The
-    blocks are shared out among :func:`_triangle_workers` threads by their
-    work, n - i0 rows each, the heaviest first to the least loaded share;
-    numpy releases the GIL while it adds and reduces.
+    The rows are taken in blocks of ``_TRIANGLE_BLOCK``, and each pair of
+    blocks I <= J in turn: adding the row of g of each j in J to the rows
+    of I gives g(i, k) + g(k, j) for every i in I and every k, and a
+    minimum over k leaves the least bound on d(i, j).
+
+    Most of those sums cannot break the inequality, and a bound says which
+    ones may.  The k axis is cut into chunks of ``_TRIANGLE_BLOCK`` as
+    well, and lo[i, c] is the least g(i, k) over the k of chunk c.  A k of
+    chunk c breaks the inequality for a pair (i, j) of I x J only if
+    lo[i, c] + min over J of lo[j, c] < max over J of d(i, j), so the scan
+    of I x J adds and reduces only from the first chunk where that holds,
+    for some i, to the last.  Pruning is exact: scaling by 1 + EPS and
+    float addition are monotone, so lo[i, c] + lo[j, c] rounds to no more
+    than any g(i, k) + g(k, j) of the chunk; a sum that overflows to inf
+    prunes only a chunk whose own sums are inf.  Where nothing can be
+    pruned the span is every k.
 
     The verdict is exactly that of comparing d(i, j) with every such sum.
     The matrix was checked to be symmetric bit for bit, so g[j, k] is
-    g[k, j], the pair (j, i) gives the same sums as (i, j), and the upper
-    triangle covers every pair; the minimum is one of the sums, unrounded.
-    Only once every thread has stopped and a violation is known does
-    :func:`_raise_first_violation` run the full per-k scan, which names
-    the first k and its worst pair.
+    g[k, j], the pair (j, i) gives the same sums as (i, j), and the pairs
+    I <= J cover every pair; the minimum is one of the sums, unrounded.
+    A block pair that breaks the inequality is scanned once more for the
+    first k through which it does, and from then on the scan looks only
+    at smaller k; the least k found is the first k overall, and one pass
+    over the matrix then names its worst pair.  The row blocks are taken
+    from one shared counter by :func:`_triangle_workers` threads, the
+    caller's among them; numpy releases the GIL while it adds and reduces.
     """
     n = len(labels)
-    starts = range(0, n, _TRIANGLE_BLOCK)
-    shares = [[] for _ in range(min(_triangle_workers(n), len(starts)))]
-    work = [0] * len(shares)
-    for i0 in starts:
-        w = work.index(min(work))
-        shares[w].append(i0)
-        work[w] += n - i0
-    found: list = []
-    threads = [threading.Thread(target=_scan_blocks, args=(m, share, found))
-               for share in shares[1:]]
+    scan = _TriangleScan(m)
+    threads = [threading.Thread(target=scan.run)
+               for _ in range(min(_triangle_workers(n), len(scan.near)) - 1)]
     for t in threads:
         t.start()
-    _scan_blocks(m, shares[0], found)
+    scan.run()
     for t in threads:
         t.join()
-    for outcome in found:
-        if outcome is not True:
-            raise outcome
-    if found:
-        _raise_first_violation(labels, m)
-
-
-def _scan_blocks(m: np.ndarray, starts: list, found: list) -> None:
-    """Look for a violation in the row blocks of :func:`_check_triangle`
-    that begin at ``starts``; append True to ``found`` on one, or the
-    exception the scan raised, and stop early once ``found`` holds any.
-
-    The thread scales its block, and each block of rows j >= i0 in turn,
-    into its own buffers (so no scaled copy of the whole matrix is made),
-    adds ``_TRIANGLE_ROWS`` rows to the block per call, and compares each
-    block of bounds at once.
-    """
-    n = len(m)
-    size = min(n, _TRIANGLE_BLOCK)
-    try:
-        # overflow to inf only loosens a bound that holds anyway, so it warns
-        # of nothing; np.errstate is thread-local, so each thread sets it
+    for exc in scan.errors:
+        raise exc
+    k = min(scan.found, default=n)
+    if k < n:
         with np.errstate(over="ignore"):
-            slab, chunk = np.empty((size, n)), np.empty((size, n))
-            sums = np.empty((_TRIANGLE_ROWS, size, n))
-            least = np.empty((size, size))
-            for i0 in starts:
-                rows = m[i0 : i0 + size]
-                block = np.multiply(rows, 1.0 + EPS, out=slab[: len(rows)])
-                for j0 in range(i0, n, size):
-                    if found:
-                        return
-                    cols = m[j0 : j0 + size]
-                    grown = np.multiply(cols, 1.0 + EPS, out=chunk[: len(cols)])
-                    best = least[: len(cols), : len(block)]
-                    for r0 in range(0, len(cols), _TRIANGLE_ROWS):
-                        few = grown[r0 : r0 + _TRIANGLE_ROWS]
-                        out = sums[: len(few), : len(block)]
-                        np.add(block, few[:, None, :], out=out)
-                        np.minimum.reduce(out, axis=2, out=best[r0 : r0 + _TRIANGLE_ROWS])
-                    # best[r, i] bounds d(j0 + r, i0 + i), which is d(i0 + i, j0 + r)
-                    if np.greater(cols[:, i0 : i0 + len(block)], best).any():
-                        found.append(True)
-                        return
-    except BaseException as exc:  # raised again in the caller's thread
-        found.append(exc)
+            grown = m[k] * (1.0 + EPS)  # row k of g, which is its column k
+            excess = np.add(grown[:, None], grown[None, :])
+            np.subtract(m, excess, out=excess)
+        i, j = np.unravel_index(np.argmax(excess), m.shape)
+        raise InputError(
+            f"triangle inequality fails: d({labels[i]},{labels[j]}) > "
+            f"d({labels[i]},{labels[k]}) + d({labels[k]},{labels[j]})"
+        )
 
 
-def _raise_first_violation(labels: tuple[str, ...], m: np.ndarray) -> None:
-    """Raise the InputError of :func:`_check_triangle` for a matrix known to
-    break the triangle inequality: the first k through which some pair
-    breaks it, and the pair that breaks it most for that k."""
-    with np.errstate(over="ignore"):
-        grown = m * (1.0 + EPS)
-        bound = np.empty_like(m)
-        for k in range(len(labels)):
-            np.add(grown[:, k : k + 1], grown[k : k + 1, :], out=bound)
-            if np.greater(m, bound).any():
-                i, j = np.unravel_index(np.argmax(m - bound), m.shape)
-                raise InputError(
-                    f"triangle inequality fails: d({labels[i]},{labels[j]}) > "
-                    f"d({labels[i]},{labels[k]}) + d({labels[k]},{labels[j]})"
-                )
+class _TriangleScan:
+    """The state that the threads of :func:`_check_triangle` share: the
+    chunk bounds, the counter of row blocks, the first k of each block
+    pair found to break the inequality, and any exception raised."""
+
+    def __init__(self, m: np.ndarray):
+        self.m = m
+        starts = np.arange(0, len(m), _TRIANGLE_BLOCK)
+        with np.errstate(over="ignore"):
+            # lo[i, c]: the least g(i, k) over chunk c; near[b, c]: the least
+            # lo[j, c] over row block b; far[i, b]: the largest d(i, j) over b
+            self.lo = np.multiply(np.minimum.reduceat(m, starts, axis=1), 1.0 + EPS)
+        self.near = np.minimum.reduceat(self.lo, starts, axis=0)
+        self.far = np.maximum.reduceat(m, starts, axis=1)
+        self.blocks = iter(range(len(starts)))
+        self.lock = threading.Lock()  # for the counter
+        self.found: list = []
+        self.errors: list = []
+
+    def run(self) -> None:
+        """Scan row blocks until none is left; record an exception the scan
+        raises, to be raised again in the caller's thread, and stop early
+        once any thread has recorded one."""
+        try:
+            # overflow to inf only loosens a bound that holds anyway, so it
+            # warns of nothing; np.errstate is thread-local, so each thread
+            # sets it
+            with np.errstate(over="ignore"):
+                self._scan_blocks()
+        except BaseException as exc:
+            self.errors.append(exc)
+
+    def _scan_blocks(self) -> None:
+        """Scan the pairs I x J, J >= I, of each row block I taken from the
+        counter, each over the k below any in ``found``, and add to
+        ``found`` the first k through which a pair breaks the inequality.
+
+        The thread scales the rows of I, and the span of each block of rows
+        J, into its own buffers (so no scaled copy of the whole matrix is
+        made).  Each numpy call adds as many rows of J to the rows of I as
+        make ``_TRIANGLE_ROWS`` x ``_TRIANGLE_BLOCK`` rows of sums at full
+        span, more where the span is short, and reduces them over k.
+        """
+        m = self.m
+        n = len(m)
+        size = min(n, _TRIANGLE_BLOCK)
+        slab = np.empty((size, n))
+        chunk = np.empty(size * n)
+        sums = np.empty(_TRIANGLE_ROWS * size * n)
+        least = np.empty((size, size))
+        while not self.errors:
+            with self.lock:
+                b = next(self.blocks, None)
+            if b is None:
+                return
+            i0 = b * _TRIANGLE_BLOCK
+            rows = m[i0 : i0 + size]
+            block = np.multiply(rows, 1.0 + EPS, out=slab[: len(rows)])
+            lo = self.lo[i0 : i0 + len(rows)]
+            reach = self.far[i0 : i0 + len(rows)].T  # reach[J, i]: far[i, J]
+            # the bounds of as many blocks J at once as fit in the buffer
+            group = max(1, len(sums) // lo.size)
+            for g0 in range(b, len(reach), group):
+                bound = sums[: min(group, len(reach) - g0) * lo.size].reshape(-1, *lo.shape)
+                np.add(self.near[g0 : g0 + group, None, :], lo, out=bound)
+                # keep[J, c]: whether chunk c may break the inequality for
+                # some (i, j) of I x J
+                keep = np.less(bound, reach[g0 : g0 + group, :, None]).any(axis=1)
+                for jb, kept in enumerate(keep, start=g0):
+                    if self.errors:
+                        return
+                    self._scan_pair(block, i0, jb * _TRIANGLE_BLOCK, np.flatnonzero(kept),
+                                    chunk, sums, least)
+
+    def _scan_pair(self, block, i0, j0, chunks, chunk, sums, least) -> None:
+        """Scan the pairs of rows i0 + i (``block`` holds their rows of g)
+        and j0 + r over the span of the kept ``chunks``; add to ``found``
+        the first k through which one breaks the inequality."""
+        m = self.m
+        if not len(chunks):
+            return
+        k0 = int(chunks[0]) * _TRIANGLE_BLOCK
+        k1 = min(int(chunks[-1] + 1) * _TRIANGLE_BLOCK, min(self.found, default=len(m)))
+        if k0 >= k1:
+            return
+        cols = m[j0 : j0 + len(least)]
+        grown = np.multiply(cols[:, k0:k1], 1.0 + EPS,
+                            out=chunk[: len(cols) * (k1 - k0)].reshape(len(cols), -1))
+        part = block[:, k0:k1]
+        # best[r, i] bounds d(j0 + r, i0 + i), which is d(i0 + i, j0 + r)
+        best = least[: len(cols), : len(block)]
+        d = cols[:, i0 : i0 + len(block)]
+        for r, out in self._sums(grown, part, sums):
+            np.minimum.reduce(out, axis=2, out=best[r])
+        if not np.greater(d, best).any():
+            return
+        hit = np.zeros(k1 - k0, dtype=bool)
+        for r, out in self._sums(grown, part, sums):
+            hit |= np.greater(d[r, :, None], out).any(axis=(0, 1))
+        self.found.append(k0 + int(np.argmax(hit)))
+
+    @staticmethod
+    def _sums(grown: np.ndarray, block: np.ndarray, sums: np.ndarray):
+        """(rows, out) for groups of rows of ``grown``, where out[r, i, k]
+        is grown[r, k] + block[i, k] over those rows, in the buffer ``sums``."""
+        per = max(1, len(sums) // block.size)
+        for r0 in range(0, len(grown), per):
+            few = grown[r0 : r0 + per]
+            out = sums[: len(few) * block.size].reshape(len(few), *block.shape)
+            np.add(block, few[:, None, :], out=out)
+            yield slice(r0, r0 + len(few)), out
 
 
 @dataclass(frozen=True)

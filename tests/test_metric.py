@@ -456,10 +456,14 @@ def _with_workers(count, check, *args):
 def triangle_matrices(draw):
     """Symmetric distance matrices with a zero diagonal: random metrics
     (shortest paths over integer weights), collinear ladders scaled by a
-    power of two, and norm distances of random points; then up to three
-    pairs stretched or shrunk, some by less than the relative slack."""
+    power of two, geometric ladders shaped like the benchmark's (whose
+    chunk bounds prune most detours), the discrete metric (which leaves
+    only the diagonal blocks to scan), and norm distances of random points
+    (which leave nothing to prune); then up to three pairs stretched or
+    shrunk, some by less than the relative slack, and the points perhaps
+    relabeled at random."""
     n = draw(st.sampled_from(_TRIANGLE_SIZES))
-    kind = draw(st.sampled_from(["paths", "ladder", "coords"]))
+    kind = draw(st.sampled_from(["paths", "ladder", "geometric", "discrete", "coords"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if kind == "paths":
         m = rng.integers(1, 20, (n, n)).astype(float)
@@ -470,6 +474,14 @@ def triangle_matrices(draw):
     elif kind == "ladder":
         t = np.cumsum(rng.integers(1, 4, n)) * 2.0 ** draw(st.integers(-40, 40))
         m = np.abs(t[:, None] - t[None, :])
+    elif kind == "geometric":
+        # rungs at scale * r^i and a last point at 0, as perfbench's ladder_dict
+        r, scale = rng.uniform(0.25, 0.28), 10.0 ** rng.uniform(-1.0, 1.0)
+        t = scale * r ** np.arange(n)
+        t[-1] = 0.0
+        m = np.abs(t[:, None] - t[None, :])
+    elif kind == "discrete":
+        m = 1.0 - np.eye(n)
     else:
         pts = rng.normal(size=(n, draw(st.integers(1, 3))))
         order = draw(st.sampled_from([1, 2, np.inf]))
@@ -480,6 +492,9 @@ def triangle_matrices(draw):
             j = draw(st.integers(0, n - 1).filter(lambda j: j != i))
             factor = draw(st.sampled_from([1 + 1e-10, 1 + 1e-7, 1.5, 0.5, 0.0]))
             m[i, j] = m[j, i] = m[i, j] * factor
+    if draw(st.booleans()):
+        order = rng.permutation(n)
+        m = m[np.ix_(order, order)]
     return m
 
 
@@ -522,6 +537,8 @@ _DETOUR_CASES = [
     (65, [(1, 2, 3), (20, 21, 22)], (1, 2, 3)),
     # with three threads, the second one's first block holds the only violation
     (200, [(40, 41, 42)], (40, 41, 42)),
+    # the only violation runs through the last block but one
+    (1000, [(10, 990, 500)], (10, 990, 500)),
 ]
 
 
@@ -547,6 +564,36 @@ def test_triangle_check_on_three_threads_names_the_first_k(n, detours, named):
         _assert_names_the_first_k(3, n, detours, named)
     finally:
         sys.setswitchinterval(interval)
+
+
+def _tight_detour(stretch):
+    """96 points on a line, in three blocks of 32, where the chunk bound of
+    the first block is tight for the pair of the other two: p0 sits at 1
+    and the rest of its block far right, p32 at 0 and the rest of its
+    block far left, p64 at 2 and the rest of its block near -1, closer to
+    p32 than p64 is.  d(p32, p64) = 2 is then stretched by ``stretch``, so
+    that p0, the only point between them, may break the inequality."""
+    x = np.concatenate([50.0 + 0.01 * np.arange(32), -10.0 - 0.01 * np.arange(32),
+                        -1.0 + 0.001 * np.arange(32)])
+    x[[0, 32, 64]] = [1.0, 0.0, 2.0]
+    m = np.abs(x[:, None] - x[None, :])
+    m[32, 64] = m[64, 32] = 2.0 * stretch
+    return m
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("stretch, refused",
+                         [(1.25, True), (1 + 100 * EPS, True), (1 + EPS / 10, False)])
+def test_triangle_chunk_bounds_prune_no_violation_where_they_are_tight(workers, stretch, refused):
+    # the bound of p0's chunk for (p32, p64) is (1 + 1) (1 + EPS), so it
+    # keeps the chunk for any stretch beyond the slack; a bound taken from
+    # the row of p64's block farthest from p0, or scaled by more than
+    # 1 + EPS, would drop it, and the chunk lies outside the span of both
+    # blocks
+    message = _with_workers(workers, _assert_triangle_check_matches_reference,
+                            _tight_detour(stretch))
+    assert message == ("triangle inequality fails: d(p32,p64) > d(p32,p0) + d(p0,p64)"
+                       if refused else None)
 
 
 class _FaultyInWorkers(np.ndarray):
@@ -619,18 +666,19 @@ def test_triangle_violation_beyond_relative_slack_is_refused():
 
 
 def test_triangle_check_memory_is_below_one_and_a_half_matrices():
-    # the threads' buffers fit, on any number of CPUs; three n x n arrays do not
+    # the threads' buffers fit, on any number of CPUs; three n x n arrays do
+    # not, and a refused matrix is worded in one more
     n = 1000
-    t = np.arange(n, dtype=float)
-    m = np.abs(t[:, None] - t[None, :])
-    labels = tuple(f"p{i}" for i in range(n))
-    tracemalloc.start()
-    try:
-        _check_triangle(labels, m)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.5 * n * n * 8
+    for detours in ([], [(10, 990, 500)]):
+        m = _ladder_with_detours(n, detours)
+        tracemalloc.start()
+        try:
+            verdict = _triangle_verdict(_check_triangle, m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (verdict is None) == (not detours)
+        assert peak < 1.5 * n * n * 8
 
 
 def test_coordinate_spaces_keep_the_other_checks():
