@@ -53,7 +53,25 @@ _PLAIN_NUMBERS = {float, int, np.float64, np.int64}
 
 def _real_array(value, name: str) -> np.ndarray:
     """``value`` as a float array; InputError unless it reads as a
-    rectangular array of numbers (a string or a bool is not a number)."""
+    rectangular array of numbers (a string or a bool is not a number).
+
+    A list of equal-length lists, the form JSON gives, takes one type pass
+    over its entries and then one read into a new float array, which the
+    caller may keep without a copy.  n rows of n numbers are n^2 objects
+    spread over the heap, more than a cache holds, so each pass is a cold
+    walk; the general read below takes three, as numpy finds the entries'
+    common dtype before it fills, and the type pass comes after.  Any other
+    input, and rows of other than plain numbers or with an int beyond the
+    float range, take that read and get its message.
+    """
+    if type(value) is list and value and all(type(row) is list for row in value):
+        width = len(value[0])
+        if (all(len(row) == width for row in value)
+                and _PLAIN_NUMBERS.issuperset(map(type, chain.from_iterable(value)))):
+            try:
+                return np.array(value, dtype=float)
+            except OverflowError:  # an int beyond the float range
+                pass
     try:
         arr = np.asarray(value)
     except (TypeError, ValueError):
@@ -544,6 +562,10 @@ def validate_pair(space: FiniteMetricSpace, f: Mapping, F: Mapping) -> Validated
 
 
 _PAIRS_ERROR = "edges must be [u, v] pairs of point labels"
+_PAIR_TYPES = {list, tuple}
+# Edge pairs read per chunk: a few thousand lists and their flat indices
+# stay in a 2 MB L2 cache between the chunk's type check and its lookups.
+_PAIR_CHUNK = 4096
 
 
 def _edge_index(space: FiniteMetricSpace, pair) -> int:
@@ -598,17 +620,37 @@ class EdgeStructure:
         """The graph with an edge (u, v) for each pair [u, v] of labels, a
         list or a tuple.  A label that is no string, such as a number, is
         read through str(), as in every other section of a problem file;
-        that second pass over the pairs runs only after the first misses."""
+        that slower read runs only from the chunk where a lookup misses.
+
+        A complete graph on n points is n^2 small lists spread over the
+        heap, more than a cache holds, so each pass over them is a cold
+        walk.  The pairs are read in chunks of ``_PAIR_CHUNK``: a chunk's
+        type check brings its lists into cache for the lookups right after,
+        which add the row offset of u to the index of v, and the chunk's
+        flat indices are set in the adjacency at once.  A pair that is no
+        list or tuple is refused before any other error, wherever it lies.
+        """
         pairs = pairs if isinstance(pairs, list) else list(pairs)
-        if not {list, tuple}.issuperset(map(type, pairs)):
-            raise InputError(_PAIRS_ERROR)
         n = len(space)
         index = space._index
-        try:
-            flat = [index[u] * n + index[v] for u, v in pairs]
-        except (KeyError, TypeError, ValueError):
-            flat = [_edge_index(space, pair) for pair in pairs]
+        offset = {label: i * n for label, i in index.items()}
         adjacency = np.zeros(n * n, dtype=bool)
+        for start in range(0, len(pairs), _PAIR_CHUNK):
+            chunk = pairs[start : start + _PAIR_CHUNK]
+            if not _PAIR_TYPES.issuperset(map(type, chunk)):
+                raise InputError(_PAIRS_ERROR)
+            try:
+                flat = [offset[u] + index[v] for u, v in chunk]
+            except (KeyError, TypeError, ValueError):
+                break
+            adjacency[np.fromiter(flat, np.intp, len(flat))] = True
+        else:
+            return cls(space=space, adjacency=adjacency.reshape(n, n))
+        # a lookup missed: the later chunks' types first, then str() labels
+        rest = pairs[start:]
+        if not _PAIR_TYPES.issuperset(map(type, rest)):
+            raise InputError(_PAIRS_ERROR)
+        flat = [_edge_index(space, pair) for pair in rest]
         adjacency[np.fromiter(flat, np.intp, len(flat))] = True
         return cls(space=space, adjacency=adjacency.reshape(n, n))
 

@@ -18,8 +18,8 @@ exactly on 0.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import asdict, fields
-from typing import Mapping
 
 from .engine import CoincidenceProblem, IterationConfig
 from .errors import InputError, brief, check_integer

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import random
+import re
 import sys
 import threading
 import tracemalloc
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphfix import metric
-from graphfix.errors import DomainError, InputError
+from graphfix.errors import DomainError, InputError, brief
 from graphfix.metric import (
     EPS,
     ClosedSet,
@@ -35,6 +36,7 @@ from graphfix.problems import (
 from set_distances import hausdorff_distance, point_to_set_distance
 
 TOL = 1e-12
+_PAIRS_MESSAGE = "edges must be [u, v] pairs of point labels"
 
 
 def ternary_space(depth=6):
@@ -330,8 +332,16 @@ def _rows_ending_in(last):
     ids=["bool", "numpy-bool", "text", "too-large", "null"],
 )
 def test_an_entry_that_is_no_number_is_refused_wherever_it_lies(last):
-    with pytest.raises(InputError, match="distances"):
-        _real_array(_rows_ending_in(last), "distances")
+    message = ("distances is too large for a float" if type(last) is int
+               else f"distances must be a number, got {brief(last)}")
+    # the entry last, in a last row that is a tuple, and in the first row
+    tupled = _rows_ending_in(last)
+    tupled[-1] = tuple(tupled[-1])
+    early = _rows_ending_in(1.0)
+    early[0][1] = last
+    for rows in (_rows_ending_in(last), tupled, early):
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            _real_array(rows, "distances")
 
 
 def test_a_row_nested_deeper_or_ragged_is_refused():
@@ -339,9 +349,27 @@ def test_a_row_nested_deeper_or_ragged_is_refused():
     deeper[-1][-1] = [1.0]
     ragged = _rows_ending_in(1.0)
     del ragged[-1][-1]
-    for rows in (deeper, ragged):
-        with pytest.raises(InputError, match="rectangular array of numbers"):
+    ragged_first = _rows_ending_in(1.0)
+    del ragged_first[0][-1]
+    deeper_tuple = _rows_ending_in(1.0)
+    deeper_tuple[0] = tuple(deeper_tuple[0][:-1]) + ([1.0],)
+    for rows in (deeper, ragged, ragged_first, deeper_tuple):
+        with pytest.raises(InputError, match="^distances must be a rectangular array of numbers$"):
             _real_array(rows, "distances")
+    with pytest.raises(InputError, match=r"^distance matrix must be 1x1, got \(1, 0\)$"):
+        FiniteMetricSpace.from_matrix(["a"], [[]])
+
+
+def test_rows_of_lists_read_as_any_other_rows():
+    # a tuple of rows takes the general read, the reference for a list of lists
+    big = _rows_ending_in(2**70)
+    big[3][4] = np.int64(-5)
+    big[7][1] = 2**63 + 1
+    for rows in ([[0, 1], [1, 0]], [[0.5], [2]], [[]], [[0.0]], _rows_ending_in(1.0), big):
+        read = _real_array(rows, "distances")
+        assert read.flags.owndata
+        assert read.dtype == float and read.shape == np.shape(rows)
+        assert read.tobytes() == _real_array(tuple(rows), "distances").tobytes()
 
 
 def test_a_buffer_reads_as_the_array_of_its_format():
@@ -734,6 +762,43 @@ def test_edge_pairs_read_labels_through_str():
     # pairs from any iterable, once
     assert np.array_equal(EdgeStructure.from_pairs(space, iter([("0", "1")])).adjacency,
                           EdgeStructure.from_pairs(space, [["0", "1"]]).adjacency)
+
+
+def _pair_by_pair(space, pairs):
+    """The reference adjacency: each pair set on its own, the diagonal too."""
+    adjacency = np.eye(len(space), dtype=bool)
+    for u, v in pairs:
+        adjacency[space.index(str(u)), space.index(str(v))] = True
+    return adjacency
+
+
+def test_edge_pairs_beyond_the_first_chunk_read_as_the_first():
+    labels = [str(i) for i in range(100)]
+    space = FiniteMetricSpace.from_coords(labels, [float(i) for i in range(100)])
+    rng = random.Random(7)
+    chunk = metric._PAIR_CHUNK
+    pairs = [[rng.choice(labels), rng.choice(labels)] for _ in range(2 * chunk + 500)]
+    pairs += [tuple(p) for p in pairs[: chunk // 2]]  # repeats, as tuples
+    rng.shuffle(pairs)
+    edges = EdgeStructure.from_pairs(space, pairs)
+    assert np.array_equal(edges.adjacency, _pair_by_pair(space, pairs))
+    # a number past the first chunk is read through str()
+    at = chunk + 3
+    numeric = pairs[:at] + [(7, 93)] + pairs[at:]
+    assert np.array_equal(EdgeStructure.from_pairs(space, numeric).adjacency,
+                          _pair_by_pair(space, numeric))
+    assert EdgeStructure.from_pairs(space, numeric).contains("7", "93")
+    # each bad pair past the first chunk gives its own error; an entry that
+    # is no pair decides first, even after a label that misses
+    unknown = "unknown point label 'zz'"
+    for bad, message in (("ab", _PAIRS_MESSAGE), (["1", "2", "3"], _PAIRS_MESSAGE),
+                         (["1", "zz"], unknown)):
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            EdgeStructure.from_pairs(space, pairs[:at] + [bad] + pairs[at:])
+    for early in (["zz", "1"], [5, "zz"]):
+        late = pairs[:at] + [early] + pairs[at:] + ["ab"]
+        with pytest.raises(InputError, match=f"^{re.escape(_PAIRS_MESSAGE)}$"):
+            EdgeStructure.from_pairs(space, late)
 
 
 def test_list_edges_round_trip_through_problem_dict():
