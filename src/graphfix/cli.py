@@ -46,7 +46,8 @@ from .errors import (
     check_real,
 )
 from .metric import Gauge
-from .serialize import json_dump, json_dumps, load_json, write_table
+# json_dumps is not called here; perfbench/tracing.py times it under this name
+from .serialize import json_dump, json_dumps, load_json, write_table  # noqa: F401
 
 EXIT_OK = 0
 EXIT_HYPOTHESIS = 1
@@ -142,11 +143,12 @@ def _load(problem_ref: str | None, depth: int | None):
     return _builtin_or_file("problem", problem_ref, BUILTIN_NAMES, from_name, from_file)
 
 
-def _emit(manifest: RunManifest, name: str, payload: dict) -> dict:
+def _emit(manifest: RunManifest, name: str, payload: dict) -> str:
+    """Write the run's record, its manifest and ``payload``, to ``name`` in
+    the run dir; return the JSON text written, which stdout echoes."""
     payload = {"manifest": dataclasses.asdict(manifest), **payload}
     os.makedirs(manifest.out, exist_ok=True)
-    json_dump(payload, os.path.join(manifest.out, name))
-    return payload
+    return json_dump(payload, os.path.join(manifest.out, name))
 
 
 def _table(manifest: RunManifest, stem: str, header: list[str], rows: list) -> None:
@@ -199,10 +201,10 @@ def _exit_code(outcome: IterationOutcome) -> int:
 # ---------------------------------------------------------------------------
 # Runners (shared by the click commands and the sweep executor).  Each one
 # reads its resolved ``params[key]``, writes its files and returns
-# (exit code, report payload).
+# (exit code, JSON text of its record).
 # ---------------------------------------------------------------------------
 
-def run_verify(manifest: RunManifest) -> tuple[int, dict]:
+def run_verify(manifest: RunManifest) -> tuple[int, str]:
     _bind_solvers("verify")
     params = manifest.params
     # checked on every run, so that no bad value reaches a manifest unread
@@ -235,7 +237,7 @@ def run_verify(manifest: RunManifest) -> tuple[int, dict]:
 _TRACE_HEADER = ["n", "w_label", "fw_label", "d_n", "D_n", "tail_bound_n", "edge_ok"]
 
 
-def run_iterate(manifest: RunManifest) -> tuple[int, dict]:
+def run_iterate(manifest: RunManifest) -> tuple[int, str]:
     _bind_solvers("iterate")
     params = manifest.params
     problem = _load(manifest.input, params["truncate"])
@@ -278,7 +280,7 @@ def _phi_from_file(path):
     return lambda a: float(np.interp(a, xs, ys))
 
 
-def run_bernstein(manifest: RunManifest) -> tuple[int, dict]:
+def run_bernstein(manifest: RunManifest) -> tuple[int, str]:
     _bind_solvers("bernstein")
     params = manifest.params
     phi = _builtin_or_file(
@@ -349,7 +351,7 @@ def _forcing_from_file(path):
     return g, gauge_sup
 
 
-def run_fbvp(manifest: RunManifest) -> tuple[int, dict]:
+def run_fbvp(manifest: RunManifest) -> tuple[int, str]:
     _bind_solvers("fbvp")
     params = manifest.params
     g, sup = _builtin_or_file(
@@ -385,17 +387,17 @@ _RUNNERS = {
 
 def _guarded(
     runner, command: click.Command, input_ref, params: dict, out: str, fmt: str
-) -> tuple[int, dict | None, str | None]:
+) -> tuple[int, str | None, str | None]:
     """Resolve one run's manifest and run it; a run that raises becomes an
     exit code and an error line."""
     try:
-        code, payload = runner(_manifest(command, input_ref, params, out, fmt))
+        code, record = runner(_manifest(command, input_ref, params, out, fmt))
     except (InputError, DomainError) as exc:
         return EXIT_INPUT, None, f"error: {exc}"
-    return code, payload, None
+    return code, record, None
 
 
-def run_sweep(manifest: RunManifest) -> tuple[int, dict]:
+def run_sweep(manifest: RunManifest) -> tuple[int, str]:
     """Run every job of the sweep file; a failing job is recorded, not fatal."""
     jobs = load_json(manifest.input)
     if not isinstance(jobs, list) or not jobs:
@@ -433,11 +435,11 @@ def run_sweep(manifest: RunManifest) -> tuple[int, dict]:
 # ---------------------------------------------------------------------------
 
 def _dispatch(ctx, runner, input_ref, params: dict) -> None:
-    code, payload, error = _guarded(
+    code, record, error = _guarded(
         runner, ctx.command, input_ref, params, ctx.obj["out"], ctx.obj["format"]
     )
     if error is None:
-        click.echo(json_dumps(payload))
+        click.echo(record)
     else:
         click.echo(error, err=True)
     sys.exit(code)

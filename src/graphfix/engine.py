@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Mapping
 
 from .errors import (
@@ -32,6 +33,7 @@ from .errors import (
     InputError,
     brief,
     check_integer,
+    check_labels,
     check_real,
 )
 from .metric import (
@@ -199,11 +201,18 @@ class CoincidenceProblem:
     belong to F(w0) with (f(w0), p0) an edge.  ``truncated`` marks points
     (labels of the space) whose successor data was clamped when an
     infinite space was cut to a finite one; verifiers skip pairs owned by
-    those points.
+    those points.  It is any collection of labels, kept as a frozenset; a
+    bare string is refused, not read as its characters.
 
     ``pair`` is the validated (f, F), whose read-only f and F replace
-    the given ones.  ``metric.validate_pair`` returns it again for its own
-    f and F, so ``dataclasses.replace`` to a new start checks only the start.
+    the given ones.  A restart, ``dataclasses.replace`` to a new start,
+    reuses it: ``metric.validate_pair`` returns the same pair for its own
+    f and F, with its index tables and their lists for the walk.  The
+    restart checks again, in the order and with the messages of a fresh
+    build, that w0, p0 and the truncated labels are labels of the space,
+    that p0 is in F(w0), that the edges are built over the problem's
+    labels, and that (f(w0), p0) is an edge.  Each is a lookup in the
+    space's label index, in F(w0) or in the adjacency matrix.
     """
 
     space: FiniteMetricSpace
@@ -218,27 +227,40 @@ class CoincidenceProblem:
     pair: ValidatedPair = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        pair = validate_pair(self.space, self.f, self.F)
+        space, w0, p0 = self.space, self.w0, self.p0
+        pair = validate_pair(space, self.f, self.F)
         if pair.misses:
             w, y = pair.misses[0]
             raise InputError(
                 f"range condition fails: {brief(y)} in F({brief(w)}) is not an f-image"
             )
-        object.__setattr__(self, "pair", pair)
-        object.__setattr__(self, "f", pair.f)
-        object.__setattr__(self, "F", pair.F)
-        object.__setattr__(self, "truncated", frozenset(self.truncated))
-        for label in (self.w0, self.p0, *sorted(self.truncated)):
-            self.space.index(label)
-        if self.p0 not in self.F[self.w0]:
+        truncated = self.truncated
+        if type(truncated) is not frozenset:
+            truncated = frozenset(check_labels(truncated, "truncated"))
+        # the fields of a frozen instance, set in one step
+        self.__dict__.update(pair=pair, f=pair.f, F=pair.F, truncated=truncated)
+        index = space._index
+        if not (w0 in index and p0 in index and index.keys() >= truncated):
+            for label in (w0, p0, *sorted(truncated)):
+                space.index(label)  # raises for the first unknown label
+        if p0 not in pair.F[w0].members:
             raise InputError("p0 must belong to F(w0)")
         # the walk and the verifiers index the adjacency by the space's labels
-        if self.edges.space is not self.space and (
-            self.edges.space.labels != self.space.labels
-        ):
+        edges = self.edges
+        if edges.space is not space and edges.space.labels != space.labels:
             raise InputError("edges must be built over the problem's labels, in order")
-        if not self.edges.contains(self.f[self.w0], self.p0):
+        if not edges.contains(pair.f[w0], p0):
             raise InputError("(f(w0), p0) must be an edge")
+
+
+_NAN = float("nan")
+
+
+@lru_cache(maxsize=64)
+def _walk_certificate(sup: float) -> ConvergenceCertificate:
+    """The walk's certificate, rate sqrt(sup k): one per gauge sup, shared
+    by every walk that uses it (a certificate is immutable)."""
+    return ConvergenceCertificate(math.sqrt(sup))
 
 
 def run_coincidence_iteration(problem: CoincidenceProblem) -> IterationOutcome:
@@ -263,49 +285,51 @@ def run_coincidence_iteration(problem: CoincidenceProblem) -> IterationOutcome:
     space = problem.space
     gauge = problem.gauge
     cfg = problem.config
-    cert = ConvergenceCertificate(math.sqrt(gauge.certified_sup))
-    rows = []
-
-    def outcome(status, common=None):
-        return IterationOutcome(status, IterationTrace(rows), cert, common)
-
     labels = space.labels
-    adjacency = problem.edges.adjacency
+    edge = problem.edges.adjacency.item
     # every member of every F(w) has a preimage, by construction
     fi, inverse, nearest, gap = problem.pair.tables
-    w0 = space.index(problem.w0)
-    p0 = space.index(problem.p0)
+    w0 = space._index[problem.w0]
+    p0 = space._index[problem.p0]
     fw0 = fi[w0]
     # construction checked that (f(w0), p0) is an edge
-    rows.append(TraceRow(0, labels[w0], labels[fw0], float("nan"), gap[w0], float("nan"), True))
+    rows = [TraceRow(0, labels[w0], labels[fw0], _NAN, gap[w0], _NAN, True)]
+    cert = _walk_certificate(gauge.certified_sup)
+    common = None
     w = inverse[p0]
     prev_fw = fw0
     fw = fi[w]
-    d_n = float(space.matrix[fw0, p0])
+    d_n = space.matrix.item(fw0, p0)
     d_prev = None
     n = 1
 
     while True:
         residual = gap[w]
         bound = cert.error_bound(d_n)
-        edge_ok = bool(adjacency[prev_fw, fw])
+        edge_ok = edge(prev_fw, fw)
         rows.append(TraceRow(n, labels[w], labels[fw], d_n, residual, bound, edge_ok))
         if not edge_ok:
-            return outcome(HypothesisViolated("edge", n))
+            status = HypothesisViolated("edge", n)
+            break
         if d_prev is not None:
             limit = math.sqrt(gauge(d_prev)) * d_prev
             if not within(d_n, limit, limit):
-                return outcome(HypothesisViolated("i", n))
+                status = HypothesisViolated("i", n)
+                break
         if cfg.reached(bound, residual):
             # distinct labels sit at a positive distance: f(w) in F(w) iff gap 0
             common = labels[fw] if fi[fw] == fw and gap[fw] == 0.0 else None
-            return outcome(Converged(labels[w], labels[fw], gap[w] == 0.0), common)
+            status = Converged(labels[w], labels[fw], gap[w] == 0.0)
+            break
         if n > cfg.max_iter:
-            return outcome(MaxIterExceeded())
+            status = MaxIterExceeded()
+            break
         if residual > 0 and (d_n == 0 or gauge(d_n) == 0.0):
-            return outcome(HypothesisViolated("i", n))
+            status = HypothesisViolated("i", n)
+            break
         prev_fw, w = fw, inverse[nearest[w]]
         fw = fi[w]
         d_prev, d_n = d_n, residual
         n += 1
+    return IterationOutcome(status, IterationTrace(rows), cert, common)
 

@@ -31,6 +31,14 @@ def brief(value) -> str:
     return _BRIEF.repr(value)
 
 
+def check_labels(labels, name: str):
+    """``labels`` as given; InputError for a bare string or bytes, which
+    would otherwise be read as the collection of its characters."""
+    if isinstance(labels, (str, bytes)):
+        raise InputError(f"{name} takes labels, not the string {brief(labels)}")
+    return labels
+
+
 def check_real(value, name: str) -> float:
     """``value`` as a float; InputError unless it is a finite real number
     (not a bool, NaN or an infinity)."""

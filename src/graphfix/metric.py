@@ -28,7 +28,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DomainError, InputError, brief, check_real
+from .errors import DomainError, InputError, brief, check_labels, check_real
 
 # The relative slack of :func:`within`; its docstring says why it suffices.
 EPS = 1e-9
@@ -446,9 +446,8 @@ class ClosedSet:
     members: tuple[str, ...]
 
     def __post_init__(self):
-        if isinstance(self.members, (str, bytes)):
-            raise InputError(f"a closed set takes labels, not the string {brief(self.members)}")
-        members = tuple(dict.fromkeys(str(s) for s in self.members))
+        labels = check_labels(self.members, "a closed set")
+        members = tuple(dict.fromkeys(str(s) for s in labels))
         if not members:
             raise DomainError("a closed set must be non-empty")
         object.__setattr__(self, "members", members)
@@ -655,7 +654,8 @@ class EdgeStructure:
         return cls(space=space, adjacency=adjacency.reshape(n, n))
 
     def contains(self, u: str, v: str) -> bool:
-        return bool(self.adjacency[self.space.index(u), self.space.index(v)])
+        index = self.space.index
+        return self.adjacency.item(index(u), index(v))
 
     @property
     def mode(self) -> str:

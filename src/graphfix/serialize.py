@@ -4,12 +4,13 @@ reader of JSON input files.
 Every float is written with 17 significant decimal digits, which is
 always enough to round-trip an IEEE double exactly; NaN and inf, legal
 nowhere in JSON, become null there (CSV writes nan and inf).  The stdlib
-encoder cannot format floats this way, so both writers are our own, and
-each makes one pass: it appends string pieces to one list and joins them
-once.  ``_encode`` tests a value's exact type (float, str, int, None,
-dict, list) before subclasses and numpy scalars, so the common cases
-cost one or two comparisons; a JSON table is the array of its records,
-written by the same encoder.  JSON strings are escaped by the stdlib's
+encoder cannot format floats this way, so both writers are our own.
+``_encode`` formats the scalar items of a dict or a list whose type is
+exactly float, str, int, None or bool in the loop that meets them, so
+only nested containers, numpy scalars and subclasses cost a call; it
+escapes each distinct dict key once per document and joins the items of
+each container once.  A JSON table is the array of its records, written
+by the same encoder.  JSON strings are escaped by the stdlib's
 ``encode_basestring`` (every control character U+0000-U+001F among
 them), lone surrogates as ``\\udcXX``, and a CSV cell that holds a
 comma, a double quote or a line break is quoted as RFC 4180 says.
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import json
 import re
-from itertools import chain
+from itertools import chain, repeat
 from json.encoder import encode_basestring as _json_string
 from typing import Any
 
@@ -36,53 +37,62 @@ import numpy as np
 from .errors import InputError
 
 _CSV_SPECIAL = re.compile(r'[",\r\n]')
+_NO_KEY = object()  # the key of a list item
 
 
-def _encode(obj: Any, out: list[str], pad: str, step: str) -> None:
-    """Append the JSON text of ``obj`` to ``out``; ``pad`` is the newline
-    and indent of its own line, ``step`` one more level of indent."""
-    kind = type(obj)
-    if kind is float:
-        out.append(f"{obj:.17g}" if obj - obj == 0.0 else "null")  # x - x is NaN for NaN, inf
-    elif kind is str:
-        out.append(_json_string(obj))
-    elif kind is int:
-        out.append(str(obj))
-    elif obj is None:
-        out.append("null")
-    elif kind is dict or isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        inner = pad + step
-        sep = "{" + inner
-        for key, value in obj.items():
-            out.append(sep + _json_string(str(key)) + ": ")
-            _encode(value, out, inner, step)
-            sep = "," + inner
-        out.append(pad + "}")
-    elif kind is list or isinstance(obj, (list, tuple, np.ndarray)):
-        seq = list(obj)
-        if not seq:
-            out.append("[]")
-            return
-        inner = pad + step
-        sep = "[" + inner
-        for value in seq:
-            out.append(sep)
-            _encode(value, out, inner, step)
-            sep = "," + inner
-        out.append(pad + "]")
+def _encode(obj: Any, pad: str, step: str, heads: dict[str, str]) -> str:
+    """The JSON text of ``obj``; ``pad`` is the newline and indent of its
+    own line, ``step`` one more level of indent, and ``heads`` maps each
+    dict key met so far, as ``str`` gives it, to its text and the colon.
+
+    A dict or a list formats each item whose type is exactly float, str,
+    int, None or bool in its own loop and joins its items once; any other
+    item (a container, a numpy scalar, a subclass) takes a call, as does a
+    value that is no container.
+    """
+    if isinstance(obj, dict):
+        items, opening, closing = obj.items(), "{", "}"
+    elif isinstance(obj, (list, tuple, np.ndarray)):
+        items, opening, closing = zip(repeat(_NO_KEY), obj), "[", "]"
     elif isinstance(obj, (bool, np.bool_)):
-        out.append("true" if obj else "false")
+        return "true" if obj else "false"
     elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
+        return str(int(obj))
     elif isinstance(obj, (float, np.floating)):
-        _encode(float(obj), out, pad, step)
+        x = float(obj)
+        return f"{x:.17g}" if x - x == 0.0 else "null"
     elif isinstance(obj, str):
-        out.append(_json_string(obj))
+        return _json_string(obj)
+    elif obj is None:
+        return "null"
     else:
-        raise TypeError(f"cannot serialize {kind.__name__}")
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
+    inner = pad + step
+    parts = []
+    for key, value in items:
+        kind = type(value)
+        if kind is float:
+            text = f"{value:.17g}" if value - value == 0.0 else "null"  # x - x is NaN for NaN, inf
+        elif kind is str:
+            text = _json_string(value)
+        elif kind is int:
+            text = str(value)
+        elif value is None:
+            text = "null"
+        elif kind is bool:
+            text = "true" if value else "false"
+        else:
+            text = _encode(value, inner, step, heads)
+        if key is not _NO_KEY:
+            name = str(key)
+            head = heads.get(name)
+            if head is None:
+                head = heads[name] = _json_string(name) + ": "
+            text = head + text
+        parts.append(text)
+    if not parts:
+        return opening + closing
+    return opening + inner + ("," + inner).join(parts) + pad + closing
 
 
 def json_dumps(obj: Any) -> str:
@@ -90,9 +100,7 @@ def json_dumps(obj: Any) -> str:
     floats.  A lone surrogate, which UTF-8 cannot encode (``os.fsdecode``
     makes them of the bytes of a file name that are not UTF-8), is written
     as its ``\\udcXX`` escape."""
-    out: list[str] = []
-    _encode(obj, out, "\n", "  ")
-    return _escape_surrogates("".join(out))
+    return _escape_surrogates(_encode(obj, "\n", "  ", {}))
 
 
 def _escape_surrogates(text: str) -> str:
@@ -117,9 +125,12 @@ def load_json(path) -> Any:
         raise InputError(f"{path} nests its JSON too deeply to parse") from None
 
 
-def json_dump(obj: Any, path) -> None:
+def json_dump(obj: Any, path) -> str:
+    """Write the JSON text of ``obj`` and a newline to ``path``; return the text."""
+    text = json_dumps(obj)
     with open(path, "w") as fh:
-        fh.write(json_dumps(obj) + "\n")
+        fh.write(text + "\n")
+    return text
 
 
 def _csv_field(text: str) -> str:

@@ -46,7 +46,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import DomainError, InputError, check_nonnegative
+from .errors import DomainError, InputError, check_labels, check_nonnegative
 from .metric import (
     EPS,
     EdgeStructure,
@@ -191,6 +191,7 @@ def verify_coincidence_hypotheses(
     counts the failures of (i) and (ii) and gives their margins and at
     most two witnesses each (see ``HypothesisReport``).
     """
+    cut = frozenset(check_labels(truncated, "truncated"))
     pair = validate_pair(space, f, F)
     fmap, fi, members = pair.f, pair.fi, pair.members
     labels = space.labels
@@ -205,7 +206,6 @@ def verify_coincidence_hypotheses(
     vs, ws = _checked_pairs(pair)
     edge = edges.adjacency[fi[vs], fi[ws]]
     d = dist[fi[vs], fi[ws]]
-    cut = frozenset(truncated)
     skip = np.array([w in cut for w in labels])
     active = edge & ~skip[ws]
 

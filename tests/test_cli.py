@@ -565,6 +565,36 @@ def test_sweep_fans_out(runner, tmp_path):
     assert os.path.exists(tmp_path / "run-001" / "summary.json")
 
 
+_ECHO_RUNS = {
+    "verify": (["verify", "example-3-3", "--kamran"], "report.json"),
+    "iterate": (["iterate", "example-3-3", "--truncate", "20"], "outcome.json"),
+    "bernstein": (["bernstein", "--n", "5", "--q", "0.9"], "summary.json"),
+    "fbvp": (["fbvp", "--beta", "1.5", "--m", "60"], "report.json"),
+    "sweep": (["sweep", "SPEC", "--jobs", "2"], "sweep.json"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ECHO_RUNS))
+def test_stdout_is_the_record_file_encoded_once(runner, tmp_path, monkeypatch, case):
+    import graphfix.serialize
+
+    args, name = _ECHO_RUNS[case]
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps([
+        {"subcommand": "iterate", "input": "identity", "params": {}},
+        {"subcommand": "verify", "input": "no-such-problem", "params": {}},
+    ]))
+    calls = []
+    encode = graphfix.serialize.json_dumps
+    monkeypatch.setattr(graphfix.serialize, "json_dumps", lambda obj: calls.append(1) or encode(obj))
+    out = tmp_path / "out"
+    res = runner.invoke(main, ["--out", str(out), *[str(spec) if a == "SPEC" else a for a in args]])
+    assert res.exit_code in (0, 1, 2), res.output
+    assert res.stdout_bytes == (out / name).read_bytes()
+    # one encoding per record written: the sweep's iterate job writes one too
+    assert len(calls) == (2 if case == "sweep" else 1)
+
+
 def test_json_format_for_tables(runner, tmp_path):
     res = runner.invoke(
         main,

@@ -428,6 +428,80 @@ def test_restart_does_not_revalidate_the_pair(monkeypatch):
         CoincidenceProblem(p.space, p.f, p.F, p.edges, p.gauge, p.w0, p.p0, pair=p.pair)
 
 
+def _flipped_edges(p):
+    """A ball graph over the problem's labels in reverse order."""
+    order = np.arange(len(p.space))[::-1]
+    flipped = FiniteMetricSpace.from_matrix(
+        [p.space.labels[i] for i in order], p.space.matrix[np.ix_(order, order)]
+    )
+    return EdgeStructure.ball(flipped, 1.0 / 9.0)
+
+
+def _sparse_ladder():
+    """x0 -> x1 -> ... -> end with F(w) = {succ(w), end}, f = id, and the
+    one edge (x0, x1) besides the diagonal: (x0, end) is no edge."""
+    p = _ladder_problem(0.5, decoy=True)
+    return dataclasses.replace(p, edges=EdgeStructure.from_pairs(p.space, [("x0", "x1")]))
+
+
+_UNKNOWN = "unknown point label 'nowhere'"
+_NOT_IN_F = "p0 must belong to F(w0)"
+_NO_EDGE = "(f(w0), p0) must be an edge"
+_OTHER_LABELS = "edges must be built over the problem's labels, in order"
+
+# (problem, replacements, message); the last rows of each problem hold two
+# faults, and the message is the one of the check that runs first
+_BAD_RESTARTS = [
+    ("example-3-3", {"w0": "nowhere"}, _UNKNOWN),
+    ("example-3-3", {"p0": "nowhere"}, _UNKNOWN),
+    ("example-3-3", {"p0": "1"}, _NOT_IN_F),
+    ("example-3-3", {"w0": "0", "p0": "1/3"}, _NO_EDGE),
+    ("example-3-3", {"truncated": frozenset({"nowhere"})}, _UNKNOWN),
+    ("example-3-3", {"truncated": ["1/3", "nowhere"]}, _UNKNOWN),
+    ("example-3-3", {"truncated": "10"}, "truncated takes labels, not the string '10'"),
+    ("example-3-3", {"edges": "flipped"}, _OTHER_LABELS),
+    ("example-3-3", {"w0": "nowhere", "p0": "1"}, _UNKNOWN),
+    ("example-3-3", {"p0": "nowhere", "truncated": {"elsewhere"}}, _UNKNOWN),
+    ("example-3-3", {"truncated": {"nowhere"}, "p0": "1"}, _UNKNOWN),
+    ("example-3-3", {"p0": "1", "edges": "flipped"}, _NOT_IN_F),
+    ("example-3-3", {"w0": "0", "p0": "1/3", "edges": "flipped"}, _OTHER_LABELS),
+    ("example-3-3", {"truncated": "10", "w0": "nowhere"},
+     "truncated takes labels, not the string '10'"),
+    ("ladder", {"w0": "nowhere"}, _UNKNOWN),
+    ("ladder", {"p0": "nowhere"}, _UNKNOWN),
+    ("ladder", {"p0": "x2"}, _NOT_IN_F),
+    ("ladder", {"p0": "end"}, _NO_EDGE),
+    ("ladder", {"truncated": {"x1", "nowhere"}}, _UNKNOWN),
+    ("ladder", {"truncated": b"x1"}, "truncated takes labels, not the string b'x1'"),
+    ("ladder", {"edges": "flipped"}, _OTHER_LABELS),
+    ("ladder", {"w0": "x1", "p0": "nowhere"}, _UNKNOWN),
+    ("ladder", {"p0": "x2", "edges": "flipped"}, _NOT_IN_F),
+    ("ladder", {"p0": "end", "edges": "flipped"}, _OTHER_LABELS),
+]
+
+
+@pytest.mark.parametrize("name,changes,message", _BAD_RESTARTS)
+def test_bad_restart_names_its_first_failing_check(name, changes, message):
+    p = builtin_problem(name) if name != "ladder" else _sparse_ladder()
+    if changes.get("edges") == "flipped":
+        changes = {**changes, "edges": _flipped_edges(p)}
+    with pytest.raises(InputError) as exc:
+        dataclasses.replace(p, **changes)
+    assert str(exc.value) == message
+    # a fresh build of the same problem fails the same way
+    fields = {k: getattr(p, k) for k in ("space", "edges", "gauge", "w0", "p0", "config", "truncated")}
+    with pytest.raises(InputError) as fresh:
+        CoincidenceProblem(f=dict(p.f), F=dict(p.F), **{**fields, **changes})
+    assert str(fresh.value) == message
+
+
+def test_a_restart_reads_truncated_labels_from_any_collection():
+    p = _sparse_ladder()
+    q = dataclasses.replace(p, truncated=["x4", "x4"])
+    assert q.truncated == frozenset({"x4"}) and type(q.truncated) is frozenset
+    assert run_coincidence_iteration(q).to_dict() == run_coincidence_iteration(p).to_dict()
+
+
 def test_restarts_match_fresh_builds():
     rng = random.Random(2024)
     for _ in range(20):

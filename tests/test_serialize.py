@@ -8,13 +8,16 @@ output must read back, through ``json.loads`` and ``csv.reader``, to the
 values the old output meant.  Tables whose cells are all floats take
 ``write_table``'s whole-table path; they must also match the reference,
 and be byte for byte what the per-cell path (``json_dumps`` of the
-records, ``csv_cell`` of each cell) writes.
+records, ``csv_cell`` of each cell) writes.  ``json_dumps``, which formats
+the plain scalars of a container in its own loop, must also write the
+bytes of the recursive encoder it replaced, kept here as well.
 """
 
 import csv
 import json
 import math
 import re
+from json.encoder import encode_basestring as _json_string
 
 import numpy as np
 import pytest
@@ -273,3 +276,98 @@ def test_write_table_refuses_an_unknown_format(tmp_path):
         with pytest.raises(InputError, match="csv or json"):
             write_table(tmp_path / "t.json", ["a"], [[1.0]], fmt)
     assert not (tmp_path / "t.json").exists()
+
+
+# --- the recursive encoder that formatted every value in its own call ------------
+
+def _recursive_encode(obj, out, pad, step):
+    kind = type(obj)
+    if kind is float:
+        out.append(f"{obj:.17g}" if obj - obj == 0.0 else "null")
+    elif kind is str:
+        out.append(_json_string(obj))
+    elif kind is int:
+        out.append(str(obj))
+    elif obj is None:
+        out.append("null")
+    elif kind is dict or isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = pad + step
+        sep = "{" + inner
+        for key, value in obj.items():
+            out.append(sep + _json_string(str(key)) + ": ")
+            _recursive_encode(value, out, inner, step)
+            sep = "," + inner
+        out.append(pad + "}")
+    elif kind is list or isinstance(obj, (list, tuple, np.ndarray)):
+        seq = list(obj)
+        if not seq:
+            out.append("[]")
+            return
+        inner = pad + step
+        sep = "[" + inner
+        for value in seq:
+            out.append(sep)
+            _recursive_encode(value, out, inner, step)
+            sep = "," + inner
+        out.append(pad + "]")
+    elif isinstance(obj, (bool, np.bool_)):
+        out.append("true" if obj else "false")
+    elif isinstance(obj, (int, np.integer)):
+        out.append(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        _recursive_encode(float(obj), out, pad, step)
+    elif isinstance(obj, str):
+        out.append(_json_string(obj))
+    else:
+        raise TypeError(f"cannot serialize {kind.__name__}")
+
+
+def _recursive_json_dumps(obj) -> str:
+    out = []
+    _recursive_encode(obj, out, "\n", "  ")
+    text = "".join(out)
+    return text if text.isascii() else text.encode("utf-8", "backslashreplace").decode("utf-8")
+
+
+_EDGE_FLOATS = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+                2.225073858507201e-308, 1e-300, 1.7976931348623157e308]
+_EDGE_TEXTS = ["", "\x00", "\x1f", "\x7f", '"', '\\"', "\\", "\n\r\t", "é", "日本",
+               "\U0001f600", "\ud800", "\udcff", "a\udc80b", "%s", "{}", "[1]"]
+_leaves = st.one_of(
+    st.floats() | st.sampled_from(_EDGE_FLOATS),
+    st.integers() | st.sampled_from([2**63, -(2**63) - 1, 2**64 + 1, 10**40, -(10**40)]),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=5) | st.sampled_from(_EDGE_TEXTS),
+    (st.floats() | st.sampled_from(_EDGE_FLOATS)).map(np.float64),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.booleans().map(np.bool_),
+    hnp.arrays(
+        dtype=st.sampled_from([np.float64, np.int64, np.bool_]),
+        shape=st.integers(0, 3),
+        elements=None,
+    ),
+)
+_keys = st.one_of(
+    st.text(max_size=4) | st.sampled_from(_EDGE_TEXTS),
+    st.integers(-3, 3),
+    st.sampled_from([0.5, -0.0, math.inf, True, False, None]),
+)
+_nested = st.recursive(
+    _leaves,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(_keys, children, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_nested)
+def test_json_dumps_matches_the_recursive_encoder_byte_for_byte(doc):
+    assert json_dumps(doc) == _recursive_json_dumps(doc)

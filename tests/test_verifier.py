@@ -189,6 +189,19 @@ def test_ternary_orbit_hypotheses_all_true():
     assert rep.admissible_start is not None
 
 
+@pytest.mark.parametrize("cut", ["10", "1/3", b"10"])
+def test_truncated_as_a_bare_string_is_refused(cut):
+    # read as its characters, "10" would skip the points "1" and "0"
+    p = ternary_orbit_problem(12)
+    with pytest.raises(InputError) as exc:
+        verify_coincidence_hypotheses(p.space, p.f, p.F, p.edges, p.gauge, truncated=cut)
+    assert str(exc.value) == f"truncated takes labels, not the string {cut!r}"
+    rep = verify_coincidence_hypotheses(p.space, p.f, p.F, p.edges, p.gauge, truncated=[cut])
+    assert rep.to_dict() == verify_coincidence_hypotheses(
+        p.space, p.f, p.F, p.edges, p.gauge, truncated=frozenset([cut])
+    ).to_dict()
+
+
 def test_identity_pair_hypotheses_all_true():
     p = identity_problem()
     rep = verify_coincidence_hypotheses(p.space, p.f, p.F, p.edges, p.gauge)
